@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path, PurePosixPath
 
 from .errors import CycleDetected, GuidanceError, NotFound
@@ -172,7 +173,14 @@ class DependencyGraph:
     findings: tuple[Finding, ...] = ()
 
     def importers_of(self, uri: str) -> list[str]:
-        return [importer for importer, source in self.edges if source == uri]
+        return list(self._importers.get(uri, ()))
+
+    @cached_property
+    def _importers(self) -> dict[str, list[str]]:
+        importers: dict[str, list[str]] = {}
+        for importer, source in self.edges:
+            importers.setdefault(source, []).append(importer)
+        return importers
 
 
 def build_graph(store: SourceStore) -> DependencyGraph:
@@ -284,12 +292,13 @@ def propagate(store: SourceStore, changed_uri: str, *,
     affected = transitive_dependents(graph, changed_uri)
 
     results: list[PropagationResult] = []
+    memo: dict[str, ResolvedCatalog] = {}
     for uri in order:
         if uri not in affected or store.load(uri).kind != "profile":
             continue
         output_uri = resolution_output_uri(uri)
         try:
-            resolved = resolve_chain(store, uri, lenient=lenient)
+            resolved = resolve_chain(store, uri, lenient=lenient, memo=memo)
             envelope = DocumentEnvelope("catalog", resolved.catalog)
             previous_path = store.root / output_uri
             if previous_path.is_file():

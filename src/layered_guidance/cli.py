@@ -62,8 +62,18 @@ _STORE_OPTION = click.option(
 )
 
 
+def _echo(message: str, *, err: bool = False, nl: bool = True) -> None:
+    """``click.echo`` to the current stdout or stderr.
+
+    Without an explicit ``file``, click caches a wrapper for each stream it
+    has seen, keyed weakly by the stream but holding it strongly, so every
+    redirected stream and its output would stay alive for good.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _warn(finding: Finding) -> None:
-    click.echo(f"warning: {finding.path}: {finding.message}", err=True)
+    _echo(f"warning: {finding.path}: {finding.message}", err=True)
 
 
 def _describe(exc: GuidanceError) -> str:
@@ -125,6 +135,7 @@ def resolve_cmd(profile_uri: str, store_dir: str, output: str | None, fmt: str,
 @click.pass_context
 def validate_cmd(ctx: click.Context, files: tuple[str, ...], store_dir: str | None) -> None:
     """Validate catalog and profile files; findings go to stderr."""
+    store = SourceStore(store_dir) if store_dir is not None else None
     total_errors = 0
     for file in files:
         findings: list[Finding] = []
@@ -135,8 +146,7 @@ def validate_cmd(ctx: click.Context, files: tuple[str, ...], store_dir: str | No
         else:
             if envelope.kind == "catalog":
                 findings = validate_catalog(envelope.body)
-            elif store_dir is not None:
-                store = SourceStore(store_dir)
+            elif store is not None:
                 sources = []
                 for directive in envelope.body.imports:
                     source_env = store.load(directive.source)
@@ -148,9 +158,9 @@ def validate_cmd(ctx: click.Context, files: tuple[str, ...], store_dir: str | No
             else:
                 findings = []  # structural checks already ran during parse
         for finding in findings:
-            click.echo(f"{finding.severity}: {file}: {finding.path}: {finding.message}", err=True)
+            _echo(f"{finding.severity}: {file}: {finding.path}: {finding.message}", err=True)
         total_errors += sum(1 for f in findings if f.severity == ERROR)
-    click.echo(f"{total_errors} errors")
+    _echo(f"{total_errors} errors")
     if total_errors:
         ctx.exit(EXIT_VALIDATION)
 
@@ -192,9 +202,9 @@ def diff_cmd(catalog_a: str, catalog_b: str, fmt: str) -> None:
     changeset = diff(_read_catalog(catalog_a), _read_catalog(catalog_b))
     if fmt == "json":
         plain = {"entries": [entry_plain(e) for e in changeset.entries]}
-        click.echo(json.dumps(plain, indent=2, ensure_ascii=False))
+        _echo(json.dumps(plain, indent=2, ensure_ascii=False))
     else:
-        click.echo(_diff_text(changeset), nl=False)
+        _echo(_diff_text(changeset), nl=False)
 
 
 @cli.command("render")
@@ -225,7 +235,7 @@ def graph_cmd(ctx: click.Context, store_dir: str, fmt: str) -> None:
                 for f in graph.findings
             ],
         }
-        click.echo(json.dumps(plain, indent=2, ensure_ascii=False))
+        _echo(json.dumps(plain, indent=2, ensure_ascii=False))
     else:
         lines = ["documents:"]
         lines += [f"  {node}" for node in graph.nodes]
@@ -234,7 +244,7 @@ def graph_cmd(ctx: click.Context, store_dir: str, fmt: str) -> None:
             lines += [f"  {importer} -> {source}" for importer, source in graph.edges]
         for finding in graph.findings:
             lines.append(f"{finding.severity}: {finding.path}: {finding.message}")
-        click.echo("\n".join(lines))
+        _echo("\n".join(lines))
     if has_errors(graph.findings):
         ctx.exit(EXIT_VALIDATION)
 
@@ -260,13 +270,13 @@ def propagate_cmd(ctx: click.Context, store_dir: str, changed_uri: str, fmt: str
                 item["initial"] = result.initial
                 item["changes"] = [entry_plain(e) for e in result.changes.entries]
             plain.append(item)
-        click.echo(json.dumps(plain, indent=2, ensure_ascii=False))
+        _echo(json.dumps(plain, indent=2, ensure_ascii=False))
     else:
         if not results:
-            click.echo("nothing depends on " + changed_uri)
+            _echo("nothing depends on " + changed_uri)
         for result in results:
             if result.error is not None:
-                click.echo(f"failed {result.profile_uri}: {result.error}")
+                _echo(f"failed {result.profile_uri}: {result.error}")
                 continue
             if result.initial:
                 status = "initial resolution"
@@ -275,9 +285,9 @@ def propagate_cmd(ctx: click.Context, store_dir: str, changed_uri: str, fmt: str
             else:
                 count = len(result.changes.entries)
                 status = f"{count} change{'s' if count != 1 else ''}"
-            click.echo(f"re-resolved {result.profile_uri} -> {result.output_uri} ({status})")
+            _echo(f"re-resolved {result.profile_uri} -> {result.output_uri} ({status})")
             if result.changes is not None and not result.changes.is_empty:
-                click.echo("  " + _diff_text(result.changes).rstrip("\n").replace("\n", "\n  "))
+                _echo("  " + _diff_text(result.changes).rstrip("\n").replace("\n", "\n  "))
     if any(result.error is not None for result in results):
         ctx.exit(EXIT_RESOLUTION)
 
@@ -291,28 +301,28 @@ def main(args: list[str] | None = None) -> int:
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
     except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        _echo(f"usage error: {exc.format_message()}", err=True)
         return EXIT_USAGE
     except click.ClickException as exc:
         exc.show()
         return EXIT_IO
     except ValidationError as exc:
-        click.echo(f"validation error: {_describe(exc)}", err=True)
+        _echo(f"validation error: {_describe(exc)}", err=True)
         return EXIT_VALIDATION
     except ResolutionError as exc:
-        click.echo(f"resolution error: {_describe(exc)}", err=True)
+        _echo(f"resolution error: {_describe(exc)}", err=True)
         return EXIT_RESOLUTION
     except (DocumentSyntaxError, SchemaError, StoreError, UnknownFixture) as exc:
-        click.echo(f"error: {_describe(exc)}", err=True)
+        _echo(f"error: {_describe(exc)}", err=True)
         return EXIT_IO
     except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
+        _echo(f"i/o error: {exc}", err=True)
         return EXIT_IO
     except GuidanceError as exc:
-        click.echo(f"error: {_describe(exc)}", err=True)
+        _echo(f"error: {_describe(exc)}", err=True)
         return EXIT_IO
     except Exception as exc:  # never crash on malformed input
-        click.echo(f"internal error: {exc}", err=True)
+        _echo(f"internal error: {exc}", err=True)
         return EXIT_IO
     return EXIT_OK
 

@@ -373,13 +373,19 @@ def detect_cycles(store: SourceStore, root_uri: str) -> list[str]:
     return order
 
 
-def resolve_chain(store: SourceStore, profile_uri: str, *, lenient: bool = False) -> ResolvedCatalog:
-    """Recursively resolve a profile whose imports may name other profiles."""
+def resolve_chain(store: SourceStore, profile_uri: str, *, lenient: bool = False,
+                  memo: dict[str, ResolvedCatalog] | None = None) -> ResolvedCatalog:
+    """Recursively resolve a profile whose imports may name other profiles.
+
+    ``memo`` maps uris to their resolutions; passing the same dict to
+    several calls over one store resolves each document at most once.
+    Failures are never memoised.
+    """
     detect_cycles(store, profile_uri)
     envelope = store.load(profile_uri)
     if envelope.kind != "profile":
         raise ResolutionError(f"{profile_uri!r} is a catalog, not a profile")
-    return _resolve_uri(store, profile_uri, lenient, {})
+    return _resolve_uri(store, profile_uri, lenient, {} if memo is None else memo)
 
 
 def _resolve_uri(store: SourceStore, uri: str, lenient: bool,

@@ -47,8 +47,12 @@ _WRAP_COLUMN = 80
 # Parsing
 
 
-class _StrictLoader(yaml.SafeLoader):
-    """SafeLoader that rejects duplicate and non-string mapping keys."""
+class _StrictLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """Safe loader that rejects duplicate and non-string mapping keys.
+
+    It parses with libyaml when PyYAML was built with it and in pure Python
+    otherwise; syntax-error wording follows the parser, marks do not.
+    """
 
 
 def _construct_mapping(loader: _StrictLoader, node: yaml.MappingNode, deep: bool = False) -> dict:
@@ -78,6 +82,9 @@ def _load_yaml(text: str) -> Any:
         return yaml.load(text, Loader=_StrictLoader)
     except SchemaError:
         raise
+    except UnicodeEncodeError as exc:  # libyaml encodes str input to UTF-8 itself
+        code = ord(exc.object[exc.start])
+        raise DocumentSyntaxError(f"unacceptable character #x{code:04x}: {exc.reason}") from exc
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark or exc.context_mark
         line = mark.line + 1 if mark else None

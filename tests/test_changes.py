@@ -14,6 +14,7 @@ from layered_guidance.changes import (
     resolution_output_uri,
     transitive_dependents,
 )
+from layered_guidance import resolver
 from layered_guidance.errors import NotFound
 from layered_guidance.model import Catalog, Control, Metadata, Part, find_control
 from layered_guidance.resolver import SourceStore, resolve_chain
@@ -124,6 +125,12 @@ class TestBuildGraph:
         assert len(graph.findings) == 1
         assert "missing.yaml" in graph.findings[0].message
 
+    def test_importers_match_an_edge_scan(self, fixture_store):
+        graph = build_graph(SourceStore(fixture_store))
+        for uri in graph.nodes + ("ghost.yaml",):
+            scanned = [importer for importer, source in graph.edges if source == uri]
+            assert graph.importers_of(uri) == scanned
+
 
 class TestPropagate:
     def _populate(self, fixture_store):
@@ -214,6 +221,29 @@ class TestPropagate:
         assert by_uri["ot-profile.yaml"].error is None
         assert by_uri["am-profile.yaml"].error is not None
         assert "removal matched nothing" in str(by_uri["am-profile.yaml"].error)
+
+    def test_each_profile_resolves_once(self, fixture_store, monkeypatch):
+        resolved_uris = []
+        original = resolver.resolve
+
+        def counting_resolve(sources, profile, **kwargs):
+            resolved_uris.append(profile.uri)
+            return original(sources, profile, **kwargs)
+
+        monkeypatch.setattr(resolver, "resolve", counting_resolve)
+        results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        assert [r.error for r in results] == [None, None]
+        assert resolved_uris == ["ot-profile.yaml", "am-profile.yaml"]
+
+    def test_failing_layer_fails_its_dependents_in_place(self, fixture_store):
+        self._populate(fixture_store)
+        path = fixture_store / "ot-profile.yaml"
+        path.write_bytes(path.read_bytes().replace(b"control-id: id.am-3", b"control-id: id.zz-9"))
+        results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        assert [r.profile_uri for r in results] == ["ot-profile.yaml", "am-profile.yaml"]
+        for result in results:
+            assert result.resolved is None
+            assert "id.zz-9" in str(result.error)
 
     def test_persisted_resolution_is_canonical(self, fixture_store):
         self._populate(fixture_store)

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import gc
+import io
 import json
+import sys
+import weakref
 from pathlib import Path
 
 from conftest import FIXTURES_DIR
+from layered_guidance import resolver
 from layered_guidance.cli import main
 from layered_guidance.model import find_control
 from layered_guidance.serialize import parse_document
@@ -96,6 +101,28 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    def test_shared_base_is_parsed_once(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "base.yaml").write_bytes(
+            b"catalog:\n  metadata:\n    title: Base\n    version: \"1\"\n"
+            b"  controls:\n    - id: c1\n"
+        )
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.yaml").write_bytes(
+                b"profile:\n  metadata:\n    title: P\n    version: \"1\"\n"
+                b"  imports:\n    - source: base.yaml\n"
+            )
+        store_parses = []
+
+        def counting_parse(data, *args):
+            store_parses.append(data)
+            return parse_document(data, *args)
+
+        monkeypatch.setattr(resolver, "parse_document", counting_parse)
+        assert main(["validate", str(tmp_path / "a.yaml"), str(tmp_path / "b.yaml"),
+                     "--store", str(tmp_path)]) == 0
+        assert "0 errors" in capsys.readouterr().out
+        assert len(store_parses) == 1
+
 
 class TestDiffCommand:
     def test_text_report(self, fixture_store, tmp_path, capsys):
@@ -183,6 +210,19 @@ class TestPropagateCommand:
         )
         assert main(["propagate", "--store", str(tmp_path), "--changed", "solo.yaml"]) == 0
         assert "nothing depends on solo.yaml" in capsys.readouterr().out
+
+
+class TestOutputStreams:
+    def test_redirected_stdout_is_not_retained(self, monkeypatch):
+        stream = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["graph", "--store", str(FIXTURES_DIR), "--format", "json"]) == 0
+        assert json.loads(stream.getvalue())["nodes"]
+        monkeypatch.undo()
+        released = weakref.ref(stream)
+        del stream
+        gc.collect()
+        assert released() is None
 
 
 class TestFailureModes:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import strategies
+from layered_guidance import resolver
 from layered_guidance.errors import (
     CycleDetected,
     DuplicateControlId,
@@ -341,6 +342,33 @@ class TestResolveChain:
         one = serialize_document(DocumentEnvelope("catalog", first.catalog), "yaml")
         two = serialize_document(DocumentEnvelope("catalog", second.catalog), "yaml")
         assert one == two
+
+    def test_shared_memo_resolves_each_layer_once(self, fixture_store, monkeypatch):
+        expected = resolve_chain(SourceStore(fixture_store), "am-profile.yaml")
+        resolved_uris = []
+
+        def counting_resolve(sources, profile, **kwargs):
+            resolved_uris.append(profile.uri)
+            return resolve(sources, profile, **kwargs)
+
+        monkeypatch.setattr(resolver, "resolve", counting_resolve)
+        store = SourceStore(fixture_store)
+        memo = {}
+        intermediate = resolve_chain(store, "ot-profile.yaml", memo=memo)
+        chained = resolve_chain(store, "am-profile.yaml", memo=memo)
+        assert resolved_uris == ["ot-profile.yaml", "am-profile.yaml"]
+        assert memo["ot-profile.yaml"] is intermediate
+        assert chained == expected
+
+    def test_failures_are_not_memoised(self, fixture_store):
+        path = fixture_store / "ot-profile.yaml"
+        path.write_bytes(path.read_bytes().replace(b"control-id: id.am-3", b"control-id: id.zz-9"))
+        store = SourceStore(fixture_store)
+        memo = {}
+        for _ in range(2):
+            with pytest.raises(UnknownControlId, match="id.zz-9"):
+                resolve_chain(store, "am-profile.yaml", memo=memo)
+            assert "ot-profile.yaml" not in memo and "am-profile.yaml" not in memo
 
     @given(strategies.layered_chains())
     @settings(max_examples=30, deadline=None)

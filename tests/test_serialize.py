@@ -3,10 +3,13 @@ from __future__ import annotations
 import json
 
 import pytest
+import yaml
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies
 from conftest import FIXTURES_DIR
+from layered_guidance import serialize
 from layered_guidance.errors import DocumentSyntaxError, SchemaError, ValidationError
 from layered_guidance.model import Control, DocumentEnvelope, Part
 from layered_guidance.serialize import parse_document, serialize_document
@@ -117,6 +120,11 @@ class TestParse:
     def test_invalid_utf8(self):
         with pytest.raises(DocumentSyntaxError, match="UTF-8"):
             parse_document(b"\xff\xfe42")
+
+    def test_lone_surrogate_is_a_syntax_error(self):
+        text = "catalog:\n  metadata:\n    title: \ud800x\n    version: b\n"
+        with pytest.raises(DocumentSyntaxError, match="#xd800"):
+            parse_document(text)
 
     def test_invariant_violations_raise_validation_error(self):
         text = (b"catalog:\n  metadata:\n    title: a\n    version: b\n"
@@ -247,3 +255,75 @@ class TestRoundTrip:
         assert [c.id for c in reparsed.controls] == [c.id for c in catalog.controls]
         for original, parsed in zip(catalog.controls, reparsed.controls):
             assert [p.name for p in parsed.parts] == [p.name for p in original.parts]
+
+
+class _PurePythonLoader(yaml.SafeLoader):
+    """The strict loader rebuilt on PyYAML's pure-Python parser."""
+
+
+_PurePythonLoader.add_constructor(
+    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, serialize._construct_mapping
+)
+
+
+def _raw(loader, text: str):
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError:
+        return yaml.YAMLError  # both loaders must reject the same texts
+
+
+def _outcome(loader, data: bytes):
+    """What ``parse_document`` makes of ``data`` with ``loader`` as the strict loader."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "_StrictLoader", loader)
+        try:
+            return parse_document(data)
+        except DocumentSyntaxError as exc:  # wording follows the parser, marks do not
+            return DocumentSyntaxError, exc.line, exc.column
+        except SchemaError as exc:
+            return SchemaError, str(exc)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+class TestLoaderEquivalence:
+    """libyaml and the pure-Python parser agree on every document."""
+
+    def test_strict_loader_uses_libyaml(self):
+        assert issubclass(serialize._StrictLoader, yaml.CSafeLoader)
+
+    @given(strategies.documents())
+    @settings(max_examples=150, deadline=None)
+    def test_serialized_documents_load_identically(self, envelope: DocumentEnvelope):
+        data = serialize_document(envelope, "yaml")
+        text = data.decode("utf-8")
+        assert _raw(_PurePythonLoader, text) == _raw(serialize._StrictLoader, text)
+        assert _outcome(_PurePythonLoader, data) == _outcome(serialize._StrictLoader, data)
+
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_quoted_scalars_load_identically(self, value: str):
+        text = f"key: {serialize._quote(value)}\n"
+        assert _raw(_PurePythonLoader, text) == _raw(serialize._StrictLoader, text)
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(b"catalog:\n  metadata:\n    title: a\n    title: b\n", id="duplicate-key"),
+        pytest.param(b"catalog:\n  metadata:\n    1: a\n", id="integer-key"),
+        pytest.param(b"catalog:\n  metadata:\n    ? [a]\n    : b\n", id="sequence-key"),
+    ])
+    def test_key_errors_match(self, data):
+        pure = _outcome(_PurePythonLoader, data)
+        assert pure[0] is SchemaError and "(line " in pure[1]
+        assert _outcome(serialize._StrictLoader, data) == pure
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(b"catalog:\n  metadata:\n    title: a\n   version: b\n",
+                     id="bad-indentation"),
+        pytest.param(b"catalog:\n\tmetadata: {}\n", id="leading-tab"),
+        pytest.param(b"catalog:\n  metadata:\n    title: a\n    version\xc2\x85: b\n",
+                     id="next-line"),
+    ])
+    def test_syntax_error_marks_match(self, data):
+        pure = _outcome(_PurePythonLoader, data)
+        assert pure[0] is DocumentSyntaxError and pure[1] is not None
+        assert _outcome(serialize._StrictLoader, data) == pure
