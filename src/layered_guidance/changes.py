@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path, PurePosixPath
 
-from .errors import CycleDetected, GuidanceError, NotFound
+from .errors import GuidanceError, NotFound
 from .model import Catalog, Control, DocumentEnvelope, ERROR, Finding
-from .resolver import RESOLVED_DIR, ResolvedCatalog, SourceStore, resolve_chain
+from .resolver import RESOLVED_DIR, ResolvedCatalog, SourceStore, resolve_chain, topological_order
 from .serialize import parse_document, serialize_document
 
 CONTROL_ADDED = "control-added"
@@ -207,36 +207,6 @@ def build_graph(store: SourceStore) -> DependencyGraph:
     return DependencyGraph(nodes=nodes, edges=tuple(edges), findings=tuple(findings))
 
 
-def _topological_order(graph: DependencyGraph) -> list[str]:
-    """Dependencies-first order over the whole graph; cycles are errors."""
-    sources: dict[str, list[str]] = {node: [] for node in graph.nodes}
-    for importer, source in graph.edges:
-        sources[importer].append(source)
-
-    order: list[str] = []
-    done: set[str] = set()
-    stack: list[str] = []
-    on_stack: set[str] = set()
-
-    def visit(uri: str) -> None:
-        if uri in done:
-            return
-        if uri in on_stack:
-            raise CycleDetected(stack[stack.index(uri):] + [uri])
-        stack.append(uri)
-        on_stack.add(uri)
-        for dep in sources[uri]:
-            visit(dep)
-        stack.pop()
-        on_stack.remove(uri)
-        done.add(uri)
-        order.append(uri)
-
-    for node in graph.nodes:
-        visit(node)
-    return order
-
-
 def transitive_dependents(graph: DependencyGraph, uri: str) -> set[str]:
     """Every document that imports ``uri`` directly or transitively, plus ``uri``."""
     dependents = {uri}
@@ -288,7 +258,10 @@ def propagate(store: SourceStore, changed_uri: str, *,
     if not store.exists(changed_uri):
         raise NotFound(changed_uri)
     graph = build_graph(store)
-    order = _topological_order(graph)
+    sources: dict[str, list[str]] = {node: [] for node in graph.nodes}
+    for importer, source in graph.edges:
+        sources[importer].append(source)
+    order = topological_order(graph.nodes, sources.__getitem__)
     affected = transitive_dependents(graph, changed_uri)
 
     results: list[PropagationResult] = []

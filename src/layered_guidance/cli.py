@@ -43,10 +43,9 @@ from .model import (
     Finding,
     has_errors,
     validate_catalog,
-    validate_profile,
 )
 from .render import RenderOptions, render_markdown
-from .resolver import SourceStore, resolve_chain, wrap_catalog
+from .resolver import SourceStore, resolve_chain, validate_profile, wrap_catalog
 from .serialize import parse_document, serialize_document
 
 EXIT_OK = 0
@@ -105,7 +104,27 @@ def _read_catalog(path: str) -> Catalog:
     return Catalog(metadata=body.metadata, controls=body.controls, uri=path)
 
 
-@click.group()
+def _show_help(ctx: click.Context, _param: click.Parameter, value: bool) -> None:
+    if value and not ctx.resilient_parsing:
+        _echo(ctx.get_help())
+        ctx.exit()
+
+
+class _Command(click.Command):
+    """A command whose ``--help`` prints through ``_echo`` like every other output."""
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Group(click.Group, _Command):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def cli() -> None:
     """Author, resolve, and publish layered security guidance."""
 

@@ -5,14 +5,16 @@ A profile imports controls from source documents and alters their parts.
 All types are immutable after construction and safe to share across tasks.
 
 Validation is data, not control flow: ``validate_catalog`` and
-``validate_profile`` return findings instead of raising, and only
-error-severity findings block resolution.
+``profile_structure_findings`` return findings instead of raising, and
+only error-severity findings block resolution. ``resolver.validate_profile``
+is the resolver itself collecting findings instead of raising, so a report
+without errors means strict resolution succeeds by construction.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 IDENTIFIER_RE = re.compile(r"[a-z][a-z0-9._-]*", re.IGNORECASE)
@@ -329,137 +331,4 @@ def profile_structure_findings(profile: Profile) -> ValidationReport:
                 if part.name in names:
                     findings.append(Finding(ERROR, ppath, f"duplicate part name {part.name!r}"))
                 names.add(part.name)
-    return findings
-
-
-def _collect_selection(catalog: Catalog, directive: ImportDirective,
-                       findings: ValidationReport, path: str) -> list[Control]:
-    """Simulate one import's selection, reporting include/exclude misses.
-
-    Mirrors the resolver's documented selection semantics but is
-    implemented independently, so validation works as a true preflight.
-    Returns the selected subtree roots with exclusions pruned.
-    """
-    exclude = set(directive.exclude)
-    roots: list[Control] = []
-
-    def pruned(control: Control) -> Control | None:
-        if control.id in exclude:
-            return None
-        kept = tuple(c for child in control.children if (c := pruned(child)) is not None)
-        return Control(control.id, control.classifier, control.parts, kept)
-
-    if directive.include_all:
-        for control in catalog.controls:
-            kept = pruned(control)
-            if kept is not None:
-                roots.append(kept)
-    else:
-        wanted = set(directive.include)
-        matched: set[str] = set()
-
-        def walk(control: Control) -> None:
-            if control.id in exclude:
-                return
-            if control.id in wanted:
-                kept = pruned(control)
-                if kept is not None:
-                    roots.append(kept)
-                    matched.add(control.id)
-                return
-            for child in control.children:
-                walk(child)
-
-        for control in catalog.controls:
-            walk(control)
-        for cid in directive.include:
-            if cid not in matched:
-                findings.append(Finding(WARNING, path, f"include id {cid!r} matched nothing"))
-
-    present = {c.id for c in iter_controls(catalog.controls)}
-    for cid in directive.exclude:
-        if cid not in present:
-            findings.append(Finding(WARNING, path, f"exclude id {cid!r} matched nothing"))
-    return roots
-
-
-def validate_profile(profile: Profile, resolved_sources: Sequence[Catalog]) -> ValidationReport:
-    """Preflight a profile against its already-resolved sources.
-
-    An empty report guarantees that strict resolution will succeed; any
-    error-severity finding corresponds to a resolution failure.
-    """
-    findings = profile_structure_findings(profile)
-
-    # Pair sources with import directives the way the resolver does: by uri
-    # when one matches, positionally when the counts line up.
-    by_uri = {source.uri: source for source in resolved_sources if source.uri}
-    paired: list[tuple[ImportDirective, Catalog]] = []
-    for index, directive in enumerate(profile.imports):
-        if directive.source in by_uri:
-            paired.append((directive, by_uri[directive.source]))
-        elif len(resolved_sources) == len(profile.imports):
-            paired.append((directive, resolved_sources[index]))
-        else:
-            findings.append(
-                Finding(ERROR, f"imports/{index}",
-                        f"no source supplied for import {directive.source!r}")
-            )
-    if len(paired) != len(profile.imports):
-        return findings
-
-    selected: dict[str, Control] = {}
-    selected_from: dict[str, str] = {}
-    for index, (directive, source) in enumerate(paired):
-        path = f"imports/{index}"
-        source_uri = source.uri or directive.source
-        roots = _collect_selection(source, directive, findings, path)
-        for root in roots:
-            if selected_from.get(root.id) == source_uri:
-                continue  # the same source re-selected an already-present root
-            for control in iter_controls([root]):
-                if control.id in selected:
-                    findings.append(
-                        Finding(ERROR, path, f"duplicate control id {control.id!r} in selection")
-                    )
-                else:
-                    selected[control.id] = control
-                    selected_from[control.id] = source_uri
-
-    for alteration in profile.alterations:
-        path = f"alterations/{alteration.control_id}"
-        target = selected.get(alteration.control_id)
-        if target is None:
-            findings.append(
-                Finding(ERROR, path, f"unknown control id {alteration.control_id!r}")
-            )
-            continue
-        surviving = list(target.parts)
-        for rindex, remove in enumerate(alteration.removes):
-            matched = [p for p in surviving if remove.matches(p)]
-            if not matched:
-                kind, value = remove.describe()
-                findings.append(
-                    Finding(
-                        ERROR,
-                        f"{path}/removes/{rindex}",
-                        f"removal matched nothing ({kind} {value!r})",
-                    )
-                )
-            surviving = [p for p in surviving if not remove.matches(p)]
-        for aindex, add in enumerate(alteration.adds):
-            for part in add.parts:
-                if any(p.name == part.name for p in surviving):
-                    findings.append(
-                        Finding(
-                            ERROR,
-                            f"{path}/adds/{aindex}",
-                            f"duplicate part name {part.name!r}",
-                        )
-                    )
-                else:
-                    surviving.append(part)
-        for index, part in enumerate(surviving):
-            if part.name == STATEMENT_PART and index != 0:
-                findings.append(Finding(ERROR, path, "statement must be first"))
     return findings

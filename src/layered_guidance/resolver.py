@@ -8,13 +8,18 @@ and selectively replaces the layer below it.
 Every resolved part carries provenance: the uri of the layer that
 contributed it and that layer's depth (0 for source catalogs, k for the
 k-th profile applied).
+
+Selection and alteration have one implementation. Strict resolution raises
+at the first failure; ``validate_profile`` runs the same code with a report
+that records each failure as a path-addressed finding and goes on, so a
+report without errors means strict resolution succeeds by construction.
 """
 
 from __future__ import annotations
 
 import posixpath
 import threading
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,13 +37,16 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    ERROR,
     Alteration,
     Catalog,
     Control,
     DocumentEnvelope,
     Finding,
+    ImportDirective,
     Profile,
     STATEMENT_PART,
+    ValidationReport,
     WARNING,
     has_errors,
     iter_controls,
@@ -88,6 +96,25 @@ def wrap_catalog(catalog: Catalog, uri: str = "") -> ResolvedCatalog:
     )
 
 
+class _Report:
+    """Where resolution failures go: raised, or recorded in ``findings`` as resolution goes on.
+
+    A raising report (``findings is None``) with ``lenient`` set appends a
+    removal that matches nothing to ``warnings`` instead of raising.
+    """
+
+    def __init__(self, findings: list[Finding] | None = None, *, lenient: bool = False,
+                 warnings: list[Finding] | None = None) -> None:
+        self.findings = findings
+        self.lenient = lenient
+        self.warnings = warnings
+
+    def fail(self, error: GuidanceError, path: str, message: str) -> None:
+        if self.findings is None:
+            raise error
+        self.findings.append(Finding(ERROR, path, message))
+
+
 def apply_alteration(control: Control, alteration: Alteration, *, lenient: bool = False,
                      warnings: list[Finding] | None = None) -> Control:
     """Apply one alteration: all removes first, then adds appended at the end.
@@ -95,34 +122,37 @@ def apply_alteration(control: Control, alteration: Alteration, *, lenient: bool 
     Strict mode raises ``RemovalMatchedNothing`` when a selector matches no
     part; lenient mode records a warning instead.
     """
+    return _alter(control, alteration, _Report(lenient=lenient, warnings=warnings))
+
+
+def _alter(control: Control, alteration: Alteration, report: _Report) -> Control:
     if alteration.control_id != control.id:
         raise ResolutionError(
             f"alteration targets {alteration.control_id!r}, control is {control.id!r}"
         )
+    path = f"alterations/{control.id}"
     parts = list(control.parts)
-    for remove in alteration.removes:
-        matched = [p for p in parts if remove.matches(p)]
-        if not matched:
+    for rindex, remove in enumerate(alteration.removes):
+        kept = [p for p in parts if not remove.matches(p)]
+        if len(kept) == len(parts):
             kind, value = remove.describe()
-            if not lenient:
-                raise RemovalMatchedNothing(control.id, kind, value)
-            if warnings is not None:
-                warnings.append(
-                    Finding(
-                        WARNING,
-                        f"alterations/{control.id}",
-                        f"removal matched nothing ({kind} {value!r})",
-                    )
-                )
-        parts = [p for p in parts if not remove.matches(p)]
-    for add in alteration.adds:
+            message = f"removal matched nothing ({kind} {value!r})"
+            if not report.lenient:
+                report.fail(RemovalMatchedNothing(control.id, kind, value),
+                            f"{path}/removes/{rindex}", message)
+            elif report.warnings is not None:
+                report.warnings.append(Finding(WARNING, path, message))
+        parts = kept
+    for aindex, add in enumerate(alteration.adds):
         for part in add.parts:
             if any(existing.name == part.name for existing in parts):
-                raise DuplicatePartName(control.id, part.name)
-            parts.append(part)
+                report.fail(DuplicatePartName(control.id, part.name), f"{path}/adds/{aindex}",
+                            f"duplicate part name {part.name!r}")
+            else:
+                parts.append(part)
     for index, part in enumerate(parts):
         if part.name == STATEMENT_PART and index != 0:
-            raise StatementNotFirst(control.id)
+            report.fail(StatementNotFirst(control.id), path, "statement must be first")
     return replace(control, parts=tuple(parts))
 
 
@@ -135,50 +165,52 @@ def _prune(control: Control, exclude: set[str]) -> Control | None:
     return replace(control, children=children)
 
 
-def _select(catalog: Catalog, include: str | tuple[str, ...], exclude: set[str]) -> list[Control]:
+def _select(catalog: Catalog, directive: ImportDirective, report: _Report,
+            path: str) -> list[Control]:
     """Import selection: include/exclude applied, document order preserved.
 
     A selected control brings its whole subtree, minus individually
     excluded descendants. Explicit includes match anywhere in the tree but
-    never descend into an already-selected subtree.
+    never descend into an already-selected subtree. A collecting report
+    gets a warning for each include or exclude id that matches nothing.
     """
-    if isinstance(include, str):
-        return [c for top in catalog.controls if (c := _prune(top, exclude)) is not None]
-    wanted = set(include)
+    exclude = set(directive.exclude)
+    include_all = isinstance(directive.include, str)
+    wanted = {top.id for top in catalog.controls} if include_all else set(directive.include)
     selected: list[Control] = []
 
     def walk(control: Control) -> None:
         if control.id in exclude:
             return
         if control.id in wanted:
-            kept = _prune(control, exclude)
-            if kept is not None:
-                selected.append(kept)
+            selected.append(_prune(control, exclude))
             return
         for child in control.children:
             walk(child)
 
     for top in catalog.controls:
         walk(top)
+    if report.findings is None:
+        return selected
+    if not include_all:
+        matched = {root.id for root in selected}
+        for cid in directive.include:
+            if cid not in matched:
+                report.findings.append(Finding(WARNING, path, f"include id {cid!r} matched nothing"))
+    present = {c.id for c in iter_controls(catalog.controls)}
+    for cid in directive.exclude:
+        if cid not in present:
+            report.findings.append(Finding(WARNING, path, f"exclude id {cid!r} matched nothing"))
     return selected
 
 
-def _replace_in_forest(controls: tuple[Control, ...], target_id: str,
-                       replacement: Control) -> tuple[tuple[Control, ...], bool]:
-    out: list[Control] = []
-    found = False
-    for control in controls:
-        if control.id == target_id:
-            out.append(replacement)
-            found = True
-            continue
-        children, hit = _replace_in_forest(control.children, target_id, replacement)
-        if hit:
-            out.append(replace(control, children=children))
-            found = True
-        else:
-            out.append(control)
-    return tuple(out), found
+def _swap_in(control: Control, altered: Mapping[str, Control]) -> Control:
+    """``control`` with every altered control in its subtree swapped in."""
+    children = tuple(_swap_in(child, altered) for child in control.children)
+    control = altered.get(control.id, control)
+    if all(new is old for new, old in zip(children, control.children)):
+        return control
+    return replace(control, children=children)
 
 
 def resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile, *,
@@ -190,95 +222,106 @@ def resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile, *,
     upstream provenance; parts added here are stamped with this profile's
     uri at the next layer depth.
     """
+    sources = [s if isinstance(s, ResolvedCatalog) else wrap_catalog(s) for s in sources]
+    return _resolve(sources, profile, _Report(lenient=lenient, warnings=[]))
+
+
+def validate_profile(profile: Profile, resolved_sources: Sequence[Catalog]) -> ValidationReport:
+    """Preflight a profile against its already-resolved sources.
+
+    This is ``resolve`` with a report that collects findings instead of
+    raising, so an error-free report means strict resolution succeeds, and
+    each error finding is a failure strict resolution would raise.
+    """
+    findings: ValidationReport = []
+    # Findings need no provenance, so the sources are not wrapped.
+    sources = [ResolvedCatalog(source, {}, (), 0) for source in resolved_sources]
+    _resolve(sources, profile, _Report(findings))
+    return findings
+
+
+def _resolve(sources: Sequence[ResolvedCatalog], profile: Profile,
+             report: _Report) -> ResolvedCatalog | None:
+    """Select, alter and stamp provenance in one pass over the selected forest.
+
+    Only a raising report gets the resolved catalog back.
+    """
     structural = profile_structure_findings(profile)
-    if has_errors(structural):
+    if report.findings is not None:
+        report.findings.extend(structural)
+    elif has_errors(structural):
         raise ValidationError(structural)
 
-    resolved_sources = [
-        source if isinstance(source, ResolvedCatalog) else wrap_catalog(source)
-        for source in sources
-    ]
-    by_uri = {rs.catalog.uri: rs for rs in resolved_sources if rs.catalog.uri}
+    by_uri = {rs.catalog.uri: rs for rs in sources if rs.catalog.uri}
     paired: list[ResolvedCatalog] = []
     for index, directive in enumerate(profile.imports):
         if directive.source in by_uri:
             paired.append(by_uri[directive.source])
-        elif len(resolved_sources) == len(profile.imports):
-            paired.append(resolved_sources[index])
+        elif len(sources) == len(profile.imports):
+            paired.append(sources[index])
         else:
-            raise ResolutionError(
-                f"no source supplied for import {directive.source!r}"
-            )
-
-    warnings: list[Finding] = []
-    provenance: dict[int, ProvenanceEntry] = {}
-    origins: dict[str, ResolvedCatalog] = {}
-    union: list[Control] = []
-    seen: dict[str, str] = {}
-    for directive, source in zip(profile.imports, paired):
-        exclude = set(directive.exclude)
-        if not directive.include_all:
-            overlap = sorted(set(directive.include) & exclude)
-            if overlap:
-                raise ResolutionError(
-                    f"include and exclude overlap for {directive.source!r}: {', '.join(overlap)}"
-                )
-        roots = _select(source.catalog, directive.include, exclude)
-        source_uri = source.catalog.uri or directive.source
-        for root in roots:
-            if root.id in seen and seen[root.id] == source_uri:
-                continue  # the same source re-selected an already-present root
-            for control in iter_controls([root]):
-                if control.id in origins:
-                    raise DuplicateControlId(
-                        control.id,
-                        f"supplied by both {origins[control.id].catalog.uri or 'a source'!r}"
-                        f" and {source_uri!r}",
-                    )
-                origins[control.id] = source
-                seen[control.id] = source_uri
-                for part in control.parts:
-                    entry = source.provenance.get((control.id, part.name))
-                    provenance[id(part)] = entry or ProvenanceEntry(source_uri, 0)
-            union.append(root)
-
-    depth = max((rs.depth for rs in paired), default=0) + 1
-    forest = tuple(union)
-    for alteration in profile.alterations:
-        target = None
-        for control in iter_controls(forest):
-            if control.id == alteration.control_id:
-                target = control
-                break
-        if target is None:
-            raise UnknownControlId(alteration.control_id, f"profile {profile.uri or 'in memory'}")
-        altered = apply_alteration(target, alteration, lenient=lenient, warnings=warnings)
-        forest, _ = _replace_in_forest(forest, alteration.control_id, altered)
+            message = f"no source supplied for import {directive.source!r}"
+            report.fail(ResolutionError(message), f"imports/{index}", message)
+    if len(paired) != len(profile.imports):
+        return None
 
     profile_uri = profile.uri or "<profile>"
-    final_provenance: dict[tuple[str, str], ProvenanceEntry] = {}
-    for control in iter_controls(forest):
-        for part in control.parts:
-            entry = provenance.get(id(part))
-            final_provenance[(control.id, part.name)] = entry or ProvenanceEntry(
-                profile_uri, depth
-            )
+    depth = max((rs.depth for rs in paired), default=0) + 1
+    provenance: dict[tuple[str, str], ProvenanceEntry] = {}
+    selected: dict[str, Control] = {}
+    origins: dict[str, tuple[str, str]] = {}  # control id -> source uri, name in messages
+    forest: list[Control] = []
+    for index, (directive, source) in enumerate(zip(profile.imports, paired)):
+        path = f"imports/{index}"
+        source_uri = source.catalog.uri or directive.source
+        for root in _select(source.catalog, directive, report, path):
+            if root.id in origins and origins[root.id][0] == source_uri:
+                continue  # the same source re-selected an already-present root
+            for control in iter_controls([root]):
+                if control.id in selected:
+                    first = origins[control.id][1]
+                    report.fail(
+                        DuplicateControlId(control.id,
+                                           f"supplied by both {first!r} and {source_uri!r}"),
+                        path, f"duplicate control id {control.id!r} in selection",
+                    )
+                    continue
+                selected[control.id] = control
+                origins[control.id] = (source_uri, source.catalog.uri or "a source")
+                for part in control.parts:
+                    key = (control.id, part.name)
+                    provenance[key] = source.provenance.get(key) or ProvenanceEntry(source_uri, 0)
+            forest.append(root)
 
-    lineage: list[str] = []
-    for source in paired:
-        for uri in source.lineage:
-            if uri not in lineage:
-                lineage.append(uri)
-    lineage.append(profile_uri)
+    altered: dict[str, Control] = {}
+    for alteration in profile.alterations:
+        cid = alteration.control_id
+        target = selected.get(cid)
+        if target is None:
+            report.fail(UnknownControlId(cid, f"profile {profile.uri or 'in memory'}"),
+                        f"alterations/{cid}", f"unknown control id {cid!r}")
+            continue
+        if report.findings is None:  # the public name, so a wrapper installed on it sees each call
+            result = apply_alteration(target, alteration, lenient=report.lenient,
+                                      warnings=report.warnings)
+        else:
+            result = _alter(target, alteration, report)
+        altered[cid] = result
+        kept = {part.name for part in result.parts}
+        for part in target.parts:
+            if part.name not in kept:
+                provenance.pop((cid, part.name), None)
+        for add in alteration.adds:
+            for part in add.parts:
+                provenance[(cid, part.name)] = ProvenanceEntry(profile_uri, depth)
 
-    catalog = Catalog(metadata=profile.metadata, controls=forest, uri=profile.uri)
-    return ResolvedCatalog(
-        catalog=catalog,
-        provenance=final_provenance,
-        lineage=tuple(lineage),
-        depth=depth,
-        warnings=tuple(warnings),
-    )
+    if report.findings is not None:
+        return None
+    lineage = (*dict.fromkeys(uri for source in paired for uri in source.lineage), profile_uri)
+    controls = tuple(_swap_in(root, altered) for root in forest) if altered else forest
+    catalog = Catalog(metadata=profile.metadata, controls=controls, uri=profile.uri)
+    return ResolvedCatalog(catalog=catalog, provenance=provenance, lineage=lineage, depth=depth,
+                           warnings=tuple(report.warnings or ()))
 
 
 class SourceStore:
@@ -343,34 +386,44 @@ class SourceStore:
         return sorted(uris)
 
 
+def topological_order(roots: Iterable[str],
+                      sources_of: Callable[[str], Iterable[str]]) -> list[str]:
+    """Dependencies-first order of every uri reachable from ``roots``.
+
+    ``sources_of`` names the uris one uri imports. Raises ``CycleDetected``
+    with a witnessing uri path on cyclic imports.
+    """
+    order: list[str] = []
+    done: set[str] = set()
+    stack: list[str] = []
+
+    def visit(uri: str) -> None:
+        if uri in done:
+            return
+        if uri in stack:
+            raise CycleDetected(stack[stack.index(uri):] + [uri])
+        stack.append(uri)
+        for source in sources_of(uri):
+            visit(source)
+        stack.pop()
+        done.add(uri)
+        order.append(uri)
+
+    for root in roots:
+        visit(root)
+    return order
+
+
 def detect_cycles(store: SourceStore, root_uri: str) -> list[str]:
     """Topological order (dependencies first) of the import closure of one document.
 
     Raises ``CycleDetected`` with a witnessing uri path on cyclic imports.
     """
-    order: list[str] = []
-    done: set[str] = set()
-    stack: list[str] = []
-    on_stack: set[str] = set()
-
-    def visit(uri: str) -> None:
-        if uri in done:
-            return
-        if uri in on_stack:
-            raise CycleDetected(stack[stack.index(uri):] + [uri])
-        stack.append(uri)
-        on_stack.add(uri)
+    def sources_of(uri: str) -> list[str]:
         envelope = store.load(uri)
-        if envelope.kind == "profile":
-            for directive in envelope.body.imports:
-                visit(directive.source)
-        stack.pop()
-        on_stack.remove(uri)
-        done.add(uri)
-        order.append(uri)
+        return [d.source for d in envelope.body.imports] if envelope.kind == "profile" else []
 
-    visit(root_uri)
-    return order
+    return topological_order([root_uri], sources_of)
 
 
 def resolve_chain(store: SourceStore, profile_uri: str, *, lenient: bool = False,

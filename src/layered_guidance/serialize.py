@@ -394,12 +394,12 @@ def document_plain(doc: DocumentEnvelope) -> dict:
 # ---------------------------------------------------------------------------
 # Canonical YAML emission
 
-_PLAIN_BODY_RE = re.compile(r"[A-Za-z_][^\x00-\x1f\x7f-\x9f  ]*")
+_PLAIN_BODY_RE = re.compile(r"[A-Za-z_][^\x00-\x1f\x7f-\x9f  \ufffe\uffff]*")
 # Words like these would be resolved to booleans/null by a YAML parser.
 _AMBIGUOUS_PLAIN = {
     "true", "false", "yes", "no", "on", "off", "null", "none", "y", "n", "~",
 }
-_UNSAFE_WORD_RE = re.compile(r"[\x00-\x1f\x7f-\x9f  ]")
+_UNSAFE_WORD_RE = re.compile(r"[\x00-\x1f\x7f-\x9f  \ufffe\uffff]")
 
 
 def _plain_safe(value: str) -> bool:
@@ -440,7 +440,7 @@ def _quote(value: str) -> str:
             out.append("\\t")
         elif ch == "\r":
             out.append("\\r")
-        elif code < 0x20 or 0x7F <= code <= 0x9F or code in (0x2028, 0x2029, 0xFEFF):
+        elif code < 0x20 or 0x7F <= code <= 0x9F or code in (0x2028, 0x2029, 0xFEFF, 0xFFFE, 0xFFFF):
             out.append(f"\\u{code:04x}")
         else:
             out.append(ch)

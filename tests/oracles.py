@@ -7,8 +7,22 @@ share no code path with the functions under test.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from layered_guidance.changes import ChangeSet
-from layered_guidance.model import Catalog
+from layered_guidance.model import (
+    ERROR,
+    STATEMENT_PART,
+    WARNING,
+    Catalog,
+    Control,
+    Finding,
+    ImportDirective,
+    Profile,
+    ValidationReport,
+    iter_controls,
+    profile_structure_findings,
+)
 
 EntryTuple = tuple[str, str | None, str | None, str | None, str | None]
 
@@ -134,3 +148,142 @@ def patch_with_changeset(before: Catalog, changeset: ChangeSet, after: Catalog) 
     for cid in added_controls:
         result[cid] = aflat[cid]
     return result
+
+
+# ---------------------------------------------------------------------------
+# Profile preflight, simulated apart from the resolver: selection, duplicate
+# detection and alteration application re-derived from the documented rules.
+
+
+def _collect_selection(catalog: Catalog, directive: ImportDirective,
+                       findings: ValidationReport, path: str) -> list[Control]:
+    """Simulate one import's selection, reporting include/exclude misses.
+
+    Mirrors the resolver's documented selection semantics but is
+    implemented independently. Returns the selected subtree roots with
+    exclusions pruned.
+    """
+    exclude = set(directive.exclude)
+    roots: list[Control] = []
+
+    def pruned(control: Control) -> Control | None:
+        if control.id in exclude:
+            return None
+        kept = tuple(c for child in control.children if (c := pruned(child)) is not None)
+        return Control(control.id, control.classifier, control.parts, kept)
+
+    if directive.include_all:
+        for control in catalog.controls:
+            kept = pruned(control)
+            if kept is not None:
+                roots.append(kept)
+    else:
+        wanted = set(directive.include)
+        matched: set[str] = set()
+
+        def walk(control: Control) -> None:
+            if control.id in exclude:
+                return
+            if control.id in wanted:
+                kept = pruned(control)
+                if kept is not None:
+                    roots.append(kept)
+                    matched.add(control.id)
+                return
+            for child in control.children:
+                walk(child)
+
+        for control in catalog.controls:
+            walk(control)
+        for cid in directive.include:
+            if cid not in matched:
+                findings.append(Finding(WARNING, path, f"include id {cid!r} matched nothing"))
+
+    present = {c.id for c in iter_controls(catalog.controls)}
+    for cid in directive.exclude:
+        if cid not in present:
+            findings.append(Finding(WARNING, path, f"exclude id {cid!r} matched nothing"))
+    return roots
+
+
+def simulate_profile_findings(profile: Profile,
+                              resolved_sources: Sequence[Catalog]) -> ValidationReport:
+    """The findings ``validate_profile`` must report, derived without the resolver.
+
+    An error-free report predicts that strict resolution succeeds; any
+    error-severity finding predicts a resolution failure.
+    """
+    findings = profile_structure_findings(profile)
+
+    # Pair sources with import directives the way the resolver does: by uri
+    # when one matches, positionally when the counts line up.
+    by_uri = {source.uri: source for source in resolved_sources if source.uri}
+    paired: list[tuple[ImportDirective, Catalog]] = []
+    for index, directive in enumerate(profile.imports):
+        if directive.source in by_uri:
+            paired.append((directive, by_uri[directive.source]))
+        elif len(resolved_sources) == len(profile.imports):
+            paired.append((directive, resolved_sources[index]))
+        else:
+            findings.append(
+                Finding(ERROR, f"imports/{index}",
+                        f"no source supplied for import {directive.source!r}")
+            )
+    if len(paired) != len(profile.imports):
+        return findings
+
+    selected: dict[str, Control] = {}
+    selected_from: dict[str, str] = {}
+    for index, (directive, source) in enumerate(paired):
+        path = f"imports/{index}"
+        source_uri = source.uri or directive.source
+        roots = _collect_selection(source, directive, findings, path)
+        for root in roots:
+            if selected_from.get(root.id) == source_uri:
+                continue  # the same source re-selected an already-present root
+            for control in iter_controls([root]):
+                if control.id in selected:
+                    findings.append(
+                        Finding(ERROR, path, f"duplicate control id {control.id!r} in selection")
+                    )
+                else:
+                    selected[control.id] = control
+                    selected_from[control.id] = source_uri
+
+    for alteration in profile.alterations:
+        path = f"alterations/{alteration.control_id}"
+        target = selected.get(alteration.control_id)
+        if target is None:
+            findings.append(
+                Finding(ERROR, path, f"unknown control id {alteration.control_id!r}")
+            )
+            continue
+        surviving = list(target.parts)
+        for rindex, remove in enumerate(alteration.removes):
+            matched = [p for p in surviving if remove.matches(p)]
+            if not matched:
+                kind, value = remove.describe()
+                findings.append(
+                    Finding(
+                        ERROR,
+                        f"{path}/removes/{rindex}",
+                        f"removal matched nothing ({kind} {value!r})",
+                    )
+                )
+            surviving = [p for p in surviving if not remove.matches(p)]
+        for aindex, add in enumerate(alteration.adds):
+            for part in add.parts:
+                if any(p.name == part.name for p in surviving):
+                    findings.append(
+                        Finding(
+                            ERROR,
+                            f"{path}/adds/{aindex}",
+                            f"duplicate part name {part.name!r}",
+                        )
+                    )
+                else:
+                    surviving.append(part)
+        for index, part in enumerate(surviving):
+            if part.name == STATEMENT_PART and index != 0:
+                findings.append(Finding(ERROR, path, "statement must be first"))
+    return findings

@@ -214,15 +214,19 @@ class TestPropagateCommand:
 
 class TestOutputStreams:
     def test_redirected_stdout_is_not_retained(self, monkeypatch):
-        stream = io.StringIO()
-        monkeypatch.setattr(sys, "stdout", stream)
-        assert main(["graph", "--store", str(FIXTURES_DIR), "--format", "json"]) == 0
-        assert json.loads(stream.getvalue())["nodes"]
-        monkeypatch.undo()
-        released = weakref.ref(stream)
-        del stream
-        gc.collect()
-        assert released() is None
+        graph = ["graph", "--store", str(FIXTURES_DIR), "--format", "json"]
+        for args, check in ((graph, lambda out: json.loads(out)["nodes"]),
+                            (["--help"], lambda out: out.startswith("Usage:")),
+                            (["resolve", "--help"], lambda out: out.startswith("Usage:"))):
+            stream = io.StringIO()
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(args) == 0
+            assert check(stream.getvalue())
+            monkeypatch.undo()
+            released = weakref.ref(stream)
+            del stream
+            gc.collect()
+            assert released() is None, args
 
 
 class TestFailureModes:

@@ -23,9 +23,9 @@ from layered_guidance.model import (
     has_errors,
     iter_controls,
     validate_catalog,
-    validate_profile,
 )
-from layered_guidance.resolver import resolve, resolve_chain, SourceStore
+from layered_guidance.resolver import resolve, resolve_chain, SourceStore, validate_profile
+from oracles import simulate_profile_findings
 
 
 def _catalog(*controls: Control) -> Catalog:
@@ -180,18 +180,38 @@ class TestValidateProfile:
         assert findings and all(f.severity == "warning" for f in findings)
 
 
-# Randomized profiles, valid and invalid alike: an error-free report must
-# mean strict resolution succeeds, and any error finding must mean it fails.
 @st.composite
-def resolution_cases(draw):
-    catalog = replace(draw(strategies.catalogs(min_controls=1, max_controls=5)), uri="src.yaml")
-    ids = [c.id for c in iter_controls(catalog.controls)]
+def _import_directive(draw, source: str, ids: list[str]) -> ImportDirective:
     include = "all" if draw(st.booleans()) else tuple(
         draw(st.lists(st.sampled_from(ids), unique=True, min_size=1, max_size=3))
     )
     exclude = tuple(draw(st.lists(st.sampled_from(ids + ["zz.ghost"]), unique=True, max_size=2)))
     if not isinstance(include, str):
         exclude = tuple(e for e in exclude if e not in include)
+    return ImportDirective(source, include=include, exclude=exclude)
+
+
+# Randomized profiles, valid and invalid alike: the report must equal the
+# independent simulation's, an error-free report must mean strict resolution
+# succeeds, and any error finding must mean it fails.
+@st.composite
+def resolution_cases(draw):
+    catalog = replace(draw(strategies.catalogs(min_controls=1, max_controls=5)), uri="src.yaml")
+    ids = [c.id for c in iter_controls(catalog.controls)]
+    sources = [catalog]
+    imports = [draw(_import_directive("src.yaml", ids))]
+    # A second import either re-selects from the same source, which skips
+    # roots it already brought and clashes on the rest, or reads a second
+    # catalog holding one of the same ids beside a fresh one.
+    second = draw(st.sampled_from(["src.yaml", "other.yaml", None]))
+    if second == "src.yaml":
+        imports.append(draw(_import_directive("src.yaml", ids)))
+    elif second == "other.yaml":
+        other_ids = [draw(st.sampled_from(ids)), "zz.other"]
+        other = _catalog(*(_control(cid, "statement") for cid in other_ids))
+        sources.append(replace(other, uri="other.yaml"))
+        imports.append(draw(_import_directive("other.yaml", other_ids)))
+        ids = ids + ["zz.other"]
 
     targets = draw(st.lists(st.sampled_from(ids + ["zz.missing"]), unique=True, max_size=2))
     alterations = []
@@ -217,21 +237,22 @@ def resolution_cases(draw):
 
     profile = Profile(
         metadata=Metadata("Case", "1"),
-        imports=(ImportDirective("src.yaml", include=include, exclude=exclude),),
+        imports=tuple(imports),
         alterations=tuple(alterations),
     )
-    return catalog, profile
+    return sources, profile
 
 
 @given(resolution_cases())
 @settings(max_examples=200, deadline=None)
 def test_validate_profile_predicts_resolution_outcome(case):
-    catalog, profile = case
-    findings = validate_profile(profile, [catalog])
+    sources, profile = case
+    findings = validate_profile(profile, sources)
+    assert findings == simulate_profile_findings(profile, sources)
     if has_errors(findings):
         with pytest.raises(GuidanceError):
-            resolve([catalog], profile)
+            resolve(sources, profile)
     else:
-        result = resolve([catalog], profile)
+        result = resolve(sources, profile)
         # part-name uniqueness and statement ordering survive resolution
         assert not has_errors(validate_catalog(result.catalog))

@@ -307,6 +307,22 @@ class TestProvenance:
                 if resolved.provenance[(control.id, part.name)].layer_depth == 0:
                     assert part.prose in source_prose
 
+    def test_part_object_shared_with_a_source_is_stamped_by_the_adding_layer(self):
+        shared = Part("g", "guidance shared between layers")
+        catalog = Catalog(metadata=Metadata("Cat", "1"), uri="cat.yaml", controls=(
+            Control("a", parts=(Part("statement", "a"), shared)),
+            Control("b", parts=(Part("statement", "b"),)),
+        ))
+        profile = Profile(
+            metadata=Metadata("P", "1"),
+            imports=(ImportDirective("cat.yaml"),),
+            alterations=(Alteration("b", adds=(AddDirective(parts=(shared,)),)),),
+            uri="p.yaml",
+        )
+        resolved = resolve([catalog], profile)
+        assert resolved.provenance[("b", "g")] == resolver.ProvenanceEntry("p.yaml", 1)
+        assert resolved.provenance[("a", "g")] == resolver.ProvenanceEntry("cat.yaml", 0)
+
 
 class TestResolveChain:
     def test_am_chain_replaces_ot_guidance(self, fixture_store):

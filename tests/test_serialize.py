@@ -11,7 +11,7 @@ import strategies
 from conftest import FIXTURES_DIR
 from layered_guidance import serialize
 from layered_guidance.errors import DocumentSyntaxError, SchemaError, ValidationError
-from layered_guidance.model import Control, DocumentEnvelope, Part
+from layered_guidance.model import Catalog, Control, DocumentEnvelope, Metadata, Part
 from layered_guidance.serialize import parse_document, serialize_document
 
 CONTROL_SNIPPET = b"""\
@@ -246,6 +246,18 @@ class TestRoundTrip:
         first = serialize_document(envelope, "yaml")
         second = serialize_document(parse_document(first), "yaml")
         assert first == second
+
+    @pytest.mark.parametrize("char", ["\ufffe", "\uffff"])
+    def test_noncharacters_are_escaped(self, char):
+        prose = " ".join(["Long", f"pro{char}se"] + ["that folds across lines"] * 6)
+        catalog = Catalog(
+            metadata=Metadata(title=f"Title{char}", version="1"),
+            controls=(Control("c1", parts=(Part("statement", prose),)),),
+        )
+        envelope = DocumentEnvelope("catalog", catalog)
+        data = serialize_document(envelope, "yaml")
+        assert parse_document(data, "yaml") == envelope
+        assert char.encode("utf-8") not in data
 
     @given(strategies.catalogs())
     @settings(max_examples=100, deadline=None)
