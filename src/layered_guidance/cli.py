@@ -42,6 +42,7 @@ from .model import (
     ERROR,
     Finding,
     has_errors,
+    profile_structure_findings,
     validate_catalog,
 )
 from .render import RenderOptions, render_markdown
@@ -155,6 +156,7 @@ def resolve_cmd(profile_uri: str, store_dir: str, output: str | None, fmt: str,
 def validate_cmd(ctx: click.Context, files: tuple[str, ...], store_dir: str | None) -> None:
     """Validate catalog and profile files; findings go to stderr."""
     store = SourceStore(store_dir) if store_dir is not None else None
+    memo: dict = {}  # shared by every file, so each upstream profile resolves once
     total_errors = 0
     for file in files:
         findings: list[Finding] = []
@@ -172,10 +174,10 @@ def validate_cmd(ctx: click.Context, files: tuple[str, ...], store_dir: str | No
                     if source_env.kind == "catalog":
                         sources.append(source_env.body)
                     else:
-                        sources.append(resolve_chain(store, directive.source).catalog)
+                        sources.append(resolve_chain(store, directive.source, memo=memo).catalog)
                 findings = validate_profile(envelope.body, sources)
             else:
-                findings = []  # structural checks already ran during parse
+                findings = profile_structure_findings(envelope.body)
         for finding in findings:
             _echo(f"{finding.severity}: {file}: {finding.path}: {finding.message}", err=True)
         total_errors += sum(1 for f in findings if f.severity == ERROR)

@@ -374,13 +374,14 @@ class SourceStore:
             return envelope
 
     def list_documents(self) -> list[str]:
-        """All document uris under the root, sorted; build outputs excluded."""
+        """All document uris under the root, sorted; build outputs and links out excluded."""
+        root = self.root.resolve()
         uris: list[str] = []
         for path in self.root.rglob("*"):
             if not path.is_file() or path.suffix not in _DOCUMENT_SUFFIXES:
                 continue
             rel = path.relative_to(self.root).as_posix()
-            if rel.startswith(f"{RESOLVED_DIR}/"):
+            if rel.startswith(f"{RESOLVED_DIR}/") or not path.resolve().is_relative_to(root):
                 continue
             uris.append(rel)
         return sorted(uris)

@@ -7,6 +7,8 @@ import sys
 import weakref
 from pathlib import Path
 
+import pytest
+
 from conftest import FIXTURES_DIR
 from layered_guidance import resolver
 from layered_guidance.cli import main
@@ -123,6 +125,49 @@ class TestValidateCommand:
         assert "0 errors" in capsys.readouterr().out
         assert len(store_parses) == 1
 
+    def test_shared_middle_profile_resolves_once(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "base.yaml").write_bytes(
+            b"catalog:\n  metadata:\n    title: Base\n    version: \"1\"\n"
+            b"  controls:\n    - id: c1\n"
+        )
+        (tmp_path / "mid.yaml").write_bytes(
+            b"profile:\n  metadata:\n    title: Mid\n    version: \"1\"\n"
+            b"  imports:\n    - source: base.yaml\n"
+        )
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.yaml").write_bytes(
+                b"profile:\n  metadata:\n    title: P\n    version: \"1\"\n"
+                b"  imports:\n    - source: mid.yaml\n"
+            )
+        resolved_uris = []
+        original = resolver.resolve
+
+        def counting_resolve(sources, profile, **kwargs):
+            resolved_uris.append(profile.uri)
+            return original(sources, profile, **kwargs)
+
+        monkeypatch.setattr(resolver, "resolve", counting_resolve)
+        assert main(["validate", str(tmp_path / "a.yaml"), str(tmp_path / "b.yaml"),
+                     "--store", str(tmp_path)]) == 0
+        assert "0 errors" in capsys.readouterr().out
+        assert resolved_uris == ["mid.yaml"]
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_profile_warnings_are_reported(self, tmp_path, capsys, with_store):
+        (tmp_path / "base.yaml").write_bytes(
+            b"catalog:\n  metadata:\n    title: Base\n    version: \"1\"\n"
+        )
+        profile = tmp_path / "p.yaml"
+        profile.write_bytes(
+            b"profile:\n  metadata:\n    title: ''\n    version: \"1\"\n"
+            b"  imports:\n    - source: base.yaml\n"
+        )
+        args = ["validate", str(profile)] + (["--store", str(tmp_path)] if with_store else [])
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: {profile}: metadata/title: title is empty\n"
+        assert captured.out == "0 errors\n"
+
 
 class TestDiffCommand:
     def test_text_report(self, fixture_store, tmp_path, capsys):
@@ -181,6 +226,29 @@ class TestGraphCommand:
         )
         assert main(["graph", "--store", str(tmp_path)]) == 1
         assert "missing.yaml" in capsys.readouterr().out
+
+
+class TestStoreLinks:
+    """A link out of the store is not one of its documents."""
+
+    @pytest.fixture
+    def linked_store(self, fixture_store):
+        outside = fixture_store.parent / "outside.yaml"
+        outside.write_bytes((fixture_store / "csf-id-am.yaml").read_bytes())
+        (fixture_store / "link.yaml").symlink_to("../outside.yaml")
+        return fixture_store
+
+    def test_graph_skips_the_link(self, linked_store, capsys):
+        assert main(["graph", "--store", str(linked_store), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["nodes"] == ["am-profile.yaml", "csf-id-am.yaml", "ot-profile.yaml"]
+
+    def test_propagate_skips_the_link(self, linked_store, capsys):
+        assert main(["propagate", "--store", str(linked_store),
+                     "--changed", "csf-id-am.yaml", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [item["profile-uri"] for item in payload] == ["ot-profile.yaml", "am-profile.yaml"]
+        assert "link.yaml" not in json.dumps(payload)
 
 
 class TestPropagateCommand:

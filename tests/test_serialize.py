@@ -339,3 +339,157 @@ class TestLoaderEquivalence:
         pure = _outcome(_PurePythonLoader, data)
         assert pure[0] is DocumentSyntaxError and pure[1] is not None
         assert _outcome(serialize._StrictLoader, data) == pure
+
+
+def _load_outcome(text: str, event_path: bool = True):
+    """``_load_yaml``'s value, or the error it raises.
+
+    The value is compared as its repr, so types and key order count.
+    Without ``event_path`` this is ``yaml.load(text, Loader=_StrictLoader)``
+    mapped to the package's errors.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if not event_path:
+            patch.setattr(serialize, "_load_events", lambda text: serialize._DECLINED)
+        try:
+            return repr(serialize._load_yaml(text))
+        except DocumentSyntaxError as exc:
+            return DocumentSyntaxError, str(exc), exc.line, exc.column
+        except SchemaError as exc:
+            return SchemaError, str(exc)
+
+
+_STR_SCALARS = ["a", "b c", "x-y", "title", "off", '"a"', "'1'", '"yes"', "''", '"\\u00e9 b"',
+                "'it''s'", '"a\\nb"']
+_OTHER_SCALARS = ["", "~", "1", "yes", "<<", "=", "null", "-2.5"]
+_STR_KEYS = ["a", "b", "c", '"d"', "'e'", "title", '""']
+_OTHER_KEYS = ["1", "yes", "~", "<<", "=", "[a]", "{a: b}", "&k a", "*k", "!!str 1", "! b"]
+_TAGGED_SCALARS = ["&k a", "&k 1", "!!str 1", "! b", "!!int 1", "!!float 2", "!!null ''", "!x a"]
+_BLOCK_LINES = ["word", "two words", "a: b", "# kept", "- item", "  indented"]
+
+
+def _inline_scalar(draw) -> str:
+    kind = draw(st.sampled_from(["str"] * 24 + ["other"] * 4 + ["tagged", "alias"]))
+    if kind == "alias":
+        return "*k"
+    if kind == "tagged":
+        return draw(st.sampled_from(_TAGGED_SCALARS))
+    return draw(st.sampled_from(_OTHER_SCALARS if kind == "other" else _STR_SCALARS))
+
+
+def _key(draw) -> str:
+    return draw(st.sampled_from(_STR_KEYS * 6 + _OTHER_KEYS))
+
+
+def _flow_node(draw, depth: int) -> str:
+    kind = draw(st.integers(0, 2 if depth else 0))
+    if kind == 0:
+        return _inline_scalar(draw)
+    items = [_flow_node(draw, depth - 1) for _ in range(draw(st.integers(0, 3)))]
+    if kind == 1:
+        return "[" + ", ".join(items) + "]"
+    return "{" + ", ".join(f"{_key(draw)}: {item}" for item in items) + "}"
+
+
+def _block_value(draw, indent: int, depth: int) -> str:
+    """What follows ``key:`` or ``-`` at ``indent``, up to the end of the node."""
+    kinds = ["inline", "flow", "folded", "literal"] + (["mapping", "sequence"] * 2 if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    inner = " " * (indent + 2)
+    if kind == "inline":
+        return " " + _inline_scalar(draw) + "\n"
+    if kind == "flow":
+        return " " + _flow_node(draw, 2) + "\n"
+    if kind in ("folded", "literal"):
+        header = draw(st.sampled_from(["", "-", "+"]))
+        lines = draw(st.lists(st.sampled_from(_BLOCK_LINES), min_size=1, max_size=3))
+        indicator = ">" if kind == "folded" else "|"
+        return f" {indicator}{header}\n" + "".join(inner + line + "\n" for line in lines)
+    prefix = draw(st.sampled_from([""] * 8 + [" &k", " !", " !x"]))
+    if kind == "mapping":
+        return prefix + "\n" + _block_mapping(draw, indent + 2, depth - 1)
+    return prefix + "\n" + _block_sequence(draw, indent + 2, depth - 1)
+
+
+def _block_mapping(draw, indent: int, depth: int) -> str:
+    count = draw(st.integers(1, 4))
+    return "".join(" " * indent + _key(draw) + ":" + _block_value(draw, indent, depth)
+                   for _ in range(count))
+
+
+def _block_sequence(draw, indent: int, depth: int) -> str:
+    count = draw(st.integers(1, 3))
+    return "".join(" " * indent + "-" + _block_value(draw, indent, depth) for _ in range(count))
+
+
+@st.composite
+def yaml_texts(draw) -> str:
+    """Small YAML streams, valid or not, inside and outside the event path's subset."""
+    documents = []
+    for _ in range(draw(st.sampled_from([1] * 8 + [0, 2]))):
+        kind = draw(st.sampled_from(["mapping", "mapping", "sequence", "flow", "scalar"]))
+        if kind == "mapping":
+            documents.append(_block_mapping(draw, 0, 2))
+        elif kind == "sequence":
+            documents.append(_block_sequence(draw, 0, 2))
+        elif kind == "flow":
+            documents.append(_flow_node(draw, 2) + "\n")
+        else:
+            documents.append(_inline_scalar(draw) + "\n")
+    if not documents:
+        return draw(st.sampled_from(["", "# only a comment\n", "---\n", "...\n"]))
+    if len(documents) == 1 and draw(st.booleans()):
+        return documents[0]
+    return "".join("---\n" + document for document in documents)
+
+
+_LOADERS = [pytest.param(serialize._StrictLoader, id="strict"),
+            pytest.param(_PurePythonLoader, id="pure-python")]
+
+
+class TestEventPath:
+    """``_load_yaml``'s event path builds what the strict loader builds, or declines."""
+
+    @pytest.mark.parametrize("loader", _LOADERS)
+    @given(envelope=strategies.documents())
+    @settings(max_examples=150, deadline=None)
+    def test_serialized_documents_never_decline(self, loader, envelope: DocumentEnvelope):
+        text = serialize_document(envelope, "yaml").decode("utf-8")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "_StrictLoader", loader)
+            tree = serialize._load_events(text)
+            assert tree is not serialize._DECLINED
+            assert repr(tree) == repr(yaml.load(text, Loader=loader))
+
+    @pytest.mark.parametrize("loader", _LOADERS)
+    @given(text=yaml_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_any_text_loads_like_the_strict_loader(self, loader, text: str):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "_StrictLoader", loader)
+            assert _load_outcome(text) == _load_outcome(text, event_path=False)
+
+    @pytest.mark.parametrize("text, declines", [
+        ("a: b\nc: [d, 'e', \"f\"]\ng: >-\n  h\n  i\nj: |\n  k\n", False),
+        ("title: name\nnot: off-by-one\n", False),
+        ("a: ''\n", False),
+        ("plain", False),
+        ("a:\n", True),
+        ("a: ~\n", True),
+        ("a: 1\n", True),
+        ("a: yes\n", True),
+        ("<<: a\n", True),
+        ("a: =\n", True),
+        ("a: !!str 1\n", True),
+        ("a: ! b\n", True),
+        ("a: &x b\nc: *x\n", True),
+        ("a: b\na: c\n", True),
+        ("[a]: b\n", True),
+        ("1: b\n", True),
+        ("", True),
+        ("a: b\n---\nc: d\n", True),
+        ("a: [b\n", True),
+    ])
+    def test_what_declines(self, text, declines):
+        assert (serialize._load_events(text) is serialize._DECLINED) == declines
+        assert _load_outcome(text) == _load_outcome(text, event_path=False)
