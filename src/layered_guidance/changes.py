@@ -15,9 +15,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path, PurePosixPath
 
-from .errors import GuidanceError, NotFound
+from .errors import GuidanceError, NotFound, StoreError
 from .model import Catalog, Control, DocumentEnvelope, ERROR, Finding
-from .resolver import RESOLVED_DIR, ResolvedCatalog, SourceStore, resolve_chain, topological_order
+from .resolver import (
+    RESOLVED_DIR,
+    ResolvedCatalog,
+    SourceStore,
+    resolve_acyclic,
+    resolve_chain,
+    topological_order,
+)
 from .serialize import parse_document, serialize_document
 
 CONTROL_ADDED = "control-added"
@@ -254,6 +261,9 @@ def propagate(store: SourceStore, changed_uri: str, *,
     Each fresh resolution is diffed against the previously persisted one
     (``initial`` marks a first resolution) and then persisted atomically.
     A failing profile is reported in place; independent profiles still run.
+    A profile whose output path another profile of the store shares fails
+    without writing. An import cycle upstream of a re-resolved profile
+    raises ``CycleDetected``; one elsewhere in the store does not matter.
     """
     if not store.exists(changed_uri):
         raise NotFound(changed_uri)
@@ -261,8 +271,22 @@ def propagate(store: SourceStore, changed_uri: str, *,
     sources: dict[str, list[str]] = {node: [] for node in graph.nodes}
     for importer, source in graph.edges:
         sources[importer].append(source)
-    order = topological_order(graph.nodes, sources.__getitem__)
     affected = transitive_dependents(graph, changed_uri)
+    # No document outside ``affected`` imports one inside it, so walking from
+    # the affected documents alone keeps their order.
+    order = topological_order([uri for uri in graph.nodes if uri in affected],
+                              sources.__getitem__)
+    # The walk checked for cycles only along imports that name store
+    # documents. A profile that reaches any other import resolves through
+    # ``resolve_chain``, which checks its whole import closure again.
+    dangling = {finding.path for finding in graph.findings}
+    in_graph: dict[str, bool] = {}
+    for uri in order:
+        in_graph[uri] = uri not in dangling and all(in_graph[source] for source in sources[uri])
+    writers: dict[str, list[str]] = {}
+    for uri in graph.nodes:
+        if store.load(uri).kind == "profile":
+            writers.setdefault(resolution_output_uri(uri), []).append(uri)
 
     results: list[PropagationResult] = []
     memo: dict[str, ResolvedCatalog] = {}
@@ -270,8 +294,16 @@ def propagate(store: SourceStore, changed_uri: str, *,
         if uri not in affected or store.load(uri).kind != "profile":
             continue
         output_uri = resolution_output_uri(uri)
+        others = [writer for writer in writers[output_uri] if writer != uri]
+        if others:
+            error = StoreError(f"output {output_uri} is also the output of {', '.join(others)}")
+            results.append(PropagationResult(uri, output_uri, error=error))
+            continue
         try:
-            resolved = resolve_chain(store, uri, lenient=lenient, memo=memo)
+            if in_graph[uri]:
+                resolved = resolve_acyclic(store, uri, lenient=lenient, memo=memo)
+            else:
+                resolved = resolve_chain(store, uri, lenient=lenient, memo=memo)
             envelope = DocumentEnvelope("catalog", resolved.catalog)
             previous_path = store.root / output_uri
             if previous_path.is_file():

@@ -158,6 +158,7 @@ def validate_cmd(ctx: click.Context, files: tuple[str, ...], store_dir: str | No
     store = SourceStore(store_dir) if store_dir is not None else None
     memo: dict = {}  # shared by every file, so each upstream profile resolves once
     total_errors = 0
+    upstream_failed = False
     for file in files:
         findings: list[Finding] = []
         try:
@@ -169,19 +170,27 @@ def validate_cmd(ctx: click.Context, files: tuple[str, ...], store_dir: str | No
                 findings = validate_catalog(envelope.body)
             elif store is not None:
                 sources = []
-                for directive in envelope.body.imports:
+                for index, directive in enumerate(envelope.body.imports):
                     source_env = store.load(directive.source)
                     if source_env.kind == "catalog":
                         sources.append(source_env.body)
-                    else:
+                        continue
+                    try:
                         sources.append(resolve_chain(store, directive.source, memo=memo).catalog)
-                findings = validate_profile(envelope.body, sources)
+                    except ResolutionError as exc:  # reported for this file; the rest still run
+                        findings = [Finding(ERROR, f"imports/{index}", _describe(exc))]
+                        upstream_failed = True
+                        break
+                else:
+                    findings = validate_profile(envelope.body, sources)
             else:
                 findings = profile_structure_findings(envelope.body)
         for finding in findings:
             _echo(f"{finding.severity}: {file}: {finding.path}: {finding.message}", err=True)
         total_errors += sum(1 for f in findings if f.severity == ERROR)
     _echo(f"{total_errors} errors")
+    if upstream_failed:
+        ctx.exit(EXIT_RESOLUTION)
     if total_errors:
         ctx.exit(EXIT_VALIDATION)
 

@@ -215,17 +215,18 @@ def find_control(catalog: Catalog, control_id: str) -> Control | None:
     return None
 
 
-def _validate_part(part: Part, path: str, findings: ValidationReport) -> None:
+def _part_problems(part: Part) -> list[str]:
+    """Messages for each invariant ``part`` breaks on its own."""
+    problems = []
     if not part.name:
-        findings.append(Finding(ERROR, path, "part name is empty"))
+        problems.append("part name is empty")
     elif not _valid_identifier(part.name):
-        findings.append(Finding(ERROR, path, f"part name {part.name!r} is not a valid identifier"))
+        problems.append(f"part name {part.name!r} is not a valid identifier")
     if part.classifier is not None and not _valid_identifier(part.classifier):
-        findings.append(
-            Finding(ERROR, path, f"part class {part.classifier!r} is not a valid identifier")
-        )
+        problems.append(f"part class {part.classifier!r} is not a valid identifier")
     if not part.prose.strip():
-        findings.append(Finding(ERROR, path, "part prose is empty"))
+        problems.append("part prose is empty")
+    return problems
 
 
 def _validate_control(control: Control, path: str, seen_ids: dict[str, str],
@@ -247,13 +248,15 @@ def _validate_control(control: Control, path: str, seen_ids: dict[str, str],
 
     part_names: set[str] = set()
     for index, part in enumerate(control.parts):
-        part_path = f"{path}/parts/{index}"
-        _validate_part(part, part_path, findings)
+        problems = _part_problems(part)
         if part.name in part_names:
-            findings.append(Finding(ERROR, part_path, f"duplicate part name {part.name!r}"))
+            problems.append(f"duplicate part name {part.name!r}")
         part_names.add(part.name)
         if part.name == STATEMENT_PART and index != 0:
-            findings.append(Finding(ERROR, part_path, "statement must be first"))
+            problems.append("statement must be first")
+        if problems:  # a part's path is formatted only when it has findings
+            part_path = f"{path}/parts/{index}"
+            findings.extend(Finding(ERROR, part_path, message) for message in problems)
 
     for child in control.children:
         _validate_control(child, f"{path}/children/{child.id}", seen_ids, findings)
@@ -326,9 +329,11 @@ def profile_structure_findings(profile: Profile) -> ValidationReport:
                 findings.append(Finding(ERROR, apath, f"unsupported position {add.position!r}"))
             names: set[str] = set()
             for pindex, part in enumerate(add.parts):
-                ppath = f"{apath}/parts/{pindex}"
-                _validate_part(part, ppath, findings)
+                problems = _part_problems(part)
                 if part.name in names:
-                    findings.append(Finding(ERROR, ppath, f"duplicate part name {part.name!r}"))
+                    problems.append(f"duplicate part name {part.name!r}")
                 names.add(part.name)
+                if problems:
+                    ppath = f"{apath}/parts/{pindex}"
+                    findings.extend(Finding(ERROR, ppath, message) for message in problems)
     return findings

@@ -333,6 +333,7 @@ class SourceStore:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        self._real_root = self.root.resolve()
         self._cache: dict[str, DocumentEnvelope] = {}
         self._lock = threading.Lock()
         self.load_count = 0  # loads that actually hit the filesystem
@@ -342,7 +343,7 @@ class SourceStore:
         if normalized.startswith(("/", "../")) or normalized == "..":
             raise InvalidUri(uri, "escapes the store root")
         path = (self.root / normalized).resolve()
-        if not path.is_relative_to(self.root.resolve()):
+        if not path.is_relative_to(self._real_root):
             raise InvalidUri(uri, "escapes the store root")
         return path
 
@@ -375,15 +376,15 @@ class SourceStore:
 
     def list_documents(self) -> list[str]:
         """All document uris under the root, sorted; build outputs and links out excluded."""
-        root = self.root.resolve()
         uris: list[str] = []
         for path in self.root.rglob("*"):
-            if not path.is_file() or path.suffix not in _DOCUMENT_SUFFIXES:
+            if path.suffix not in _DOCUMENT_SUFFIXES:
                 continue
             rel = path.relative_to(self.root).as_posix()
-            if rel.startswith(f"{RESOLVED_DIR}/") or not path.resolve().is_relative_to(root):
+            if rel.startswith(f"{RESOLVED_DIR}/") or not path.is_file():
                 continue
-            uris.append(rel)
+            if path.resolve().is_relative_to(self._real_root):
+                uris.append(rel)
         return sorted(uris)
 
 
@@ -439,11 +440,17 @@ def resolve_chain(store: SourceStore, profile_uri: str, *, lenient: bool = False
     envelope = store.load(profile_uri)
     if envelope.kind != "profile":
         raise ResolutionError(f"{profile_uri!r} is a catalog, not a profile")
-    return _resolve_uri(store, profile_uri, lenient, {} if memo is None else memo)
+    return resolve_acyclic(store, profile_uri, lenient=lenient,
+                           memo={} if memo is None else memo)
 
 
-def _resolve_uri(store: SourceStore, uri: str, lenient: bool,
-                 memo: dict[str, ResolvedCatalog]) -> ResolvedCatalog:
+def resolve_acyclic(store: SourceStore, uri: str, *, lenient: bool = False,
+                    memo: dict[str, ResolvedCatalog]) -> ResolvedCatalog:
+    """``resolve_chain`` without its cycle check; a catalog resolves to itself.
+
+    The caller must already know that no import cycle is reachable from
+    ``uri``: on one, this recurses without end.
+    """
     if uri in memo:
         return memo[uri]
     envelope = store.load(uri)
@@ -451,7 +458,8 @@ def _resolve_uri(store: SourceStore, uri: str, lenient: bool,
         result = wrap_catalog(envelope.body, uri)
     else:
         profile: Profile = envelope.body
-        sources = [_resolve_uri(store, d.source, lenient, memo) for d in profile.imports]
+        sources = [resolve_acyclic(store, d.source, lenient=lenient, memo=memo)
+                   for d in profile.imports]
         result = resolve(sources, profile, lenient=lenient)
     memo[uri] = result
     return result

@@ -13,16 +13,25 @@ key, not exactly one document, a syntax error) goes to the general strict
 loader, the only source of loader errors, so their wording, marks and
 exit code are the same on both paths.
 
+Building the model checks each mapping's keys against its type's
+required and allowed key sets, and formats a value's path (such as
+``catalog/controls/0/parts/1/prose``) only to report a failure there.
+
 Serialization is canonical so output is byte-stable and diff-friendly:
 UTF-8, LF endings, 2-space indent, block style only, fixed key order per
 type, defaults omitted, and prose longer than 80 columns emitted as a
-folded scalar where the text permits it (otherwise a quoted scalar).
+folded scalar where the text permits it (otherwise a quoted scalar). The
+text permits it when it is words separated by single spaces, with no
+leading or trailing space and no character a fold would alter; the words
+wrap greedily, and a word longer than the width gets a line of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
+from collections.abc import Callable
 from typing import Any
 
 import yaml
@@ -106,7 +115,8 @@ class _EventLoader:
     an explicit stack: no node graph, no constructor. A plain scalar asks
     the resolver for its tag only if an implicit resolver is keyed by its
     first character. Outside the subset the module docstring names, it
-    returns ``_DECLINED``.
+    returns ``_DECLINED``. Plain scalars already resolved to str in this
+    document are not asked again.
     """
 
     def __init__(self, stream: str) -> None:
@@ -125,6 +135,7 @@ class _EventLoader:
         stack: list = []  # (collection, pending key) of each enclosing collection
         top: Any = None  # the open collection; None when none is open
         key: str | None = None  # an open mapping's key that still waits for its value
+        plain_strs: set[str] = set()  # plain scalars the resolver has tagged str
         while True:
             event = get_event()
             kind = event.__class__
@@ -132,9 +143,10 @@ class _EventLoader:
                 if event.anchor is not None or event.tag is not None:
                     return _DECLINED
                 value = event.value
-                if (event.implicit[0] and value[:1] in resolvers
-                        and resolve(ScalarNode, value, event.implicit) != str_tag):
-                    return _DECLINED
+                if event.implicit[0] and value[:1] in resolvers and value not in plain_strs:
+                    if resolve(ScalarNode, value, event.implicit) != str_tag:
+                        return _DECLINED
+                    plain_strs.add(value)
             elif kind is MappingStartEvent or kind is SequenceStartEvent:
                 if event.anchor is not None or event.tag is not None:
                     return _DECLINED
@@ -211,69 +223,97 @@ def _load_json(text: str) -> Any:
         raise DocumentSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
 
 
-def _expect_mapping(value: Any, path: str, required: set[str],
-                    optional: set[str] = frozenset()) -> dict:
+def _keys(required: set[str], optional: set[str] = frozenset()) -> tuple[frozenset, frozenset]:
+    """A mapping type's required keys and every key it allows."""
+    return frozenset(required), frozenset(required | optional)
+
+
+_METADATA_KEYS = _keys({"title", "version"})
+_PART_KEYS = _keys({"name", "prose"}, {"class"})
+_CONTROL_KEYS = _keys({"id"}, {"class", "parts", "children"})
+_CATALOG_KEYS = _keys({"metadata"}, {"controls"})
+_IMPORT_KEYS = _keys({"source"}, {"include", "exclude"})
+_REMOVE_KEYS = _keys(set(), {"by-name", "by-class"})
+_ADD_KEYS = _keys({"parts"}, {"position"})
+_ALTERATION_KEYS = _keys({"control-id"}, {"removes", "adds"})
+_PROFILE_KEYS = _keys({"metadata", "imports"}, {"alterations"})
+
+
+def _expect_mapping(value: Any, path: str, keys: tuple[frozenset, frozenset]) -> dict:
+    """``value`` as a mapping with only allowed keys and every required one.
+
+    The first unknown key in document order is reported before the first
+    missing key in sorted order.
+    """
     if not isinstance(value, dict):
         raise SchemaError(f"expected a mapping, got {type(value).__name__}", path)
-    allowed = required | optional
-    for key in value:
-        if key not in allowed:
-            raise SchemaError(f"unknown key {key!r}", path)
-    for key in sorted(required):
-        if key not in value:
-            raise SchemaError(f"missing required key {key!r}", path)
+    required, allowed = keys
+    present = value.keys()
+    if not present <= allowed:
+        unknown = next(key for key in value if key not in allowed)
+        raise SchemaError(f"unknown key {unknown!r}", path)
+    if not required <= present:
+        raise SchemaError(f"missing required key {min(required - present)!r}", path)
     return value
 
 
-def _expect_str(value: Any, path: str) -> str:
+# The checks below take the path of the enclosing node and the key or index
+# of the value, and format the value's path only to report a failure.
+
+
+def _expect_str(value: Any, path: str, key: str | int) -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"expected a string, got {type(value).__name__}", path)
+        raise SchemaError(f"expected a string, got {type(value).__name__}", f"{path}/{key}")
     return value
 
 
-def _expect_list(value: Any, path: str) -> list:
+def _expect_list(value: Any, path: str, key: str) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"expected a list, got {type(value).__name__}", path)
+        raise SchemaError(f"expected a list, got {type(value).__name__}", f"{path}/{key}")
     return value
+
+
+def _build_list(mapping: dict, key: str, path: str, build: Callable[[Any, str], Any]) -> tuple:
+    """``build`` applied to each item of the optional list ``mapping[key]``."""
+    items = _expect_list(mapping.get(key, []), path, key)
+    return tuple(build(item, f"{path}/{key}/{index}") for index, item in enumerate(items))
+
+
+def _str_list(value: Any, path: str, key: str) -> tuple[str, ...]:
+    items = _expect_list(value, path, key)
+    items_path = f"{path}/{key}"
+    return tuple(_expect_str(item, items_path, index) for index, item in enumerate(items))
 
 
 def _build_metadata(value: Any, path: str) -> Metadata:
-    mapping = _expect_mapping(value, path, required={"title", "version"})
+    mapping = _expect_mapping(value, path, _METADATA_KEYS)
     return Metadata(
-        title=_expect_str(mapping["title"], f"{path}/title"),
-        version=_expect_str(mapping["version"], f"{path}/version"),
+        title=_expect_str(mapping["title"], path, "title"),
+        version=_expect_str(mapping["version"], path, "version"),
     )
 
 
 def _build_part(value: Any, path: str) -> Part:
-    mapping = _expect_mapping(value, path, required={"name", "prose"}, optional={"class"})
+    mapping = _expect_mapping(value, path, _PART_KEYS)
     classifier = None
     if "class" in mapping:
-        classifier = _expect_str(mapping["class"], f"{path}/class")
+        classifier = _expect_str(mapping["class"], path, "class")
     return Part(
-        name=_expect_str(mapping["name"], f"{path}/name"),
-        prose=_expect_str(mapping["prose"], f"{path}/prose"),
+        name=_expect_str(mapping["name"], path, "name"),
+        prose=_expect_str(mapping["prose"], path, "prose"),
         classifier=classifier,
     )
 
 
 def _build_control(value: Any, path: str) -> Control:
-    mapping = _expect_mapping(
-        value, path, required={"id"}, optional={"class", "parts", "children"}
-    )
+    mapping = _expect_mapping(value, path, _CONTROL_KEYS)
     classifier = None
     if "class" in mapping:
-        classifier = _expect_str(mapping["class"], f"{path}/class")
-    parts = tuple(
-        _build_part(item, f"{path}/parts/{index}")
-        for index, item in enumerate(_expect_list(mapping.get("parts", []), f"{path}/parts"))
-    )
-    children = tuple(
-        _build_control(item, f"{path}/children/{index}")
-        for index, item in enumerate(_expect_list(mapping.get("children", []), f"{path}/children"))
-    )
+        classifier = _expect_str(mapping["class"], path, "class")
+    parts = _build_list(mapping, "parts", path, _build_part)
+    children = _build_list(mapping, "children", path, _build_control)
     return Control(
-        id=_expect_str(mapping["id"], f"{path}/id"),
+        id=_expect_str(mapping["id"], path, "id"),
         classifier=classifier,
         parts=parts,
         children=children,
@@ -281,17 +321,14 @@ def _build_control(value: Any, path: str) -> Control:
 
 
 def _build_catalog(value: Any, path: str) -> Catalog:
-    mapping = _expect_mapping(value, path, required={"metadata"}, optional={"controls"})
-    controls = tuple(
-        _build_control(item, f"{path}/controls/{index}")
-        for index, item in enumerate(_expect_list(mapping.get("controls", []), f"{path}/controls"))
-    )
+    mapping = _expect_mapping(value, path, _CATALOG_KEYS)
+    controls = _build_list(mapping, "controls", path, _build_control)
     return Catalog(metadata=_build_metadata(mapping["metadata"], f"{path}/metadata"),
                    controls=controls)
 
 
 def _build_import(value: Any, path: str) -> ImportDirective:
-    mapping = _expect_mapping(value, path, required={"source"}, optional={"include", "exclude"})
+    mapping = _expect_mapping(value, path, _IMPORT_KEYS)
     include: str | tuple[str, ...] = "all"
     if "include" in mapping:
         raw = mapping["include"]
@@ -302,75 +339,50 @@ def _build_import(value: Any, path: str) -> ImportDirective:
                     f"{path}/include",
                 )
         else:
-            items = _expect_list(raw, f"{path}/include")
-            include = tuple(
-                _expect_str(item, f"{path}/include/{index}") for index, item in enumerate(items)
-            )
-    exclude = tuple(
-        _expect_str(item, f"{path}/exclude/{index}")
-        for index, item in enumerate(_expect_list(mapping.get("exclude", []), f"{path}/exclude"))
-    )
+            include = _str_list(raw, path, "include")
+    exclude = _str_list(mapping.get("exclude", []), path, "exclude")
     return ImportDirective(
-        source=_expect_str(mapping["source"], f"{path}/source"),
+        source=_expect_str(mapping["source"], path, "source"),
         include=include,
         exclude=exclude,
     )
 
 
 def _build_remove(value: Any, path: str) -> RemoveDirective:
-    mapping = _expect_mapping(value, path, required=set(), optional={"by-name", "by-class"})
+    mapping = _expect_mapping(value, path, _REMOVE_KEYS)
     if len(mapping) != 1:
         raise SchemaError("exactly one of by-name/by-class must be given", path)
     if "by-name" in mapping:
-        return RemoveDirective(by_name=_expect_str(mapping["by-name"], f"{path}/by-name"))
-    return RemoveDirective(by_class=_expect_str(mapping["by-class"], f"{path}/by-class"))
+        return RemoveDirective(by_name=_expect_str(mapping["by-name"], path, "by-name"))
+    return RemoveDirective(by_class=_expect_str(mapping["by-class"], path, "by-class"))
 
 
 def _build_add(value: Any, path: str) -> AddDirective:
-    mapping = _expect_mapping(value, path, required={"parts"}, optional={"position"})
+    mapping = _expect_mapping(value, path, _ADD_KEYS)
     position = "ending"
     if "position" in mapping:
-        position = _expect_str(mapping["position"], f"{path}/position")
+        position = _expect_str(mapping["position"], path, "position")
         if position != "ending":
             raise SchemaError(f"unsupported position {position!r}", f"{path}/position")
-    parts = tuple(
-        _build_part(item, f"{path}/parts/{index}")
-        for index, item in enumerate(_expect_list(mapping["parts"], f"{path}/parts"))
-    )
+    parts = _build_list(mapping, "parts", path, _build_part)
     return AddDirective(parts=parts, position=position)
 
 
 def _build_alteration(value: Any, path: str) -> Alteration:
-    mapping = _expect_mapping(value, path, required={"control-id"}, optional={"removes", "adds"})
-    removes = tuple(
-        _build_remove(item, f"{path}/removes/{index}")
-        for index, item in enumerate(_expect_list(mapping.get("removes", []), f"{path}/removes"))
-    )
-    adds = tuple(
-        _build_add(item, f"{path}/adds/{index}")
-        for index, item in enumerate(_expect_list(mapping.get("adds", []), f"{path}/adds"))
-    )
+    mapping = _expect_mapping(value, path, _ALTERATION_KEYS)
+    removes = _build_list(mapping, "removes", path, _build_remove)
+    adds = _build_list(mapping, "adds", path, _build_add)
     return Alteration(
-        control_id=_expect_str(mapping["control-id"], f"{path}/control-id"),
+        control_id=_expect_str(mapping["control-id"], path, "control-id"),
         removes=removes,
         adds=adds,
     )
 
 
 def _build_profile(value: Any, path: str) -> Profile:
-    mapping = _expect_mapping(
-        value, path, required={"metadata", "imports"}, optional={"alterations"}
-    )
-    imports = tuple(
-        _build_import(item, f"{path}/imports/{index}")
-        for index, item in enumerate(_expect_list(mapping["imports"], f"{path}/imports"))
-    )
-    alterations = tuple(
-        _build_alteration(item, f"{path}/alterations/{index}")
-        for index, item in enumerate(
-            _expect_list(mapping.get("alterations", []), f"{path}/alterations")
-        )
-    )
+    mapping = _expect_mapping(value, path, _PROFILE_KEYS)
+    imports = _build_list(mapping, "imports", path, _build_import)
+    alterations = _build_list(mapping, "alterations", path, _build_alteration)
     return Profile(
         metadata=_build_metadata(mapping["metadata"], f"{path}/metadata"),
         imports=imports,
@@ -517,14 +529,10 @@ def _plain_safe(value: str) -> bool:
     return True
 
 
-def _fold_safe(value: str) -> bool:
-    words = value.split(" ")
-    if len(words) < 2:
-        return False
-    for word in words:
-        if not word or _UNSAFE_WORD_RE.search(word):
-            return False
-    return True
+def _foldable(value: str) -> bool:
+    """Whether ``value`` is words split by single spaces, none holding a character a fold would alter."""
+    return (" " in value and value[0] != " " and value[-1] != " " and "  " not in value
+            and not _UNSAFE_WORD_RE.search(value))
 
 
 def _quote(value: str) -> str:
@@ -549,57 +557,52 @@ def _quote(value: str) -> str:
     return "".join(out)
 
 
-def _wrap_words(words: list[str], width: int) -> list[str]:
-    lines = [words[0]]
-    for word in words[1:]:
-        if len(lines[-1]) + 1 + len(word) <= width:
-            lines[-1] += " " + word
-        else:
-            lines.append(word)
-    return lines
+@functools.cache  # widths run from 20 to 78, so few patterns are ever kept
+def _wrap_re(width: int) -> re.Pattern:
+    """Greedy word wrap at ``width``: each match is one line; a longer word gets a line to itself."""
+    return re.compile(rf"(.{{1,{width}}}|[^ ]+)(?: |\Z)")
 
 
-def _emit_scalar(anchor: str, value: str, indent: int, lines: list[str]) -> None:
-    """Emit ``<anchor> <scalar>`` at ``indent``; folds long prose when safe."""
-    pad = " " * indent
-    if len(value) > _WRAP_COLUMN and _fold_safe(value):
-        lines.append(f"{pad}{anchor} >-")
+def _emit_scalar(head: str, value: str, indent: int, lines: list[str]) -> None:
+    """Emit ``<head> <scalar>``, ``head`` holding its indent; folds long prose when safe."""
+    if len(value) > _WRAP_COLUMN and _foldable(value):
         body_indent = indent + 2
-        width = max(_WRAP_COLUMN - body_indent, 20)
-        body_pad = " " * body_indent
-        for line in _wrap_words(value.split(" "), width):
-            lines.append(body_pad + line)
+        body_break = "\n" + " " * body_indent
+        body = _wrap_re(max(_WRAP_COLUMN - body_indent, 20)).findall(value)
+        lines.append(head + " >-" + body_break + body_break.join(body))
     elif _plain_safe(value):
-        lines.append(f"{pad}{anchor} {value}")
+        lines.append(f"{head} {value}")
     else:
-        lines.append(f"{pad}{anchor} {_quote(value)}")
+        lines.append(f"{head} {_quote(value)}")
 
 
 def _emit_mapping(mapping: dict, indent: int, lines: list[str]) -> None:
     pad = " " * indent
     for key, value in mapping.items():
-        if isinstance(value, dict):
+        kind = value.__class__
+        if kind is dict:
             lines.append(f"{pad}{key}:")
             _emit_mapping(value, indent + 2, lines)
-        elif isinstance(value, list):
+        elif kind is list:
             lines.append(f"{pad}{key}:")
             _emit_sequence(value, indent + 2, lines)
         else:
-            _emit_scalar(f"{key}:", value, indent, lines)
+            _emit_scalar(f"{pad}{key}:", value, indent, lines)
 
 
 def _emit_sequence(items: list, indent: int, lines: list[str]) -> None:
-    pad = " " * indent
+    head = " " * indent + "-"
+    dash = head + " "
     for item in items:
-        if isinstance(item, dict):
-            sub: list[str] = []
-            _emit_mapping(item, indent + 2, sub)
-            sub[0] = f"{pad}- " + sub[0][indent + 2:]
-            lines.extend(sub)
-        elif isinstance(item, list):
+        kind = item.__class__
+        if kind is dict:
+            first = len(lines)
+            _emit_mapping(item, indent + 2, lines)
+            lines[first] = dash + lines[first][indent + 2:]
+        elif kind is list:
             raise TypeError("nested sequences are not part of the document model")
         else:
-            _emit_scalar("-", item, indent, lines)
+            _emit_scalar(head, item, indent, lines)
 
 
 def _emit_yaml(plain: dict) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from layered_guidance import serialize
 from layered_guidance.changes import ChangeSet
 from layered_guidance.model import (
     ERROR,
@@ -287,3 +288,80 @@ def simulate_profile_findings(profile: Profile,
             if part.name == STATEMENT_PART and index != 0:
                 findings.append(Finding(ERROR, path, "statement must be first"))
     return findings
+
+
+# ---------------------------------------------------------------------------
+# Canonical YAML emission, word by word: the emitter ``serialize`` replaced.
+# Scalars that are neither folded nor plain are quoted with ``serialize._quote``.
+
+WRAP_COLUMN = 80
+_UNSAFE_IN_WORD = set("\u2028\u2029\ufffe\uffff") | {chr(c) for c in range(0x20)} \
+    | {chr(c) for c in range(0x7F, 0xA0)}
+
+
+def fold_safe(value: str) -> bool:
+    """At least two words split by single spaces, none holding a character a fold would alter."""
+    words = value.split(" ")
+    if len(words) < 2:
+        return False
+    for word in words:
+        if not word or any(ch in _UNSAFE_IN_WORD for ch in word):
+            return False
+    return True
+
+
+def wrap_words(words: list[str], width: int) -> list[str]:
+    """Greedy wrap: a word joins the current line while the line stays within ``width``."""
+    lines = [words[0]]
+    for word in words[1:]:
+        if len(lines[-1]) + 1 + len(word) <= width:
+            lines[-1] += " " + word
+        else:
+            lines.append(word)
+    return lines
+
+
+def emit_scalar(anchor: str, value: str, indent: int, lines: list[str]) -> None:
+    pad = " " * indent
+    if len(value) > WRAP_COLUMN and fold_safe(value):
+        lines.append(f"{pad}{anchor} >-")
+        body_indent = indent + 2
+        width = max(WRAP_COLUMN - body_indent, 20)
+        for line in wrap_words(value.split(" "), width):
+            lines.append(" " * body_indent + line)
+    elif serialize._plain_safe(value):
+        lines.append(f"{pad}{anchor} {value}")
+    else:
+        lines.append(f"{pad}{anchor} {serialize._quote(value)}")
+
+
+def _emit_mapping(mapping: dict, indent: int, lines: list[str]) -> None:
+    pad = " " * indent
+    for key, value in mapping.items():
+        if isinstance(value, dict):
+            lines.append(f"{pad}{key}:")
+            _emit_mapping(value, indent + 2, lines)
+        elif isinstance(value, list):
+            lines.append(f"{pad}{key}:")
+            _emit_sequence(value, indent + 2, lines)
+        else:
+            emit_scalar(f"{key}:", value, indent, lines)
+
+
+def _emit_sequence(items: list, indent: int, lines: list[str]) -> None:
+    pad = " " * indent
+    for item in items:
+        if isinstance(item, dict):
+            sub: list[str] = []
+            _emit_mapping(item, indent + 2, sub)
+            sub[0] = f"{pad}- " + sub[0][indent + 2:]
+            lines.extend(sub)
+        else:
+            emit_scalar("-", item, indent, lines)
+
+
+def emit_yaml(plain: dict) -> str:
+    """The canonical YAML text of a document's plain form."""
+    lines: list[str] = []
+    _emit_mapping(plain, 0, lines)
+    return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from layered_guidance.changes import (
     transitive_dependents,
 )
 from layered_guidance import resolver
-from layered_guidance.errors import NotFound
+from layered_guidance.errors import CycleDetected, NotFound
 from layered_guidance.model import Catalog, Control, Metadata, Part, find_control
 from layered_guidance.resolver import SourceStore, resolve_chain
 from layered_guidance.serialize import parse_document
@@ -244,6 +244,33 @@ class TestPropagate:
         for result in results:
             assert result.resolved is None
             assert "id.zz-9" in str(result.error)
+
+    def test_the_walk_replaces_per_profile_cycle_checks(self, fixture_store, monkeypatch):
+        checked = []
+        original = resolver.detect_cycles
+
+        def counting_detect_cycles(store, uri):
+            checked.append(uri)
+            return original(store, uri)
+
+        monkeypatch.setattr(resolver, "detect_cycles", counting_detect_cycles)
+        results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        assert [r.error for r in results] == [None, None]
+        assert checked == []
+
+    def test_cycle_through_an_import_outside_the_store_graph(self, tmp_path):
+        """``./g.yaml`` names no store document, so only a per-profile check sees this cycle."""
+        (tmp_path / "f.yaml").write_bytes(
+            b"profile:\n  metadata:\n    title: F\n    version: \"1\"\n"
+            b"  imports:\n    - source: ./g.yaml\n"
+        )
+        (tmp_path / "g.yaml").write_bytes(
+            b"profile:\n  metadata:\n    title: G\n    version: \"1\"\n"
+            b"  imports:\n    - source: f.yaml\n"
+        )
+        (result,) = propagate(SourceStore(tmp_path), "g.yaml")
+        assert isinstance(result.error, CycleDetected)
+        assert result.error.path == ("f.yaml", "./g.yaml", "f.yaml")
 
     def test_persisted_resolution_is_canonical(self, fixture_store):
         self._populate(fixture_store)

@@ -13,7 +13,7 @@ from conftest import FIXTURES_DIR
 from layered_guidance import resolver
 from layered_guidance.cli import main
 from layered_guidance.model import find_control
-from layered_guidance.serialize import parse_document
+from layered_guidance.serialize import parse_document, serialize_document
 
 DIFF_GOLDEN = """\
 ~ metadata title
@@ -169,6 +169,30 @@ class TestValidateCommand:
         assert captured.out == "0 errors\n"
 
 
+    def test_upstream_failure_is_reported_and_validation_goes_on(self, tmp_path, capsys):
+        for name, source in (("cyc-a", "cyc-b.yaml"), ("cyc-b", "cyc-a.yaml")):
+            (tmp_path / f"{name}.yaml").write_bytes(
+                b"profile:\n  metadata:\n    title: C\n    version: \"1\"\n"
+                b"  imports:\n    - source: " + source.encode() + b"\n"
+            )
+        (tmp_path / "base.yaml").write_bytes(
+            b"catalog:\n  metadata:\n    title: Base\n    version: \"1\"\n"
+        )
+        empty = tmp_path / "empty.yaml"
+        empty.write_bytes(
+            b"profile:\n  metadata:\n    title: ''\n    version: \"1\"\n"
+            b"  imports:\n    - source: base.yaml\n"
+        )
+        cyclic = tmp_path / "cyc-a.yaml"
+        assert main(["validate", str(cyclic), str(empty), "--store", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {cyclic}: imports/0: import cycle: cyc-b.yaml -> cyc-a.yaml -> cyc-b.yaml\n"
+            f"warning: {empty}: metadata/title: title is empty\n"
+        )
+        assert captured.out == "1 errors\n"
+
+
 class TestDiffCommand:
     def test_text_report(self, fixture_store, tmp_path, capsys):
         ot_out, am_out = _resolve_both(fixture_store, tmp_path)
@@ -271,6 +295,47 @@ class TestPropagateCommand:
              "before-prose": am_changes[0]["before-prose"],
              "after-prose": am_changes[0]["after-prose"]},
         ]
+
+    def test_unrelated_cycle_does_not_stop_propagation(self, fixture_store, capsys):
+        for name, source in (("cyc-a", "cyc-b.yaml"), ("cyc-b", "cyc-a.yaml")):
+            (fixture_store / f"{name}.yaml").write_bytes(
+                b"profile:\n  metadata:\n    title: C\n    version: \"1\"\n"
+                b"  imports:\n    - source: " + source.encode() + b"\n"
+            )
+        assert main(["propagate", "--store", str(fixture_store),
+                     "--changed", "csf-id-am.yaml", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [(item["profile-uri"], item["initial"]) for item in payload] == [
+            ("ot-profile.yaml", True), ("am-profile.yaml", True),
+        ]
+
+    def test_cycle_upstream_of_a_changed_document_exits_2(self, fixture_store, capsys):
+        (fixture_store / "cyc-a.yaml").write_bytes(
+            b"profile:\n  metadata:\n    title: A\n    version: \"1\"\n"
+            b"  imports:\n    - source: csf-id-am.yaml\n    - source: cyc-b.yaml\n"
+        )
+        (fixture_store / "cyc-b.yaml").write_bytes(
+            b"profile:\n  metadata:\n    title: B\n    version: \"1\"\n"
+            b"  imports:\n    - source: cyc-a.yaml\n"
+        )
+        assert main(["propagate", "--store", str(fixture_store),
+                     "--changed", "csf-id-am.yaml"]) == 2
+        assert "import cycle: cyc-a.yaml -> cyc-b.yaml -> cyc-a.yaml" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("copy, fmt", [("a/ot-profile.yaml", "yaml"),
+                                           ("ot-profile.json", "json")])
+    def test_shared_output_path_fails_both_profiles(self, fixture_store, capsys, copy, fmt):
+        original = parse_document((fixture_store / "ot-profile.yaml").read_bytes())
+        (fixture_store / copy).parent.mkdir(exist_ok=True)
+        (fixture_store / copy).write_bytes(serialize_document(original, fmt))
+        assert main(["propagate", "--store", str(fixture_store),
+                     "--changed", "csf-id-am.yaml"]) == 2
+        assert sorted(capsys.readouterr().out.splitlines()) == sorted([
+            f"failed {copy}: output resolved/ot-profile.yaml is also the output of ot-profile.yaml",
+            f"failed ot-profile.yaml: output resolved/ot-profile.yaml is also the output of {copy}",
+            "re-resolved am-profile.yaml -> resolved/am-profile.yaml (initial resolution)",
+        ])
+        assert sorted(p.name for p in (fixture_store / "resolved").iterdir()) == ["am-profile.yaml"]
 
     def test_no_dependents(self, tmp_path, capsys):
         (tmp_path / "solo.yaml").write_bytes(

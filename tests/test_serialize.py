@@ -7,6 +7,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import strategies
 from conftest import FIXTURES_DIR
 from layered_guidance import serialize
@@ -218,6 +219,101 @@ class TestCanonicalForm:
         assert list(payload) == ["profile"]
         assert payload["profile"]["alterations"][0]["control-id"] == "id.am-3"
         assert payload["profile"]["alterations"][0]["removes"][0]["by-name"] == "ot-specific"
+
+
+class TestSchemaErrors:
+    @pytest.mark.parametrize("metadata, message", [
+        pytest.param("{bogus: x}", "unknown key 'bogus'", id="unknown-before-missing"),
+        pytest.param("{version: b, zz: x, aa: y}", "unknown key 'zz'", id="first-unknown-in-order"),
+        pytest.param("{}", "missing required key 'title'", id="missing-in-sorted-order"),
+        pytest.param("{title: a}", "missing required key 'version'", id="one-missing"),
+    ])
+    def test_key_error_precedence(self, metadata, message):
+        text = f"catalog:\n  metadata: {metadata}\n".encode()
+        with pytest.raises(SchemaError) as excinfo:
+            parse_document(text)
+        assert str(excinfo.value) == f"catalog/metadata: {message}"
+
+    @pytest.mark.parametrize("text, path", [
+        pytest.param("catalog:\n  metadata: {title: a, version: b}\n  controls:\n"
+                     "    - id: c1\n      parts:\n        - {name: s, prose: p}\n"
+                     "        - {name: t, prose: [p]}\n",
+                     "catalog/controls/0/parts/1/prose", id="prose"),
+        pytest.param("catalog:\n  metadata: {title: a, version: b}\n  controls:\n"
+                     "    - id: c1\n      children:\n        - id: c2\n"
+                     "          parts:\n            - {name: {n: 1}, prose: p}\n",
+                     "catalog/controls/0/children/0/parts/0/name", id="name"),
+        pytest.param("catalog:\n  metadata: {title: a, version: b}\n  controls:\n"
+                     "    - {id: c1, class: [x]}\n",
+                     "catalog/controls/0/class", id="control-class"),
+        pytest.param("catalog:\n  metadata: {title: a, version: b}\n  controls:\n"
+                     "    - {id: [c1]}\n",
+                     "catalog/controls/0/id", id="id"),
+        pytest.param("catalog:\n  metadata: {title: [a], version: b}\n",
+                     "catalog/metadata/title", id="title"),
+        pytest.param("catalog:\n  metadata: {title: a, version: 1.0}\n",
+                     "catalog/metadata/version", id="version"),
+        pytest.param("catalog:\n  metadata: {title: a, version: b}\n  controls: {}\n",
+                     "catalog/controls", id="controls-list"),
+        pytest.param("profile:\n  metadata: {title: a, version: b}\n"
+                     "  imports:\n    - {source: s.yaml, include: [a, [b]]}\n",
+                     "profile/imports/0/include/1", id="include-item"),
+        pytest.param("profile:\n  metadata: {title: a, version: b}\n"
+                     "  imports:\n    - {source: s.yaml}\n  alterations:\n"
+                     "    - control-id: c1\n      adds:\n        - parts:\n"
+                     "            - {name: n, prose: p, class: {}}\n",
+                     "profile/alterations/0/adds/0/parts/0/class", id="added-part-class"),
+    ])
+    def test_leaf_paths(self, text, path):
+        with pytest.raises(SchemaError) as excinfo:
+            parse_document(text.encode())
+        assert excinfo.value.path == path
+        assert str(excinfo.value).startswith(f"{path}: expected a ")
+
+
+# Words, separators and characters that decide between a fold, a plain and a quoted scalar.
+_SCALAR_PIECES = ["word", "a", "Title", "x" * 30, " ", " ", " ", "  ", "\u2028", "\ufffe",
+                  "\xa0", "nb\xa0sp", ": ", " #", "\t", "\n", "é", "-", "yes", '"']
+
+# Words of up to 70 characters, so some outgrow the narrowest wrap width of 20.
+_WORDS = st.text(alphabet="abcZé\xa0-", min_size=1, max_size=70)
+
+
+class TestEmitterOracle:
+    """The emitter writes what the word-by-word reference in ``oracles`` writes."""
+
+    @given(value=st.one_of(st.lists(st.sampled_from(_SCALAR_PIECES), max_size=80).map("".join),
+                           st.lists(_WORDS, min_size=2, max_size=30).map(" ".join),
+                           st.text(max_size=200)),
+           anchor=st.sampled_from(["-", "prose:"]),
+           indent=st.sampled_from([0, 2, 4, 10, 12, 56, 58, 60, 70]))
+    @settings(max_examples=500, deadline=None)
+    def test_scalars(self, value, anchor, indent):
+        lines: list[str] = []
+        serialize._emit_scalar(" " * indent + anchor, value, indent, lines)
+        expected: list[str] = []
+        oracles.emit_scalar(anchor, value, indent, expected)
+        assert "\n".join(lines) == "\n".join(expected)
+
+    @pytest.mark.parametrize("value, folds", [
+        ("one two " * 11, False),
+        (" one two" * 11, False),
+        ("one  two " * 11 + "x", False),
+        ("one\u2028two " * 11 + "x", False),
+        ("one\xa0two " * 11 + "x", True),
+        ("x" * 90 + " y", True),
+    ])
+    def test_fold_safety(self, value, folds):
+        assert oracles.fold_safe(value) == folds
+        lines: list[str] = []
+        serialize._emit_scalar("prose:", value, 0, lines)
+        assert "\n".join(lines).startswith("prose: >-\n") == folds
+
+    @given(strategies.documents())
+    @settings(max_examples=200, deadline=None)
+    def test_documents(self, envelope: DocumentEnvelope):
+        plain = serialize.document_plain(envelope)
+        assert serialize._emit_yaml(plain) == oracles.emit_yaml(plain)
 
 
 class TestRoundTrip:

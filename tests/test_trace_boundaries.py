@@ -1,0 +1,34 @@
+"""The benchmark's trace spans still find every boundary they wrap.
+
+``perfbench/spans.py`` wraps functions by module and name; its ``Tracer``
+raises ``TraceError`` when one is missing. Constructing it here makes a
+renamed or moved boundary fail these tests, not only a traced benchmark run.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+
+import pytest
+
+from conftest import REPO_ROOT
+from layered_guidance import resolver
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  REPO_ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists(spans):
+    spans.Tracer("layered_guidance")
+
+
+def test_a_missing_name_is_reported(spans, monkeypatch):
+    monkeypatch.delattr(resolver, "detect_cycles")
+    with pytest.raises(spans.TraceError, match="detect_cycles"):
+        spans.Tracer("layered_guidance")
