@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path, PurePosixPath
 
@@ -21,8 +21,8 @@ from .resolver import (
     RESOLVED_DIR,
     ResolvedCatalog,
     SourceStore,
+    import_sources,
     resolve_acyclic,
-    resolve_chain,
     topological_order,
 )
 from .serialize import parse_document, serialize_document
@@ -178,6 +178,8 @@ class DependencyGraph:
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     findings: tuple[Finding, ...] = ()
+    profiles: tuple[str, ...] = ()  # the listed documents that are profiles
+    unreadable: dict[str, GuidanceError] = field(default_factory=dict)  # uri -> parse error
 
     def importers_of(self, uri: str) -> list[str]:
         return list(self._importers.get(uri, ()))
@@ -191,27 +193,37 @@ class DependencyGraph:
 
 
 def build_graph(store: SourceStore) -> DependencyGraph:
-    """One node per store document, one edge per import reference.
+    """One node per store document, one edge per import of an existing file.
 
-    Imports naming a document that does not exist become findings rather
-    than edges.
+    An unlisted file that an import names, such as one under ``resolved/``,
+    joins as a node after the listed documents; an import of no file is a
+    finding. A document that does not parse has no edges out.
     """
-    nodes = tuple(store.list_documents())
+    nodes = store.list_documents()
+    listed = set(nodes)
     known = set(nodes)
     edges: list[tuple[str, str]] = []
     findings: list[Finding] = []
-    for uri in nodes:
-        envelope = store.load(uri)
-        if envelope.kind != "profile":
+    profiles: list[str] = []
+    unreadable: dict[str, GuidanceError] = {}
+    for uri in nodes:  # grows as imports name files outside the listing
+        try:
+            envelope = store.load(uri)
+        except GuidanceError as error:
+            unreadable[uri] = error
             continue
-        for directive in envelope.body.imports:
-            if directive.source in known:
-                edges.append((uri, directive.source))
+        if envelope.kind == "profile" and uri in listed:
+            profiles.append(uri)
+        for source in import_sources(envelope):
+            if source not in known and store.exists(source):
+                known.add(source)
+                nodes.append(source)
+            if source in known:
+                edges.append((uri, source))
             else:
-                findings.append(
-                    Finding(ERROR, uri, f"import source {directive.source!r} not found in store")
-                )
-    return DependencyGraph(nodes=nodes, edges=tuple(edges), findings=tuple(findings))
+                findings.append(Finding(ERROR, uri, f"import source {source!r} not found in store"))
+    return DependencyGraph(nodes=tuple(nodes), edges=tuple(edges), findings=tuple(findings),
+                           profiles=tuple(profiles), unreadable=unreadable)
 
 
 def transitive_dependents(graph: DependencyGraph, uri: str) -> set[str]:
@@ -260,50 +272,44 @@ def propagate(store: SourceStore, changed_uri: str, *,
 
     Each fresh resolution is diffed against the previously persisted one
     (``initial`` marks a first resolution) and then persisted atomically.
-    A failing profile is reported in place; independent profiles still run.
-    A profile whose output path another profile of the store shares fails
-    without writing. An import cycle upstream of a re-resolved profile
-    raises ``CycleDetected``; one elsewhere in the store does not matter.
+    A failing profile, such as one that depends on a document that does not
+    parse, is reported in place; independent profiles still run. A profile
+    whose output path another profile of the store shares fails without
+    writing. An import cycle upstream of a re-resolved profile raises
+    ``CycleDetected``; one elsewhere in the store does not matter. A
+    ``changed_uri`` that does not parse raises its parse error.
     """
     if not store.exists(changed_uri):
         raise NotFound(changed_uri)
+    changed_uri = store.load(changed_uri).body.uri
     graph = build_graph(store)
     sources: dict[str, list[str]] = {node: [] for node in graph.nodes}
     for importer, source in graph.edges:
         sources[importer].append(source)
     affected = transitive_dependents(graph, changed_uri)
     # No document outside ``affected`` imports one inside it, so walking from
-    # the affected documents alone keeps their order.
+    # the affected documents alone keeps their order. Every import of an
+    # existing file is an edge, so the walk meets any cycle resolution could.
     order = topological_order([uri for uri in graph.nodes if uri in affected],
                               sources.__getitem__)
-    # The walk checked for cycles only along imports that name store
-    # documents. A profile that reaches any other import resolves through
-    # ``resolve_chain``, which checks its whole import closure again.
-    dangling = {finding.path for finding in graph.findings}
-    in_graph: dict[str, bool] = {}
-    for uri in order:
-        in_graph[uri] = uri not in dangling and all(in_graph[source] for source in sources[uri])
+    outputs = {uri: resolution_output_uri(uri) for uri in graph.profiles}
     writers: dict[str, list[str]] = {}
-    for uri in graph.nodes:
-        if store.load(uri).kind == "profile":
-            writers.setdefault(resolution_output_uri(uri), []).append(uri)
+    for uri, output_uri in outputs.items():
+        writers.setdefault(output_uri, []).append(uri)
 
     results: list[PropagationResult] = []
     memo: dict[str, ResolvedCatalog] = {}
     for uri in order:
-        if uri not in affected or store.load(uri).kind != "profile":
+        if uri not in affected or uri not in outputs:
             continue
-        output_uri = resolution_output_uri(uri)
+        output_uri = outputs[uri]
         others = [writer for writer in writers[output_uri] if writer != uri]
         if others:
             error = StoreError(f"output {output_uri} is also the output of {', '.join(others)}")
             results.append(PropagationResult(uri, output_uri, error=error))
             continue
         try:
-            if in_graph[uri]:
-                resolved = resolve_acyclic(store, uri, lenient=lenient, memo=memo)
-            else:
-                resolved = resolve_chain(store, uri, lenient=lenient, memo=memo)
+            resolved = resolve_acyclic(store, uri, lenient=lenient, memo=memo)
             envelope = DocumentEnvelope("catalog", resolved.catalog)
             previous_path = store.root / output_uri
             if previous_path.is_file():

@@ -28,12 +28,9 @@ from .changes import (
     propagate,
 )
 from .errors import (
-    DocumentSyntaxError,
     GuidanceError,
     ResolutionError,
     SchemaError,
-    StoreError,
-    UnknownFixture,
     ValidationError,
 )
 from .model import (
@@ -46,7 +43,7 @@ from .model import (
     validate_catalog,
 )
 from .render import RenderOptions, render_markdown
-from .resolver import SourceStore, resolve_chain, validate_profile, wrap_catalog
+from .resolver import SourceStore, import_sources, resolve_chain, validate_profile, wrap_catalog
 from .serialize import parse_document, serialize_document
 
 EXIT_OK = 0
@@ -170,13 +167,13 @@ def validate_cmd(ctx: click.Context, files: tuple[str, ...], store_dir: str | No
                 findings = validate_catalog(envelope.body)
             elif store is not None:
                 sources = []
-                for index, directive in enumerate(envelope.body.imports):
-                    source_env = store.load(directive.source)
+                for index, source in enumerate(import_sources(envelope)):
+                    source_env = store.load(source)
                     if source_env.kind == "catalog":
                         sources.append(source_env.body)
                         continue
                     try:
-                        sources.append(resolve_chain(store, directive.source, memo=memo).catalog)
+                        sources.append(resolve_chain(store, source, memo=memo).catalog)
                     except ResolutionError as exc:  # reported for this file; the rest still run
                         findings = [Finding(ERROR, f"imports/{index}", _describe(exc))]
                         upstream_failed = True
@@ -256,6 +253,8 @@ def render_cmd(catalog_file: str, output: str | None, provenance: bool) -> None:
 def graph_cmd(ctx: click.Context, store_dir: str, fmt: str) -> None:
     """Show the import graph of a store."""
     graph = build_graph(SourceStore(store_dir))
+    for error in graph.unreadable.values():
+        raise error  # the first document that does not parse fails the command
     if fmt == "json":
         plain = {
             "nodes": list(graph.nodes),
@@ -342,9 +341,6 @@ def main(args: list[str] | None = None) -> int:
     except ResolutionError as exc:
         _echo(f"resolution error: {_describe(exc)}", err=True)
         return EXIT_RESOLUTION
-    except (DocumentSyntaxError, SchemaError, StoreError, UnknownFixture) as exc:
-        _echo(f"error: {_describe(exc)}", err=True)
-        return EXIT_IO
     except OSError as exc:
         _echo(f"i/o error: {exc}", err=True)
         return EXIT_IO

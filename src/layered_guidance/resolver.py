@@ -56,6 +56,8 @@ from .serialize import parse_document
 
 _DOCUMENT_SUFFIXES = (".yaml", ".yml", ".json")
 RESOLVED_DIR = "resolved"
+# The store uri a path spells: ``./x.yaml`` and ``sub/../x.yaml`` are ``x.yaml``.
+normalize_uri = posixpath.normpath
 
 
 @dataclass(frozen=True)
@@ -252,11 +254,11 @@ def _resolve(sources: Sequence[ResolvedCatalog], profile: Profile,
     elif has_errors(structural):
         raise ValidationError(structural)
 
-    by_uri = {rs.catalog.uri: rs for rs in sources if rs.catalog.uri}
+    by_uri = {normalize_uri(rs.catalog.uri): rs for rs in sources if rs.catalog.uri}
     paired: list[ResolvedCatalog] = []
     for index, directive in enumerate(profile.imports):
-        if directive.source in by_uri:
-            paired.append(by_uri[directive.source])
+        if (uri := normalize_uri(directive.source)) in by_uri:
+            paired.append(by_uri[uri])
         elif len(sources) == len(profile.imports):
             paired.append(sources[index])
         else:
@@ -324,22 +326,31 @@ def _resolve(sources: Sequence[ResolvedCatalog], profile: Profile,
                            warnings=tuple(report.warnings or ()))
 
 
+def _fingerprint(path: Path) -> tuple[int, int] | None:
+    try:
+        stat = path.stat()
+    except OSError:
+        return None
+    return stat.st_mtime_ns, stat.st_size
+
+
 class SourceStore:
     """A directory of guidance documents addressed by relative path.
 
-    Documents are parsed lazily and cached; concurrent loads of the same
-    uri parse at most once. Cached content reflects the file at first load.
+    Every spelling of a path names one document, cached under its normalized
+    path, its ``uri``, and parsed again once the file's modification time or
+    size changes. Concurrent loads of the same uri parse at most once.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self._real_root = self.root.resolve()
-        self._cache: dict[str, DocumentEnvelope] = {}
+        self._cache: dict[str, tuple[Path, tuple[int, int], DocumentEnvelope]] = {}
         self._lock = threading.Lock()
-        self.load_count = 0  # loads that actually hit the filesystem
+        self.load_count = 0  # loads that actually parsed the file
 
     def _resolve_path(self, uri: str) -> Path:
-        normalized = posixpath.normpath(uri)
+        normalized = normalize_uri(uri)
         if normalized.startswith(("/", "../")) or normalized == "..":
             raise InvalidUri(uri, "escapes the store root")
         path = (self.root / normalized).resolve()
@@ -354,12 +365,14 @@ class SourceStore:
             return False
 
     def load(self, uri: str) -> DocumentEnvelope:
+        key = normalize_uri(uri)
         with self._lock:
-            cached = self._cache.get(uri)
-            if cached is not None:
-                return cached
+            cached = self._cache.get(key)
+            if cached is not None and _fingerprint(cached[0]) == cached[1]:
+                return cached[2]
             path = self._resolve_path(uri)
-            if not path.is_file():
+            fingerprint = _fingerprint(path)
+            if fingerprint is None or not path.is_file():
                 raise NotFound(uri)
             fmt = "json" if path.suffix == ".json" else "yaml"
             try:
@@ -368,24 +381,18 @@ class SourceStore:
                 if exc.source is None:
                     exc.source = uri
                 raise
-            body = replace(envelope.body, uri=uri)
+            body = replace(envelope.body, uri=key)
             envelope = DocumentEnvelope(kind=envelope.kind, body=body)
-            self._cache[uri] = envelope
+            self._cache[key] = (path, fingerprint, envelope)
             self.load_count += 1
             return envelope
 
     def list_documents(self) -> list[str]:
         """All document uris under the root, sorted; build outputs and links out excluded."""
-        uris: list[str] = []
-        for path in self.root.rglob("*"):
-            if path.suffix not in _DOCUMENT_SUFFIXES:
-                continue
-            rel = path.relative_to(self.root).as_posix()
-            if rel.startswith(f"{RESOLVED_DIR}/") or not path.is_file():
-                continue
-            if path.resolve().is_relative_to(self._real_root):
-                uris.append(rel)
-        return sorted(uris)
+        uris = (path.relative_to(self.root).as_posix() for path in self.root.rglob("*")
+                if path.suffix in _DOCUMENT_SUFFIXES)
+        return sorted(uri for uri in uris
+                      if not uri.startswith(f"{RESOLVED_DIR}/") and self.exists(uri))
 
 
 def topological_order(roots: Iterable[str],
@@ -416,16 +423,20 @@ def topological_order(roots: Iterable[str],
     return order
 
 
+def import_sources(envelope: DocumentEnvelope) -> list[str]:
+    """The store uris a document imports, in import order; a catalog imports none."""
+    if envelope.kind != "profile":
+        return []
+    return [normalize_uri(directive.source) for directive in envelope.body.imports]
+
+
 def detect_cycles(store: SourceStore, root_uri: str) -> list[str]:
     """Topological order (dependencies first) of the import closure of one document.
 
     Raises ``CycleDetected`` with a witnessing uri path on cyclic imports.
     """
-    def sources_of(uri: str) -> list[str]:
-        envelope = store.load(uri)
-        return [d.source for d in envelope.body.imports] if envelope.kind == "profile" else []
-
-    return topological_order([root_uri], sources_of)
+    return topological_order([normalize_uri(root_uri)],
+                             lambda uri: import_sources(store.load(uri)))
 
 
 def resolve_chain(store: SourceStore, profile_uri: str, *, lenient: bool = False,
@@ -436,6 +447,7 @@ def resolve_chain(store: SourceStore, profile_uri: str, *, lenient: bool = False
     several calls over one store resolves each document at most once.
     Failures are never memoised.
     """
+    profile_uri = normalize_uri(profile_uri)
     detect_cycles(store, profile_uri)
     envelope = store.load(profile_uri)
     if envelope.kind != "profile":
@@ -457,9 +469,8 @@ def resolve_acyclic(store: SourceStore, uri: str, *, lenient: bool = False,
     if envelope.kind == "catalog":
         result = wrap_catalog(envelope.body, uri)
     else:
-        profile: Profile = envelope.body
-        sources = [resolve_acyclic(store, d.source, lenient=lenient, memo=memo)
-                   for d in profile.imports]
-        result = resolve(sources, profile, lenient=lenient)
+        sources = [resolve_acyclic(store, source, lenient=lenient, memo=memo)
+                   for source in import_sources(envelope)]
+        result = resolve(sources, envelope.body, lenient=lenient)
     memo[uri] = result
     return result

@@ -365,3 +365,18 @@ def emit_yaml(plain: dict) -> str:
     lines: list[str] = []
     _emit_mapping(plain, 0, lines)
     return "\n".join(lines) + "\n"
+
+
+def dependents_in_store(imports: dict[str, str], unreadable: set[str], changed: str) -> set[str]:
+    """``changed`` and every document that imports it through documents that parse.
+
+    ``imports`` maps each profile to the one store uri it imports; a document
+    that does not parse imports nothing as far as anyone can tell.
+    """
+    found = {changed}
+    while True:
+        more = {uri for uri, source in imports.items()
+                if source in found and uri not in unreadable} - found
+        if not more:
+            return found
+        found |= more

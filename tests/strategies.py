@@ -307,3 +307,65 @@ def layered_chains(draw) -> tuple[Catalog, Profile, Profile, dict[str, list[str]
         alterations=draw(_chain_alterations(state)),
     )
     return base, p1, p2, state
+
+
+SPELLINGS = ("{}", "./{}", "sub/../{}")  # three spellings of one store uri
+
+
+def catalog_text(name: str, control_id: str) -> bytes:
+    return (f"catalog:\n  metadata:\n    title: {name}\n    version: \"1\"\n  controls:\n"
+            f"    - id: {control_id}\n      parts:\n        - name: statement\n"
+            f"          prose: {name} statement v0\n").encode()
+
+
+def profile_text(name: str, source: str, control_id: str) -> bytes:
+    return (f"profile:\n  metadata:\n    title: {name}\n    version: \"1\"\n  imports:\n"
+            f"    - source: {source}\n  alterations:\n    - control-id: {control_id}\n"
+            f"      adds:\n        - parts:\n            - name: note-{name}\n"
+            f"              prose: {name} note v0\n").encode()
+
+
+@st.composite
+def edited_stores(draw) -> dict:
+    """A small store, one edit to one of its documents, and a spelling of the changed uri.
+
+    ``files`` maps uri to bytes; ``imports`` maps each profile to the store
+    uri it imports. Two catalogs, ``base.yaml`` and ``other.yaml``, root
+    chains of one to four profiles, each importing one earlier document
+    under a drawn spelling. The edit is ``prose`` (a longer prose part),
+    ``break`` (a repeated ``title`` key, so the document no longer parses)
+    or ``respell`` (a profile's import under another spelling); an edit of
+    ``new.yaml`` adds that catalog, whole or broken.
+    """
+    roots = {"base.yaml": "c-1", "other.yaml": "o-1"}
+    files = {uri: catalog_text(uri[:-5], cid) for uri, cid in roots.items()}
+    imports: dict[str, str] = {}
+    spelled: dict[str, str] = {}
+    for index in range(draw(st.integers(1, 4))):
+        name = f"p{index + 1}"
+        source = draw(st.sampled_from(sorted(files)))
+        roots[f"{name}.yaml"] = roots[source]
+        imports[f"{name}.yaml"] = source
+        spelled[f"{name}.yaml"] = draw(st.sampled_from(SPELLINGS)).format(source)
+        files[f"{name}.yaml"] = profile_text(name, spelled[f"{name}.yaml"], roots[source])
+    target = draw(st.sampled_from([*sorted(files), "new.yaml"]))
+    kinds = ["prose", "break"] + (["respell"] if target in imports else [])
+    kind = draw(st.sampled_from(kinds))
+    text = files.get(target, catalog_text("new", "n-1"))
+    if target == "new.yaml" and kind == "prose":
+        edited = text
+    elif kind == "prose":
+        edited = text.replace(b" v0\n", b" v1, edited\n")
+    elif kind == "break":
+        title = f"    title: {target[:-5]}\n".encode()
+        edited = text.replace(title, title + title)
+    else:
+        old = spelled[target]
+        new = draw(st.sampled_from([s.format(imports[target]) for s in SPELLINGS
+                                    if s.format(imports[target]) != old]))
+        edited = text.replace(f"source: {old}\n".encode(), f"source: {new}\n".encode())
+    changed = draw(st.one_of(st.just(target), st.sampled_from([*sorted(files), target])))
+    return {
+        "files": files, "imports": imports, "edit": (target, kind, edited),
+        "changed": draw(st.sampled_from(SPELLINGS)).format(changed),
+    }

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import strategies
-from oracles import brute_force_diff, entry_tuples, flatten_controls, patch_with_changeset
+from oracles import (
+    brute_force_diff,
+    dependents_in_store,
+    entry_tuples,
+    flatten_controls,
+    patch_with_changeset,
+)
 from layered_guidance.changes import (
     build_graph,
     diff,
@@ -15,10 +23,25 @@ from layered_guidance.changes import (
     transitive_dependents,
 )
 from layered_guidance import resolver
-from layered_guidance.errors import CycleDetected, NotFound
-from layered_guidance.model import Catalog, Control, Metadata, Part, find_control
+from layered_guidance.errors import CycleDetected, GuidanceError, NotFound, SchemaError
+from layered_guidance.model import Catalog, Control, DocumentEnvelope, Metadata, Part, find_control
 from layered_guidance.resolver import SourceStore, resolve_chain
-from layered_guidance.serialize import parse_document
+from layered_guidance.serialize import parse_document, serialize_document
+
+DUPLICATE_TITLE = b"catalog:\n  metadata:\n    title: a\n    title: b\n    version: \"1\"\n"
+DUPLICATE_TITLE_MESSAGE = "duplicate key 'title' (line 4, column 5)"
+
+
+def _profile(*sources: str) -> bytes:
+    lines = [b"profile:\n  metadata:\n    title: P\n    version: \"1\"\n  imports:\n"]
+    lines += [f"    - source: {source}\n".encode() for source in sources]
+    return b"".join(lines)
+
+
+def _respell_am_import(store: Path, spelling: str) -> None:
+    path = store / "am-profile.yaml"
+    path.write_bytes(path.read_bytes().replace(b"source: ot-profile.yaml",
+                                               f"source: {spelling}".encode()))
 
 
 def _resolved_pair(fixture_store):
@@ -124,6 +147,31 @@ class TestBuildGraph:
         assert graph.edges == ()
         assert len(graph.findings) == 1
         assert "missing.yaml" in graph.findings[0].message
+
+    @pytest.mark.parametrize("spelling", ["./ot-profile.yaml", "sub/../ot-profile.yaml"])
+    def test_any_spelling_of_a_document_is_one_edge(self, fixture_store, spelling):
+        _respell_am_import(fixture_store, spelling)
+        graph = build_graph(SourceStore(fixture_store))
+        assert ("am-profile.yaml", "ot-profile.yaml") in graph.edges
+        assert graph.findings == ()
+
+    def test_unreadable_document_is_recorded_not_raised(self, fixture_store):
+        (fixture_store / "dup.yaml").write_bytes(DUPLICATE_TITLE)
+        graph = build_graph(SourceStore(fixture_store))
+        assert "dup.yaml" in graph.nodes
+        assert str(graph.unreadable["dup.yaml"]) == DUPLICATE_TITLE_MESSAGE
+        assert set(graph.unreadable) == {"dup.yaml"}
+        assert graph.profiles == ("am-profile.yaml", "ot-profile.yaml")
+
+    def test_an_imported_build_output_joins_and_no_other_is_read(self, fixture_store):
+        propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        (fixture_store / "uses-output.yaml").write_bytes(_profile("resolved/ot-profile.yaml"))
+        store = SourceStore(fixture_store)
+        graph = build_graph(store)
+        assert graph.nodes[-1] == "resolved/ot-profile.yaml"
+        assert ("uses-output.yaml", "resolved/ot-profile.yaml") in graph.edges
+        assert "resolved/ot-profile.yaml" not in graph.profiles
+        assert store.load_count == len(graph.nodes) == 5  # resolved/am-profile.yaml unread
 
     def test_importers_match_an_edge_scan(self, fixture_store):
         graph = build_graph(SourceStore(fixture_store))
@@ -259,7 +307,7 @@ class TestPropagate:
         assert checked == []
 
     def test_cycle_through_an_import_outside_the_store_graph(self, tmp_path):
-        """``./g.yaml`` names no store document, so only a per-profile check sees this cycle."""
+        """An import spelled ``./g.yaml`` is the edge to ``g.yaml``, so the walk sees the cycle."""
         (tmp_path / "f.yaml").write_bytes(
             b"profile:\n  metadata:\n    title: F\n    version: \"1\"\n"
             b"  imports:\n    - source: ./g.yaml\n"
@@ -268,12 +316,159 @@ class TestPropagate:
             b"profile:\n  metadata:\n    title: G\n    version: \"1\"\n"
             b"  imports:\n    - source: f.yaml\n"
         )
-        (result,) = propagate(SourceStore(tmp_path), "g.yaml")
-        assert isinstance(result.error, CycleDetected)
-        assert result.error.path == ("f.yaml", "./g.yaml", "f.yaml")
+        with pytest.raises(CycleDetected) as caught:
+            propagate(SourceStore(tmp_path), "g.yaml")
+        assert caught.value.path == ("f.yaml", "g.yaml", "f.yaml")
+
+    def test_a_long_lived_store_sees_an_edit(self, fixture_store):
+        store = SourceStore(fixture_store)
+        propagate(store, "csf-id-am.yaml")
+        path = fixture_store / "csf-id-am.yaml"
+        path.write_bytes(path.read_bytes().replace(b"data flows are mapped",
+                                                   b"data flows are fully mapped"))
+        results = propagate(store, "csf-id-am.yaml")
+        assert [len(r.changes.entries) for r in results] == [1, 1]
+
+    @pytest.mark.parametrize("spelling", ["./ot-profile.yaml", "sub/../ot-profile.yaml"])
+    def test_an_edit_reaches_an_importer_under_any_spelling(self, fixture_store, spelling):
+        _respell_am_import(fixture_store, spelling)
+        results = propagate(SourceStore(fixture_store), "ot-profile.yaml")
+        assert [r.profile_uri for r in results] == ["ot-profile.yaml", "am-profile.yaml"]
+        assert [r.error for r in results] == [None, None]
+
+    @pytest.mark.parametrize("spelling", ["./ot-profile.yaml", "sub/../ot-profile.yaml"])
+    def test_each_spelling_of_a_document_parses_once(self, fixture_store, spelling):
+        _respell_am_import(fixture_store, spelling)
+        store = SourceStore(fixture_store)
+        propagate(store, "csf-id-am.yaml")
+        resolve_chain(store, "am-profile.yaml")
+        assert store.load_count == 3
+
+    def test_an_unreadable_document_fails_only_its_dependents(self, fixture_store):
+        (fixture_store / "dup.yaml").write_bytes(DUPLICATE_TITLE)
+        (fixture_store / "uses-dup.yaml").write_bytes(_profile("csf-id-am.yaml", "dup.yaml"))
+        results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        by_uri = {r.profile_uri: r for r in results}
+        assert set(by_uri) == {"ot-profile.yaml", "am-profile.yaml", "uses-dup.yaml"}
+        assert by_uri["ot-profile.yaml"].error is None
+        assert by_uri["am-profile.yaml"].error is None
+        assert isinstance(by_uri["uses-dup.yaml"].error, SchemaError)
+        assert str(by_uri["uses-dup.yaml"].error) == DUPLICATE_TITLE_MESSAGE
+        assert not (fixture_store / "resolved" / "uses-dup.yaml").exists()
+
+    def test_an_unreadable_unrelated_document_does_not_stop_propagation(self, fixture_store):
+        (fixture_store / "dup.yaml").write_bytes(DUPLICATE_TITLE)
+        results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        assert [(r.profile_uri, r.error) for r in results] == [
+            ("ot-profile.yaml", None), ("am-profile.yaml", None),
+        ]
+
+    def test_an_unreadable_changed_document_raises(self, fixture_store):
+        (fixture_store / "dup.yaml").write_bytes(DUPLICATE_TITLE)
+        with pytest.raises(SchemaError, match=r"duplicate key 'title' \(line 4, column 5\)"):
+            propagate(SourceStore(fixture_store), "dup.yaml")
+
+    def test_cycle_through_an_imported_build_output(self, tmp_path):
+        (tmp_path / "p.yaml").write_bytes(_profile("resolved/q.yaml"))
+        (tmp_path / "resolved").mkdir()
+        (tmp_path / "resolved" / "q.yaml").write_bytes(_profile("p.yaml"))
+        expected = ("p.yaml", "resolved/q.yaml", "p.yaml")
+        with pytest.raises(CycleDetected) as caught:
+            propagate(SourceStore(tmp_path), "p.yaml")
+        assert caught.value.path == expected
+        with pytest.raises(CycleDetected) as caught:
+            resolve_chain(SourceStore(tmp_path), "p.yaml")
+        assert caught.value.path == expected
+
+    def test_an_imported_build_output_is_never_rewritten(self, fixture_store):
+        (fixture_store / "resolved").mkdir()
+        output = fixture_store / "resolved" / "q.yaml"
+        output.write_bytes(_profile("csf-id-am.yaml"))
+        (fixture_store / "p.yaml").write_bytes(_profile("resolved/q.yaml"))
+        results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        assert [(r.profile_uri, r.error) for r in results] == [
+            ("ot-profile.yaml", None), ("am-profile.yaml", None), ("p.yaml", None),
+        ]
+        assert output.read_bytes() == _profile("csf-id-am.yaml")
 
     def test_persisted_resolution_is_canonical(self, fixture_store):
         self._populate(fixture_store)
         data = (fixture_store / "resolved" / "am-profile.yaml").read_bytes()
         from layered_guidance.serialize import serialize_document
         assert serialize_document(parse_document(data), "yaml") == data
+
+
+def _outcome(call):
+    try:
+        return call()
+    except GuidanceError as error:
+        return error
+
+
+def _same_failure(actual, expected) -> bool:
+    return type(actual) is type(expected) and str(actual) == str(expected)
+
+
+def _defect_case(import_spelling: str, target: str, old: bytes, new: bytes) -> dict:
+    """Profile ``p1.yaml`` over ``base.yaml``, then ``old`` replaced by ``new`` in ``target``."""
+    files = {"base.yaml": strategies.catalog_text("base", "c-1"),
+             "other.yaml": strategies.catalog_text("other", "o-1"),
+             "p1.yaml": strategies.profile_text("p1", import_spelling, "c-1")}
+    text = files.get(target, strategies.catalog_text("new", "n-1"))
+    return {"files": files, "imports": {"p1.yaml": "base.yaml"},
+            "edit": (target, "edit", text.replace(old, new)), "changed": "base.yaml"}
+
+
+class TestPropagateOracle:
+    @given(strategies.edited_stores())
+    # A store that parses each document once would miss the edit; one that
+    # compares import spellings would miss the edge; one that parses every
+    # document first would stop at the added broken one.
+    @example(_defect_case("base.yaml", "base.yaml", b" v0\n", b" v1, edited\n"))
+    @example(_defect_case("./base.yaml", "other.yaml", b" v0\n", b" v1, edited\n"))
+    @example(_defect_case("base.yaml", "new.yaml", b"    title: new\n",
+                          b"    title: new\n    title: new\n"))
+    @settings(max_examples=80, deadline=None)
+    def test_after_any_edit_propagate_equals_a_fresh_resolve(self, case):
+        """One long-lived store, one edit, one ``propagate``: as if resolved from scratch."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for uri, data in case["files"].items():
+                (root / uri).write_bytes(data)
+            store = SourceStore(root)
+            initial = [r.profile_uri for uri in ("base.yaml", "other.yaml")
+                       for r in propagate(store, uri)]
+            assert sorted(initial) == sorted(case["imports"])
+            target, _, edited = case["edit"]
+            outputs = {uri: resolution_output_uri(uri) for uri in case["imports"]}
+            before = {uri: (root / out).read_bytes() for uri, out in outputs.items()}
+            (root / target).write_bytes(edited)
+
+            results = _outcome(lambda: propagate(store, case["changed"]))
+
+            fresh = SourceStore(root)
+            changed = _outcome(lambda: fresh.load(case["changed"]))
+            if isinstance(changed, GuidanceError):
+                assert _same_failure(results, changed)
+                return
+            unreadable = {uri for uri in {*case["files"], target}
+                          if isinstance(_outcome(lambda: fresh.load(uri)), GuidanceError)}
+            affected = dependents_in_store(case["imports"], unreadable, changed.body.uri)
+            assert not isinstance(results, GuidanceError), results
+            assert {r.profile_uri for r in results} == affected & set(case["imports"])
+            written = set()
+            for result in results:
+                expected = _outcome(lambda: resolve_chain(fresh, result.profile_uri))
+                if isinstance(expected, GuidanceError):
+                    assert _same_failure(result.error, expected)
+                    continue
+                assert result.error is None
+                assert result.resolved == expected
+                previous = parse_document(before[result.profile_uri]).body
+                assert result.changes == diff(previous, expected.catalog)
+                envelope = DocumentEnvelope("catalog", expected.catalog)
+                assert (root / result.output_uri).read_bytes() == serialize_document(envelope)
+                written.add(result.profile_uri)
+            for uri, out in outputs.items():
+                if uri not in written:
+                    assert (root / out).read_bytes() == before[uri]

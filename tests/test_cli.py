@@ -252,6 +252,48 @@ class TestGraphCommand:
         assert "missing.yaml" in capsys.readouterr().out
 
 
+class TestStoreIdentity:
+    DUPLICATE_TITLE = b"catalog:\n  metadata:\n    title: a\n    title: b\n    version: \"1\"\n"
+
+    @pytest.mark.parametrize("spelling", ["./ot-profile.yaml", "sub/../ot-profile.yaml"])
+    def test_graph_lists_a_respelled_import_as_an_edge(self, fixture_store, capsys, spelling):
+        path = fixture_store / "am-profile.yaml"
+        path.write_bytes(path.read_bytes().replace(b"source: ot-profile.yaml",
+                                                   f"source: {spelling}".encode()))
+        assert main(["graph", "--store", str(fixture_store)]) == 0
+        assert "  am-profile.yaml -> ot-profile.yaml\n" in capsys.readouterr().out
+
+    def test_resolve_cycle_witness_names_each_document_once(self, tmp_path, capsys):
+        (tmp_path / "f.yaml").write_bytes(
+            b"profile:\n  metadata:\n    title: F\n    version: \"1\"\n"
+            b"  imports:\n    - source: ./g.yaml\n")
+        (tmp_path / "g.yaml").write_bytes(
+            b"profile:\n  metadata:\n    title: G\n    version: \"1\"\n"
+            b"  imports:\n    - source: sub/../f.yaml\n")
+        assert main(["resolve", "f.yaml", "--store", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "resolution error: import cycle: f.yaml -> g.yaml -> f.yaml\n")
+
+    def test_graph_of_a_store_with_an_unreadable_document_exits_3(self, fixture_store, capsys):
+        (fixture_store / "dup.yaml").write_bytes(self.DUPLICATE_TITLE)
+        assert main(["graph", "--store", str(fixture_store)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dup.yaml: duplicate key 'title' (line 4, column 5)\n"
+
+    def test_propagate_of_an_unreadable_document_exits_3(self, fixture_store, capsys):
+        (fixture_store / "dup.yaml").write_bytes(self.DUPLICATE_TITLE)
+        assert main(["propagate", "--store", str(fixture_store), "--changed", "dup.yaml"]) == 3
+        assert capsys.readouterr().err == (
+            "error: dup.yaml: duplicate key 'title' (line 4, column 5)\n")
+
+    def test_propagate_past_an_unreadable_document_exits_0(self, fixture_store, capsys):
+        (fixture_store / "dup.yaml").write_bytes(self.DUPLICATE_TITLE)
+        code = main(["propagate", "--store", str(fixture_store), "--changed", "csf-id-am.yaml"])
+        assert code == 0
+        assert capsys.readouterr().out.count("re-resolved") == 2
+
+
 class TestStoreLinks:
     """A link out of the store is not one of its documents."""
 

@@ -469,6 +469,40 @@ class TestSourceStore:
         assert store.load_count == 1
         assert all(envelope is results[0] for envelope in results)
 
+    def test_every_spelling_loads_one_document(self, fixture_store):
+        store = SourceStore(fixture_store)
+        envelopes = [store.load(uri) for uri in
+                     ("csf-id-am.yaml", "./csf-id-am.yaml", "sub/../csf-id-am.yaml")]
+        assert all(envelope is envelopes[0] for envelope in envelopes)
+        assert envelopes[0].body.uri == "csf-id-am.yaml"
+        assert store.load_count == 1
+
+    def test_an_edited_document_is_parsed_again(self, fixture_store):
+        store = SourceStore(fixture_store)
+        store.load("csf-id-am.yaml")
+        path = fixture_store / "csf-id-am.yaml"
+        path.write_bytes(path.read_bytes().replace(b'version: "1.1"', b'version: "1.10"'))
+        assert store.load("csf-id-am.yaml").body.metadata.version == "1.10"
+        assert store.load_count == 2
+
+    def test_a_hit_resolves_no_path(self, fixture_store, monkeypatch):
+        store = SourceStore(fixture_store)
+        store.load("csf-id-am.yaml")
+        resolved = []
+        original = Path.resolve
+        monkeypatch.setattr(Path, "resolve", lambda self, *a, **k: resolved.append(self)
+                            or original(self, *a, **k))
+        store.load("csf-id-am.yaml")
+        assert resolved == []
+        assert store.load_count == 1
+
+    def test_a_deleted_document_is_not_found(self, fixture_store):
+        store = SourceStore(fixture_store)
+        store.load("csf-id-am.yaml")
+        (fixture_store / "csf-id-am.yaml").unlink()
+        with pytest.raises(NotFound):
+            store.load("csf-id-am.yaml")
+
     def test_lists_documents_excluding_resolved_outputs(self, fixture_store):
         (fixture_store / "resolved").mkdir()
         (fixture_store / "resolved" / "x.yaml").write_bytes(b"ignored: true\n")
