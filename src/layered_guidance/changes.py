@@ -4,28 +4,30 @@
 exactly when the catalogs are structurally equal (uri aside). ``propagate``
 re-resolves every profile that transitively depends on a changed document
 and reports each fresh resolution together with its delta against the
-previously persisted one under ``<store>/resolved/``.
+previously persisted one under ``<store>/resolved/``. That delta parses
+only the controls of the previous file whose canonical text changed.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path, PurePosixPath
 
 from .errors import GuidanceError, NotFound, StoreError
-from .model import Catalog, Control, DocumentEnvelope, ERROR, Finding
+from .model import Catalog, Control, DocumentEnvelope, ERROR, Finding, iter_controls
 from .resolver import (
     RESOLVED_DIR,
     ResolvedCatalog,
     SourceStore,
+    _swap_in,
     import_sources,
     resolve_acyclic,
     topological_order,
 )
-from .serialize import parse_document, serialize_document
+from .serialize import emit_control, parse_document, serialize_document, split_controls
 
 CONTROL_ADDED = "control-added"
 CONTROL_REMOVED = "control-removed"
@@ -133,6 +135,8 @@ def diff(before: Catalog, after: Catalog) -> ChangeSet:
 
 
 def _diff_parts(before: Control, after: Control, control_key: float, emit) -> None:
+    if before.parts is after.parts:
+        return
     bparts = {p.name: (i, p) for i, p in enumerate(before.parts)}
     aparts = {p.name: (i, p) for i, p in enumerate(after.parts)}
 
@@ -159,16 +163,9 @@ def _diff_parts(before: Control, after: Control, control_key: float, emit) -> No
 
 
 def entry_plain(entry: ChangeEntry) -> dict:
-    plain: dict = {"kind": entry.kind}
-    if entry.control_id is not None:
-        plain["control-id"] = entry.control_id
-    if entry.part_name is not None:
-        plain["part-name"] = entry.part_name
-    if entry.before_prose is not None:
-        plain["before-prose"] = entry.before_prose
-    if entry.after_prose is not None:
-        plain["after-prose"] = entry.after_prose
-    return plain
+    plain = {"kind": entry.kind, "control-id": entry.control_id, "part-name": entry.part_name,
+             "before-prose": entry.before_prose, "after-prose": entry.after_prose}
+    return {key: value for key, value in plain.items() if value is not None}
 
 
 @dataclass(frozen=True)
@@ -197,7 +194,9 @@ def build_graph(store: SourceStore) -> DependencyGraph:
 
     An unlisted file that an import names, such as one under ``resolved/``,
     joins as a node after the listed documents; an import of no file is a
-    finding. A document that does not parse has no edges out.
+    finding. A document that does not parse has no edges out. A joined
+    ``resolved/`` node that is a listed profile's output depends on that
+    profile, so its writer comes before its importers in topological order.
     """
     nodes = store.list_documents()
     listed = set(nodes)
@@ -222,6 +221,8 @@ def build_graph(store: SourceStore) -> DependencyGraph:
                 edges.append((uri, source))
             else:
                 findings.append(Finding(ERROR, uri, f"import source {source!r} not found in store"))
+    edges += [(output, uri) for uri in profiles
+              if (output := resolution_output_uri(uri)) in known and output not in listed]
     return DependencyGraph(nodes=tuple(nodes), edges=tuple(edges), findings=tuple(findings),
                            profiles=tuple(profiles), unreadable=unreadable)
 
@@ -243,17 +244,67 @@ def resolution_output_uri(profile_uri: str) -> str:
     return f"{RESOLVED_DIR}/{PurePosixPath(profile_uri).stem}.yaml"
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
+def _write_atomic(path: Path, data: bytes, mode: int) -> None:
+    """Replace ``path`` with ``data`` in one rename; the file gets permission bits ``mode``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+        os.chmod(temp, mode)  # mkstemp creates the file owner-only
         os.replace(temp, path)
     except BaseException:
         if os.path.exists(temp):
             os.unlink(temp)
         raise
+
+
+def _canonical_before(previous: bytes, fresh: bytes, after: Catalog) -> Catalog | None:
+    """The catalog ``previous`` holds, from ``after`` and a parse of only the changed controls.
+
+    ``None`` unless ``previous`` has the header and ``- id:`` lines of
+    ``fresh`` (the canonical YAML of ``after``, which is valid, as every
+    resolution is) and each own block that differs is the canonical text of
+    the control it parses to; only those blocks are parsed, in one document.
+    """
+    header, blocks = split_controls(previous)
+    fresh_header, fresh_blocks = split_controls(fresh)
+    controls = list(iter_controls(after.controls))
+    # As many pieces as controls: no folded line of ``fresh`` reads ``- id:``.
+    if (header != fresh_header or len(controls) != len(fresh_blocks)
+            or [line for line, _ in blocks] != [line for line, _ in fresh_blocks]):
+        return None
+    changed: list[tuple[bytes, Control, int]] = []
+    texts = [header]
+    for (line, block), (_, fresh_block), control in zip(blocks, fresh_blocks, controls):
+        if block == fresh_block:
+            continue
+        indent = len(line) - len(line.lstrip(b" "))
+        children_key = b" " * (indent + 2) + b"children:\n" if control.children else b""
+        if not block.endswith(children_key):
+            return None
+        own = block[:len(block) - len(children_key)]
+        pad = b" " * (indent - 4)  # dedented to a top-level control
+        texts.append(own[len(pad):].replace(b"\n" + pad, b"\n") if pad else own)
+        changed.append((own, control, indent))
+    try:
+        parsed = parse_document(b"".join(texts), "yaml").body.controls
+    except GuidanceError:
+        return None
+    if len(parsed) != len(changed):
+        return None
+    replaced: dict[str, Control] = {}
+    for new, (own, control, indent) in zip(parsed, changed):
+        if new.id != control.id or new.children or emit_control(new, indent) != own:
+            return None
+        replaced[control.id] = replace(new, children=control.children)
+    return Catalog(after.metadata, tuple(_swap_in(root, replaced) for root in after.controls))
+
+
+def _changes_since(previous: bytes, fresh: bytes, after: Catalog) -> ChangeSet:
+    """``diff`` from the catalog in ``previous`` to ``after``; a whole parse when not canonical."""
+    before = _canonical_before(previous, fresh, after)
+    return diff(before or parse_document(previous, "yaml").body, after)
 
 
 @dataclass(frozen=True)
@@ -266,18 +317,41 @@ class PropagationResult:
     error: GuidanceError | None = None
 
 
+def _load_failures(store: SourceStore, graph: DependencyGraph,
+                   order: list[str]) -> dict[str, GuidanceError]:
+    """The error ``resolve_chain`` reports first for each uri of ``order`` that has one.
+
+    That is the first document of its closure, depth first in import order,
+    that is missing or does not parse; the documents that parse are cached.
+    """
+    failed = dict(graph.unreadable)
+    if not (graph.findings or graph.unreadable):
+        return failed  # every import names a document that parses
+    nodes = set(graph.nodes)
+    for uri in order:
+        for source in () if uri in failed else import_sources(store.load(uri)):
+            if source not in nodes:
+                try:
+                    store.load(source)  # a missing file: this raises without a parse
+                except GuidanceError as error:
+                    failed[source] = error
+            if source in failed:
+                failed[uri] = failed[source]
+                break
+    return failed
+
+
 def propagate(store: SourceStore, changed_uri: str, *,
               lenient: bool = False) -> list[PropagationResult]:
     """Re-resolve every profile downstream of ``changed_uri``, in topological order.
 
     Each fresh resolution is diffed against the previously persisted one
-    (``initial`` marks a first resolution) and then persisted atomically.
-    A failing profile, such as one that depends on a document that does not
-    parse, is reported in place; independent profiles still run. A profile
-    whose output path another profile of the store shares fails without
-    writing. An import cycle upstream of a re-resolved profile raises
-    ``CycleDetected``; one elsewhere in the store does not matter. A
-    ``changed_uri`` that does not parse raises its parse error.
+    (``initial`` marks a first resolution) and, when the bytes differ,
+    persisted atomically with the mode the umask gives a new file. A failing
+    profile is reported in place with the error ``resolve_chain`` gives, and
+    so is one whose output path another profile shares; the rest still run.
+    An import cycle upstream of a re-resolved profile raises ``CycleDetected``;
+    one elsewhere does not matter. A ``changed_uri`` that does not parse raises.
     """
     if not store.exists(changed_uri):
         raise NotFound(changed_uri)
@@ -292,10 +366,13 @@ def propagate(store: SourceStore, changed_uri: str, *,
     # existing file is an edge, so the walk meets any cycle resolution could.
     order = topological_order([uri for uri in graph.nodes if uri in affected],
                               sources.__getitem__)
+    failed = _load_failures(store, graph, order)
     outputs = {uri: resolution_output_uri(uri) for uri in graph.profiles}
     writers: dict[str, list[str]] = {}
     for uri, output_uri in outputs.items():
         writers.setdefault(output_uri, []).append(uri)
+    umask = os.umask(0)
+    os.umask(umask)
 
     results: list[PropagationResult] = []
     memo: dict[str, ResolvedCatalog] = {}
@@ -308,23 +385,25 @@ def propagate(store: SourceStore, changed_uri: str, *,
             error = StoreError(f"output {output_uri} is also the output of {', '.join(others)}")
             results.append(PropagationResult(uri, output_uri, error=error))
             continue
+        if uri in failed:
+            results.append(PropagationResult(uri, output_uri, error=failed[uri]))
+            continue
         try:
             resolved = resolve_acyclic(store, uri, lenient=lenient, memo=memo)
-            envelope = DocumentEnvelope("catalog", resolved.catalog)
-            previous_path = store.root / output_uri
-            if previous_path.is_file():
-                previous = parse_document(previous_path.read_bytes(), "yaml")
-                changes = diff(previous.body, resolved.catalog)
-                initial = False
-            else:
-                changes = ChangeSet(())
-                initial = True
-            _write_atomic(previous_path, serialize_document(envelope, "yaml"))
+            data = serialize_document(DocumentEnvelope("catalog", resolved.catalog), "yaml")
+            path = store.root / output_uri
+            previous = path.read_bytes() if path.is_file() else None
+            changes = ChangeSet(())
+            if previous != data:
+                if previous is not None:
+                    changes = _changes_since(previous, data, resolved.catalog)
+                _write_atomic(path, data, 0o666 & ~umask)
+                store.evict(output_uri)  # a same-size rewrite can keep its fingerprint
         except GuidanceError as error:
             results.append(PropagationResult(uri, output_uri, error=error))
             continue
         results.append(
             PropagationResult(uri, output_uri, resolved=resolved, changes=changes,
-                              initial=initial)
+                              initial=previous is None)
         )
     return results

@@ -339,7 +339,8 @@ class SourceStore:
 
     Every spelling of a path names one document, cached under its normalized
     path, its ``uri``, and parsed again once the file's modification time or
-    size changes. Concurrent loads of the same uri parse at most once.
+    size changes or ``evict`` drops it. Concurrent loads of the same uri
+    parse at most once.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -386,6 +387,11 @@ class SourceStore:
             self._cache[key] = (path, fingerprint, envelope)
             self.load_count += 1
             return envelope
+
+    def evict(self, uri: str) -> None:
+        """Forget ``uri``'s cached parse, so its next load reads the file again."""
+        with self._lock:
+            self._cache.pop(normalize_uri(uri), None)
 
     def list_documents(self) -> list[str]:
         """All document uris under the root, sorted; build outputs and links out excluded."""

@@ -295,9 +295,7 @@ def _build_metadata(value: Any, path: str) -> Metadata:
 
 def _build_part(value: Any, path: str) -> Part:
     mapping = _expect_mapping(value, path, _PART_KEYS)
-    classifier = None
-    if "class" in mapping:
-        classifier = _expect_str(mapping["class"], path, "class")
+    classifier = _expect_str(mapping["class"], path, "class") if "class" in mapping else None
     return Part(
         name=_expect_str(mapping["name"], path, "name"),
         prose=_expect_str(mapping["prose"], path, "prose"),
@@ -307,9 +305,7 @@ def _build_part(value: Any, path: str) -> Part:
 
 def _build_control(value: Any, path: str) -> Control:
     mapping = _expect_mapping(value, path, _CONTROL_KEYS)
-    classifier = None
-    if "class" in mapping:
-        classifier = _expect_str(mapping["class"], path, "class")
+    classifier = _expect_str(mapping["class"], path, "class") if "class" in mapping else None
     parts = _build_list(mapping, "parts", path, _build_part)
     children = _build_list(mapping, "children", path, _build_control)
     return Control(
@@ -516,17 +512,9 @@ _UNSAFE_WORD_RE = re.compile(r"[\x00-\x1f\x7f-\x9f  \ufffe\uffff]")
 
 
 def _plain_safe(value: str) -> bool:
-    if not value or value != value.strip():
-        return False
-    if not _PLAIN_BODY_RE.fullmatch(value):
-        return False
-    if ": " in value or value.endswith(":"):
-        return False
-    if " #" in value:
-        return False
-    if value.lower() in _AMBIGUOUS_PLAIN:
-        return False
-    return True
+    return (value == value.strip() and _PLAIN_BODY_RE.fullmatch(value) is not None
+            and ": " not in value and not value.endswith(":") and " #" not in value
+            and value.lower() not in _AMBIGUOUS_PLAIN)
 
 
 def _foldable(value: str) -> bool:
@@ -609,6 +597,29 @@ def _emit_yaml(plain: dict) -> str:
     lines: list[str] = []
     _emit_mapping(plain, 0, lines)
     return "\n".join(lines) + "\n"
+
+
+def emit_control(control: Control, indent: int) -> bytes:
+    """A control's canonical YAML as a sequence item whose ``-`` sits at column ``indent``."""
+    lines: list[str] = []
+    _emit_sequence([_control_plain(control)], indent, lines)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_CONTROL_LINE_RE = re.compile(rb"\n( *- id: [^\n]*)")
+
+
+def split_controls(text: bytes) -> tuple[bytes, list[tuple[bytes, bytes]]]:
+    """Catalog YAML cut before each ``- id:`` line: the header, then (that line, block) pairs.
+
+    A block holds a control's fields, parts and ``children:`` key, not its
+    children. The pieces concatenate to ``text``; on canonical text they are
+    exact unless a folded line reads ``- id:``, making more pieces than controls.
+    """
+    starts = [(match.start(1), match.group(1)) for match in _CONTROL_LINE_RE.finditer(text)]
+    ends = [start for start, _ in starts[1:]] + [len(text)]
+    header = text[:starts[0][0]] if starts else text
+    return header, [(line, text[start:end]) for (start, line), end in zip(starts, ends)]
 
 
 def serialize_document(doc: DocumentEnvelope, format: str = YAML) -> bytes:

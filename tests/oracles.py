@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from layered_guidance import serialize
-from layered_guidance.changes import ChangeSet
+from layered_guidance.changes import ChangeSet, diff
 from layered_guidance.model import (
     ERROR,
     STATEMENT_PART,
@@ -94,6 +94,15 @@ def entry_tuples(changeset: ChangeSet) -> list[EntryTuple]:
         (e.kind, e.control_id, e.part_name, e.before_prose, e.after_prose)
         for e in changeset.entries
     ]
+
+
+def changes_by_full_parse(previous: bytes, after: Catalog) -> ChangeSet:
+    """The delta ``propagate`` reported by parsing the whole previous output, then ``diff``.
+
+    The reference for reading only the controls whose canonical text
+    changed: same ``ChangeSet``, or the same error.
+    """
+    return diff(serialize.parse_document(previous, "yaml").body, after)
 
 
 def patch_with_changeset(before: Catalog, changeset: ChangeSet, after: Catalog) -> dict:
@@ -371,11 +380,15 @@ def dependents_in_store(imports: dict[str, str], unreadable: set[str], changed: 
     """``changed`` and every document that imports it through documents that parse.
 
     ``imports`` maps each profile to the one store uri it imports; a document
-    that does not parse imports nothing as far as anyone can tell.
+    that does not parse imports nothing as far as anyone can tell. The build
+    output ``resolved/<name>.yaml`` depends on the profile ``<name>.yaml``
+    when that parses.
     """
+    depends = dict(imports)
+    depends.update({f"resolved/{uri}": uri for uri in imports if uri not in unreadable})
     found = {changed}
     while True:
-        more = {uri for uri, source in imports.items()
+        more = {uri for uri, source in depends.items()
                 if source in found and uri not in unreadable} - found
         if not more:
             return found

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from layered_guidance import serialize
 from layered_guidance.model import (
     AddDirective,
     Alteration,
@@ -249,6 +250,72 @@ def catalog_pairs(draw) -> tuple[Catalog, Catalog]:
     return before, to_catalog(tree)
 
 
+@st.composite
+def prose_edited(draw, catalog: Catalog) -> Catalog:
+    """``catalog`` with one drawn part's prose extended; unchanged when it has no parts."""
+    tree = to_tree(catalog)
+    if parts := _tree_parts(tree):
+        draw(st.sampled_from(parts))[2] += " edited"
+    return to_catalog(tree)
+
+
+def _tree_parts(tree: dict) -> list[list]:
+    return [part for node in _all_nodes(tree) for part in node["parts"]]
+
+
+MANGLES = ("none", "reindented", "comment", "crlf", "requoted", "swapped", "duplicated",
+           "invalid", "metadata", "truncated")
+
+
+@st.composite
+def mangled_catalog_texts(draw, catalog: Catalog) -> tuple[str, bytes]:
+    """A mangling from ``MANGLES`` and ``catalog``'s canonical YAML with it applied.
+
+    Some manglings keep the document (re-indented, a comment, CRLF line
+    ends, one prose re-quoted), some change it (two sibling blocks swapped,
+    a ``- id:`` block duplicated, the title edited) and some break it (a
+    block made invalid YAML, the file cut short). Over half the draws leave
+    the text canonical, so that a delta can come from the changed controls.
+    """
+    envelope = DocumentEnvelope("catalog", catalog)
+    text = serialize.serialize_document(envelope)
+    kind = draw(st.one_of(st.just("none"), st.sampled_from(MANGLES)))
+    tree = to_tree(catalog)
+    header, blocks = serialize.split_controls(text)
+    pieces = [block for _, block in blocks]
+    lines = text.splitlines(keepends=True)
+    if kind == "reindented":
+        return kind, b"".join(b" " * (len(line) - len(line.lstrip(b" "))) + line
+                              for line in lines)
+    if kind == "comment":
+        at = draw(st.integers(0, len(lines)))
+        return kind, b"".join(lines[:at] + [b"# edited by hand\n"] + lines[at:])
+    if kind == "crlf":
+        return kind, text.replace(b"\n", b"\r\n")
+    if kind == "requoted" and _tree_parts(tree):
+        part = draw(st.sampled_from(_tree_parts(tree)))
+        prose, part[2] = part[2], "zz-requoted-prose"
+        emitted = serialize.serialize_document(DocumentEnvelope("catalog", to_catalog(tree)))
+        return kind, emitted.replace(b"zz-requoted-prose", serialize._quote(prose).encode(), 1)
+    if kind == "swapped" and len(pieces) >= 2:
+        at = draw(st.integers(0, len(pieces) - 2))
+        pieces[at], pieces[at + 1] = pieces[at + 1], pieces[at]
+        return kind, header + b"".join(pieces)
+    if kind == "duplicated" and pieces:
+        at = draw(st.integers(0, len(pieces) - 1))
+        pieces.insert(at, pieces[at])
+        return kind, header + b"".join(pieces)
+    if kind == "invalid" and pieces:
+        at = draw(st.integers(0, len(pieces) - 1))
+        pieces[at] += b"      note: \"unterminated\n"
+        return kind, header + b"".join(pieces)
+    if kind == "metadata":
+        return kind, text.replace(b"\n    title: ", b"\n    title: edited ", 1)
+    if kind == "truncated":
+        return kind, text[:draw(st.integers(0, len(text) - 1))]
+    return "none", text
+
+
 def _statement_count(node: dict) -> int:
     return sum(1 for p in node["parts"] if p[0] == "statement")
 
@@ -332,10 +399,12 @@ def edited_stores(draw) -> dict:
     ``files`` maps uri to bytes; ``imports`` maps each profile to the store
     uri it imports. Two catalogs, ``base.yaml`` and ``other.yaml``, root
     chains of one to four profiles, each importing one earlier document
-    under a drawn spelling. The edit is ``prose`` (a longer prose part),
-    ``break`` (a repeated ``title`` key, so the document no longer parses)
-    or ``respell`` (a profile's import under another spelling); an edit of
-    ``new.yaml`` adds that catalog, whole or broken.
+    under a drawn spelling, or an earlier profile's build output
+    ``resolved/<name>.yaml`` (written up front as a stand-in catalog). The
+    edit is ``prose`` (a longer prose part), ``break`` (a repeated ``title``
+    key, so the document no longer parses) or ``respell`` (a profile's
+    import under another spelling); an edit of ``new.yaml`` adds that
+    catalog, whole or broken. Build outputs are never edited or changed.
     """
     roots = {"base.yaml": "c-1", "other.yaml": "o-1"}
     files = {uri: catalog_text(uri[:-5], cid) for uri, cid in roots.items()}
@@ -343,12 +412,17 @@ def edited_stores(draw) -> dict:
     spelled: dict[str, str] = {}
     for index in range(draw(st.integers(1, 4))):
         name = f"p{index + 1}"
-        source = draw(st.sampled_from(sorted(files)))
+        outputs = [f"resolved/{uri}" for uri in imports]
+        source = draw(st.sampled_from(sorted(files) + outputs))
+        if source in outputs:
+            roots[source] = roots[source[len("resolved/"):]]
+            files.setdefault(source, catalog_text(f"stand-in-{name}", roots[source]))
         roots[f"{name}.yaml"] = roots[source]
         imports[f"{name}.yaml"] = source
         spelled[f"{name}.yaml"] = draw(st.sampled_from(SPELLINGS)).format(source)
         files[f"{name}.yaml"] = profile_text(name, spelled[f"{name}.yaml"], roots[source])
-    target = draw(st.sampled_from([*sorted(files), "new.yaml"]))
+    editable = [uri for uri in sorted(files) if not uri.startswith("resolved/")]
+    target = draw(st.sampled_from([*editable, "new.yaml"]))
     kinds = ["prose", "break"] + (["respell"] if target in imports else [])
     kind = draw(st.sampled_from(kinds))
     text = files.get(target, catalog_text("new", "n-1"))
@@ -364,7 +438,7 @@ def edited_stores(draw) -> dict:
         new = draw(st.sampled_from([s.format(imports[target]) for s in SPELLINGS
                                     if s.format(imports[target]) != old]))
         edited = text.replace(f"source: {old}\n".encode(), f"source: {new}\n".encode())
-    changed = draw(st.one_of(st.just(target), st.sampled_from([*sorted(files), target])))
+    changed = draw(st.one_of(st.just(target), st.sampled_from([*editable, target])))
     return {
         "files": files, "imports": imports, "edit": (target, kind, edited),
         "changed": draw(st.sampled_from(SPELLINGS)).format(changed),

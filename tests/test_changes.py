@@ -1,21 +1,26 @@
 from __future__ import annotations
 
+import os
 import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import strategies
 from oracles import (
     brute_force_diff,
+    changes_by_full_parse,
     dependents_in_store,
     entry_tuples,
     flatten_controls,
     patch_with_changeset,
 )
+from layered_guidance import changes as changes_module
 from layered_guidance.changes import (
+    _changes_since,
     build_graph,
     diff,
     propagate,
@@ -23,7 +28,13 @@ from layered_guidance.changes import (
     transitive_dependents,
 )
 from layered_guidance import resolver
-from layered_guidance.errors import CycleDetected, GuidanceError, NotFound, SchemaError
+from layered_guidance.errors import (
+    CycleDetected,
+    GuidanceError,
+    NotFound,
+    SchemaError,
+    UnknownControlId,
+)
 from layered_guidance.model import Catalog, Control, DocumentEnvelope, Metadata, Part, find_control
 from layered_guidance.resolver import SourceStore, resolve_chain
 from layered_guidance.serialize import parse_document, serialize_document
@@ -398,6 +409,172 @@ class TestPropagate:
         assert serialize_document(parse_document(data), "yaml") == data
 
 
+@pytest.fixture
+def parses(monkeypatch) -> list[bytes]:
+    """The texts ``changes`` hands to ``parse_document``, in call order."""
+    texts: list[bytes] = []
+    original = changes_module.parse_document
+
+    def recording_parse(text, *args):
+        texts.append(text)
+        return original(text, *args)
+
+    monkeypatch.setattr(changes_module, "parse_document", recording_parse)
+    return texts
+
+
+class TestPropagateOutputs:
+    """What ``propagate`` leaves under ``resolved/`` and reports about it."""
+
+    def test_an_unchanged_output_is_neither_parsed_nor_rewritten(self, fixture_store, parses):
+        propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        outputs = sorted((fixture_store / "resolved").iterdir())
+        before = [(path.stat().st_mtime_ns, path.stat().st_ino) for path in outputs]
+        results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        assert [(r.error, r.initial, r.changes.entries) for r in results] == [(None, False, ())] * 2
+        assert parses == []
+        assert [(path.stat().st_mtime_ns, path.stat().st_ino) for path in outputs] == before
+
+    def test_outputs_get_the_mode_the_umask_allows(self, fixture_store):
+        previous = os.umask(0o027)
+        try:
+            propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        finally:
+            os.umask(previous)
+        for path in (fixture_store / "resolved").iterdir():
+            assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_an_unchanged_output_keeps_its_mode(self, fixture_store):
+        propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        output = fixture_store / "resolved" / "am-profile.yaml"
+        output.chmod(0o640)
+        propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        assert output.stat().st_mode & 0o777 == 0o640
+
+    def _uses_output(self, fixture_store) -> None:
+        propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        (fixture_store / "uses-output.yaml").write_bytes(_profile("resolved/ot-profile.yaml"))
+        propagate(SourceStore(fixture_store), "ot-profile.yaml")
+
+    def test_an_importer_of_a_build_output_is_re_resolved_after_its_writer(self, fixture_store):
+        self._uses_output(fixture_store)
+        path = fixture_store / "ot-profile.yaml"
+        path.write_bytes(path.read_bytes().replace(b"understand the flow", b"map the movement"))
+        results = propagate(SourceStore(fixture_store), "ot-profile.yaml")
+        assert [(r.profile_uri, r.error) for r in results] == [
+            ("ot-profile.yaml", None), ("am-profile.yaml", None), ("uses-output.yaml", None),
+        ]
+        assert [e.kind for e in results[2].changes.entries] == ["part-modified"]
+        fresh = resolve_chain(SourceStore(fixture_store), "uses-output.yaml")
+        written = (fixture_store / "resolved" / "uses-output.yaml").read_bytes()
+        assert written == serialize_document(DocumentEnvelope("catalog", fresh.catalog))
+        assert b"map the movement" in written
+
+    def test_a_rewritten_output_is_read_again_despite_an_equal_fingerprint(self, fixture_store,
+                                                                           monkeypatch):
+        """A same-size rewrite within one timestamp tick keeps ``(mtime, size)``."""
+        self._uses_output(fixture_store)
+        original = changes_module._write_atomic
+
+        def same_tick_write(target, data, mode):
+            stat = target.stat()
+            original(target, data, mode)
+            os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+
+        monkeypatch.setattr(changes_module, "_write_atomic", same_tick_write)
+        store = SourceStore(fixture_store)
+        store.load("resolved/ot-profile.yaml")
+        path = fixture_store / "ot-profile.yaml"
+        path.write_bytes(path.read_bytes().replace(b"understand the flow", b"understand THE flow"))
+        results = propagate(store, "ot-profile.yaml")
+        assert [r.error for r in results] == [None, None, None]
+        written = (fixture_store / "resolved" / "uses-output.yaml").read_bytes()
+        assert b"understand THE flow" in written
+
+    def test_a_missing_document_outranks_an_earlier_failing_import(self, fixture_store):
+        """``prec.yaml`` imports a failing layer, then a missing document."""
+        propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        path = fixture_store / "ot-profile.yaml"
+        path.write_bytes(path.read_bytes().replace(b"control-id: id.am-3", b"control-id: id.zz-9"))
+        (fixture_store / "prec.yaml").write_bytes(_profile("ot-profile.yaml", "missing.yaml"))
+        expected = _outcome(lambda: resolve_chain(SourceStore(fixture_store), "prec.yaml"))
+        assert isinstance(expected, NotFound)
+        results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        by_uri = {r.profile_uri: r.error for r in results}
+        assert _same_failure(by_uri["prec.yaml"], expected)
+        assert str(by_uri["prec.yaml"]) == "document not found: missing.yaml"
+        assert isinstance(by_uri["ot-profile.yaml"], UnknownControlId)
+
+
+def _with_long_prose(catalog: Catalog) -> Catalog:
+    """``catalog`` with every prose prefixed by enough words to fold where the prose allows."""
+    def lengthen(control: Control) -> Control:
+        parts = tuple(Part(p.name, " ".join(["folded words"] * 8 + [p.prose]), p.classifier)
+                      for p in control.parts)
+        return Control(control.id, control.classifier, parts,
+                       tuple(lengthen(child) for child in control.children))
+    return Catalog(catalog.metadata, tuple(lengthen(c) for c in catalog.controls))
+
+
+class TestChangesSince:
+    """Reading only the changed controls of the previous output against a whole parse."""
+
+    @given(strategies.catalog_pairs(), st.booleans(), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_full_parse_of_the_previous_output(self, pair, edit, long_prose, data):
+        before, after = pair
+        if edit:
+            after = data.draw(strategies.prose_edited(after))
+        if long_prose:
+            before, after = _with_long_prose(before), _with_long_prose(after)
+        _, previous = data.draw(strategies.mangled_catalog_texts(before))
+        fresh = serialize_document(DocumentEnvelope("catalog", after))
+        expected = _outcome(lambda: changes_by_full_parse(previous, after))
+        actual = _outcome(lambda: _changes_since(previous, fresh, after))
+        if isinstance(expected, GuidanceError):
+            assert _same_failure(actual, expected)
+        else:
+            assert actual == expected
+
+    def _catalog(self, *prose: str) -> Catalog:
+        children = tuple(Control(f"c-{i}", parts=(Part("statement", text),))
+                         for i, text in enumerate(prose))
+        return Catalog(Metadata("T", "1"), (Control("top", children=children),))
+
+    def test_folded_prose_that_reads_like_a_control_is_parsed_whole(self):
+        line = "- id: c-9 " * 12  # folds into lines that start "- id:"
+        before = self._catalog(line + "old", line + "same")
+        after = self._catalog(line + "new", line + "same")
+        previous = serialize_document(DocumentEnvelope("catalog", before))
+        fresh = serialize_document(DocumentEnvelope("catalog", after))
+        assert b"\n                - id: c-9" in fresh
+        assert changes_module._canonical_before(previous, fresh, after) is None
+        assert _changes_since(previous, fresh, after) == changes_by_full_parse(previous, after)
+
+    def test_only_the_changed_controls_are_parsed(self, parses):
+        before = self._catalog("one", "two", "three")
+        after = self._catalog("one", "TWO", "three")
+        previous = serialize_document(DocumentEnvelope("catalog", before))
+        fresh = serialize_document(DocumentEnvelope("catalog", after))
+        changes = _changes_since(previous, fresh, after)
+        assert changes == changes_by_full_parse(previous, after)
+        assert len(parses) == 1
+        assert b"c-1" in parses[0] and b"c-0" not in parses[0] and b"c-2" not in parses[0]
+
+    @pytest.mark.parametrize("edit", [
+        (b"\n", b"\r\n"),  # CRLF line ends
+        (b"prose: two", b"prose: two  # a comment"),
+        (b"prose: two", b"prose: 'two'"),  # not canonical
+    ])
+    def test_a_non_canonical_previous_output_is_parsed_whole(self, parses, edit):
+        before = self._catalog("one", "two")
+        after = self._catalog("one", "TWO")
+        previous = serialize_document(DocumentEnvelope("catalog", before)).replace(*edit)
+        fresh = serialize_document(DocumentEnvelope("catalog", after))
+        assert _changes_since(previous, fresh, after) == changes_by_full_parse(previous, after)
+        assert parses[-1] == previous
+
+
 def _outcome(call):
     try:
         return call()
@@ -419,21 +596,33 @@ def _defect_case(import_spelling: str, target: str, old: bytes, new: bytes) -> d
             "edit": (target, "edit", text.replace(old, new)), "changed": "base.yaml"}
 
 
+def _output_importer_case() -> dict:
+    """``p2.yaml`` imports ``resolved/p1.yaml``, the output of ``p1.yaml`` over ``base.yaml``."""
+    case = _defect_case("base.yaml", "base.yaml", b" v0\n", b" v1, edited\n")
+    case["files"]["resolved/p1.yaml"] = strategies.catalog_text("stand-in", "c-1")
+    case["files"]["p2.yaml"] = strategies.profile_text("p2", "resolved/p1.yaml", "c-1")
+    case["imports"]["p2.yaml"] = "resolved/p1.yaml"
+    return case
+
+
 class TestPropagateOracle:
     @given(strategies.edited_stores())
     # A store that parses each document once would miss the edit; one that
     # compares import spellings would miss the edge; one that parses every
-    # document first would stop at the added broken one.
+    # document first would stop at the added broken one; one that follows
+    # imports only would leave the importer of a build output stale.
     @example(_defect_case("base.yaml", "base.yaml", b" v0\n", b" v1, edited\n"))
     @example(_defect_case("./base.yaml", "other.yaml", b" v0\n", b" v1, edited\n"))
     @example(_defect_case("base.yaml", "new.yaml", b"    title: new\n",
                           b"    title: new\n    title: new\n"))
+    @example(_output_importer_case())
     @settings(max_examples=80, deadline=None)
     def test_after_any_edit_propagate_equals_a_fresh_resolve(self, case):
         """One long-lived store, one edit, one ``propagate``: as if resolved from scratch."""
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             for uri, data in case["files"].items():
+                (root / uri).parent.mkdir(exist_ok=True)
                 (root / uri).write_bytes(data)
             store = SourceStore(root)
             initial = [r.profile_uri for uri in ("base.yaml", "other.yaml")
