@@ -5,13 +5,14 @@ exactly when the catalogs are structurally equal (uri aside). ``propagate``
 re-resolves every profile that transitively depends on a changed document
 and reports each fresh resolution together with its delta against the
 previously persisted one under ``<store>/resolved/``. That delta parses
-only the controls of the previous file whose canonical text changed.
+only the controls of the previous file whose canonical text changed. Within
+one ``propagate`` call, a part shared by several outputs is emitted once, and
+a changed control's previous text shared by outputs is parsed and checked once.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path, PurePosixPath
@@ -55,19 +56,13 @@ class ChangeSet:
         return not self.entries
 
 
-@dataclass(frozen=True)
-class _Node:
-    control: Control
-    parent: str | None
-    index: int
-
-
-def _flatten(catalog: Catalog) -> tuple[dict[str, _Node], list[str]]:
-    nodes: dict[str, _Node] = {}
+def _flatten(catalog: Catalog) -> tuple[dict[str, tuple[Control, str | None, int]], list[str]]:
+    """Each control by id with its parent's id and sibling index, and the ids in document order."""
+    nodes: dict[str, tuple[Control, str | None, int]] = {}
     order: list[str] = []
 
     def walk(control: Control, parent: str | None, index: int) -> None:
-        nodes[control.id] = _Node(control, parent, index)
+        nodes[control.id] = (control, parent, index)
         order.append(control.id)
         for child_index, child in enumerate(control.children):
             walk(child, control.id, child_index)
@@ -75,14 +70,6 @@ def _flatten(catalog: Catalog) -> tuple[dict[str, _Node], list[str]]:
     for top_index, control in enumerate(catalog.controls):
         walk(control, None, top_index)
     return nodes, order
-
-
-def _same_slot(before: _Node, after: _Node) -> bool:
-    return (
-        before.control.classifier == after.control.classifier
-        and before.parent == after.parent
-        and before.index == after.index
-    )
 
 
 def diff(before: Catalog, after: Catalog) -> ChangeSet:
@@ -123,12 +110,13 @@ def diff(before: Catalog, after: Catalog) -> ChangeSet:
         if cid not in bnodes:
             emit(akey[cid], -1.0, ChangeEntry(CONTROL_ADDED, control_id=cid))
             continue
-        bnode, anode = bnodes[cid], anodes[cid]
-        if not _same_slot(bnode, anode):
+        bcontrol, bparent, bindex = bnodes[cid]
+        acontrol, aparent, aindex = anodes[cid]
+        if (bcontrol.classifier, bparent, bindex) != (acontrol.classifier, aparent, aindex):
             emit(akey[cid], -2.0, ChangeEntry(CONTROL_REMOVED, control_id=cid))
             emit(akey[cid], -1.0, ChangeEntry(CONTROL_ADDED, control_id=cid))
             continue
-        _diff_parts(bnode.control, anode.control, akey[cid], emit)
+        _diff_parts(bcontrol, acontrol, akey[cid], emit)
 
     keyed.sort(key=lambda item: (item[0], item[1], item[2]))
     return ChangeSet(tuple(entry for _, _, _, entry in keyed))
@@ -244,28 +232,29 @@ def resolution_output_uri(profile_uri: str) -> str:
     return f"{RESOLVED_DIR}/{PurePosixPath(profile_uri).stem}.yaml"
 
 
-def _write_atomic(path: Path, data: bytes, mode: int) -> None:
-    """Replace ``path`` with ``data`` in one rename; the file gets permission bits ``mode``."""
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one rename; the file gets the mode the umask allows."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    temp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
+    fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-        os.chmod(temp, mode)  # mkstemp creates the file owner-only
         os.replace(temp, path)
     except BaseException:
-        if os.path.exists(temp):
-            os.unlink(temp)
+        temp.unlink(missing_ok=True)
         raise
 
 
-def _canonical_before(previous: bytes, fresh: bytes, after: Catalog) -> Catalog | None:
+def _canonical_before(previous: bytes, fresh: bytes, after: Catalog, *,
+                      verified: dict[bytes, Control] | None = None) -> Catalog | None:
     """The catalog ``previous`` holds, from ``after`` and a parse of only the changed controls.
 
     ``None`` unless ``previous`` has the header and ``- id:`` lines of
     ``fresh`` (the canonical YAML of ``after``, which is valid, as every
     resolution is) and each own block that differs is the canonical text of
     the control it parses to; only those blocks are parsed, in one document.
+    A block ``verified`` maps to its control is not parsed; one found canonical joins it.
     """
     header, blocks = split_controls(previous)
     fresh_header, fresh_blocks = split_controls(fresh)
@@ -274,6 +263,8 @@ def _canonical_before(previous: bytes, fresh: bytes, after: Catalog) -> Catalog 
     if (header != fresh_header or len(controls) != len(fresh_blocks)
             or [line for line, _ in blocks] != [line for line, _ in fresh_blocks]):
         return None
+    verified = {} if verified is None else verified
+    replaced: dict[str, Control] = {}
     changed: list[tuple[bytes, Control, int]] = []
     texts = [header]
     for (line, block), (_, fresh_block), control in zip(blocks, fresh_blocks, controls):
@@ -284,26 +275,31 @@ def _canonical_before(previous: bytes, fresh: bytes, after: Catalog) -> Catalog 
         if not block.endswith(children_key):
             return None
         own = block[:len(block) - len(children_key)]
+        if own in verified:  # its ``- id:`` line is ``fresh``'s, so it holds ``control.id``
+            replaced[control.id] = replace(verified[own], children=control.children)
+            continue
         pad = b" " * (indent - 4)  # dedented to a top-level control
         texts.append(own[len(pad):].replace(b"\n" + pad, b"\n") if pad else own)
         changed.append((own, control, indent))
-    try:
-        parsed = parse_document(b"".join(texts), "yaml").body.controls
-    except GuidanceError:
-        return None
-    if len(parsed) != len(changed):
-        return None
-    replaced: dict[str, Control] = {}
-    for new, (own, control, indent) in zip(parsed, changed):
-        if new.id != control.id or new.children or emit_control(new, indent) != own:
+    if changed:
+        try:
+            parsed = parse_document(b"".join(texts), "yaml").body.controls
+        except GuidanceError:
             return None
-        replaced[control.id] = replace(new, children=control.children)
+        if len(parsed) != len(changed):
+            return None
+        for new, (own, control, indent) in zip(parsed, changed):
+            if new.id != control.id or new.children or emit_control(new, indent) != own:
+                return None
+            verified[own] = new
+            replaced[control.id] = replace(new, children=control.children)
     return Catalog(after.metadata, tuple(_swap_in(root, replaced) for root in after.controls))
 
 
-def _changes_since(previous: bytes, fresh: bytes, after: Catalog) -> ChangeSet:
+def _changes_since(previous: bytes, fresh: bytes, after: Catalog, *,
+                   verified: dict[bytes, Control] | None = None) -> ChangeSet:
     """``diff`` from the catalog in ``previous`` to ``after``; a whole parse when not canonical."""
-    before = _canonical_before(previous, fresh, after)
+    before = _canonical_before(previous, fresh, after, verified=verified)
     return diff(before or parse_document(previous, "yaml").body, after)
 
 
@@ -371,11 +367,11 @@ def propagate(store: SourceStore, changed_uri: str, *,
     writers: dict[str, list[str]] = {}
     for uri, output_uri in outputs.items():
         writers.setdefault(output_uri, []).append(uri)
-    umask = os.umask(0)
-    os.umask(umask)
 
     results: list[PropagationResult] = []
     memo: dict[str, ResolvedCatalog] = {}
+    emitted: dict = {}  # the text of each part emitted in this run, for serialize_document
+    verified: dict[bytes, Control] = {}  # previous own blocks found canonical in this run
     for uri in order:
         if uri not in affected or uri not in outputs:
             continue
@@ -390,14 +386,16 @@ def propagate(store: SourceStore, changed_uri: str, *,
             continue
         try:
             resolved = resolve_acyclic(store, uri, lenient=lenient, memo=memo)
-            data = serialize_document(DocumentEnvelope("catalog", resolved.catalog), "yaml")
+            data = serialize_document(DocumentEnvelope("catalog", resolved.catalog), "yaml",
+                                      memo=emitted)
             path = store.root / output_uri
             previous = path.read_bytes() if path.is_file() else None
             changes = ChangeSet(())
             if previous != data:
                 if previous is not None:
-                    changes = _changes_since(previous, data, resolved.catalog)
-                _write_atomic(path, data, 0o666 & ~umask)
+                    changes = _changes_since(previous, data, resolved.catalog,
+                                             verified=verified)
+                _write_atomic(path, data)
                 store.evict(output_uri)  # a same-size rewrite can keep its fingerprint
         except GuidanceError as error:
             results.append(PropagationResult(uri, output_uri, error=error))

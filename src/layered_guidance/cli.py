@@ -77,6 +77,15 @@ def _describe(exc: GuidanceError) -> str:
     return f"{exc.source}: {exc}" if exc.source else str(exc)
 
 
+def _failure(exc: GuidanceError) -> tuple[str, int]:
+    """How ``main`` labels ``exc`` when it escapes a command, and the exit code it gives."""
+    if isinstance(exc, ValidationError):
+        return "validation error", EXIT_VALIDATION
+    if isinstance(exc, ResolutionError):
+        return "resolution error", EXIT_RESOLUTION
+    return "error", EXIT_IO
+
+
 def _write_output(data: bytes, output: str | None) -> None:
     if output:
         Path(output).write_bytes(data)
@@ -155,7 +164,7 @@ def validate_cmd(ctx: click.Context, files: tuple[str, ...], store_dir: str | No
     store = SourceStore(store_dir) if store_dir is not None else None
     memo: dict = {}  # shared by every file, so each upstream profile resolves once
     total_errors = 0
-    upstream_failed = False
+    upstream_exit = EXIT_OK  # the most severe exit code an import failure gives
     for file in files:
         findings: list[Finding] = []
         try:
@@ -168,15 +177,13 @@ def validate_cmd(ctx: click.Context, files: tuple[str, ...], store_dir: str | No
             elif store is not None:
                 sources = []
                 for index, source in enumerate(import_sources(envelope)):
-                    source_env = store.load(source)
-                    if source_env.kind == "catalog":
-                        sources.append(source_env.body)
-                        continue
                     try:
-                        sources.append(resolve_chain(store, source, memo=memo).catalog)
-                    except ResolutionError as exc:  # reported for this file; the rest still run
+                        source_env = store.load(source)
+                        sources.append(source_env.body if source_env.kind == "catalog"
+                                       else resolve_chain(store, source, memo=memo).catalog)
+                    except GuidanceError as exc:  # reported for this file; the rest still run
                         findings = [Finding(ERROR, f"imports/{index}", _describe(exc))]
-                        upstream_failed = True
+                        upstream_exit = max(upstream_exit, _failure(exc)[1])
                         break
                 else:
                     findings = validate_profile(envelope.body, sources)
@@ -186,8 +193,8 @@ def validate_cmd(ctx: click.Context, files: tuple[str, ...], store_dir: str | No
             _echo(f"{finding.severity}: {file}: {finding.path}: {finding.message}", err=True)
         total_errors += sum(1 for f in findings if f.severity == ERROR)
     _echo(f"{total_errors} errors")
-    if upstream_failed:
-        ctx.exit(EXIT_RESOLUTION)
+    if upstream_exit:
+        ctx.exit(upstream_exit)
     if total_errors:
         ctx.exit(EXIT_VALIDATION)
 
@@ -335,17 +342,12 @@ def main(args: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return EXIT_IO
-    except ValidationError as exc:
-        _echo(f"validation error: {_describe(exc)}", err=True)
-        return EXIT_VALIDATION
-    except ResolutionError as exc:
-        _echo(f"resolution error: {_describe(exc)}", err=True)
-        return EXIT_RESOLUTION
+    except GuidanceError as exc:
+        label, code = _failure(exc)
+        _echo(f"{label}: {_describe(exc)}", err=True)
+        return code
     except OSError as exc:
         _echo(f"i/o error: {exc}", err=True)
-        return EXIT_IO
-    except GuidanceError as exc:
-        _echo(f"error: {_describe(exc)}", err=True)
         return EXIT_IO
     except Exception as exc:  # never crash on malformed input
         _echo(f"internal error: {exc}", err=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import posixpath
 import threading
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -206,6 +206,25 @@ def _select(catalog: Catalog, directive: ImportDirective, report: _Report,
     return selected
 
 
+def _restrict(controls: Iterable[Control], ids: Container[str]) -> list[Control]:
+    """The forest ``controls`` induce on ``ids``, roots in document order.
+
+    A control in ``ids`` keeps its children in ``ids`` and is a root when
+    its parent is not in ``ids``.
+    """
+    def kept(control: Control) -> Control:
+        children = tuple(kept(child) for child in control.children if child.id in ids)
+        return control if children == control.children else replace(control, children=children)
+
+    def roots(controls: Iterable[Control], parent_kept: bool) -> Iterator[Control]:
+        for control in controls:
+            if control.id in ids and not parent_kept:
+                yield kept(control)
+            yield from roots(control.children, control.id in ids)
+
+    return list(roots(controls, False))
+
+
 def _swap_in(control: Control, altered: Mapping[str, Control]) -> Control:
     """``control`` with every altered control in its subtree swapped in."""
     children = tuple(_swap_in(child, altered) for child in control.children)
@@ -246,7 +265,9 @@ def _resolve(sources: Sequence[ResolvedCatalog], profile: Profile,
              report: _Report) -> ResolvedCatalog | None:
     """Select, alter and stamp provenance in one pass over the selected forest.
 
-    Only a raising report gets the resolved catalog back.
+    The imports of one source select the union of what each selects, in
+    that source's document order, where the first of them stands. Only a
+    raising report gets the resolved catalog back.
     """
     structural = profile_structure_findings(profile)
     if report.findings is not None:
@@ -271,25 +292,35 @@ def _resolve(sources: Sequence[ResolvedCatalog], profile: Profile,
     depth = max((rs.depth for rs in paired), default=0) + 1
     provenance: dict[tuple[str, str], ProvenanceEntry] = {}
     selected: dict[str, Control] = {}
-    origins: dict[str, tuple[str, str]] = {}  # control id -> source uri, name in messages
+    origins: dict[str, str] = {}  # control id -> source uri, as named in messages
     forest: list[Control] = []
-    for index, (directive, source) in enumerate(zip(profile.imports, paired)):
-        path = f"imports/{index}"
-        source_uri = source.catalog.uri or directive.source
-        for root in _select(source.catalog, directive, report, path):
-            if root.id in origins and origins[root.id][0] == source_uri:
-                continue  # the same source re-selected an already-present root
+    imports_of: dict[int, list[int]] = {}  # each source, by identity -> indexes of its imports
+    for index, source in enumerate(paired):
+        imports_of.setdefault(id(source), []).append(index)
+    for indexes in imports_of.values():
+        source = paired[indexes[0]]
+        paths: dict[str, str] = {}  # control id -> the first of these imports that selects it
+        for index in indexes:
+            path = f"imports/{index}"
+            roots = _select(source.catalog, profile.imports[index], report, path)
+            for control in iter_controls(roots) if len(indexes) > 1 else ():
+                paths.setdefault(control.id, path)
+        if paths:
+            roots = _restrict(source.catalog.controls, paths)
+        source_uri = source.catalog.uri or profile.imports[indexes[0]].source
+        for root in roots:
             for control in iter_controls([root]):
                 if control.id in selected:
-                    first = origins[control.id][1]
+                    first = origins[control.id]
                     report.fail(
                         DuplicateControlId(control.id,
                                            f"supplied by both {first!r} and {source_uri!r}"),
-                        path, f"duplicate control id {control.id!r} in selection",
+                        paths.get(control.id, path),
+                        f"duplicate control id {control.id!r} in selection",
                     )
                     continue
                 selected[control.id] = control
-                origins[control.id] = (source_uri, source.catalog.uri or "a source")
+                origins[control.id] = source.catalog.uri or "a source"
                 for part in control.parts:
                     key = (control.id, part.name)
                     provenance[key] = source.provenance.get(key) or ProvenanceEntry(source_uri, 0)

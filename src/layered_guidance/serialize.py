@@ -440,14 +440,14 @@ def _part_plain(part: Part) -> dict:
     return plain
 
 
-def _control_plain(control: Control) -> dict:
+def _control_plain(control: Control, keep_parts: bool = False) -> dict:
     plain: dict = {"id": control.id}
     if control.classifier is not None:
         plain["class"] = control.classifier
     if control.parts:
-        plain["parts"] = [_part_plain(p) for p in control.parts]
+        plain["parts"] = list(control.parts) if keep_parts else [_part_plain(p) for p in control.parts]
     if control.children:
-        plain["children"] = [_control_plain(c) for c in control.children]
+        plain["children"] = [_control_plain(c, keep_parts) for c in control.children]
     return plain
 
 
@@ -455,10 +455,10 @@ def _metadata_plain(metadata: Metadata) -> dict:
     return {"title": metadata.title, "version": metadata.version}
 
 
-def _catalog_plain(catalog: Catalog) -> dict:
+def _catalog_plain(catalog: Catalog, keep_parts: bool = False) -> dict:
     plain: dict = {"metadata": _metadata_plain(catalog.metadata)}
     if catalog.controls:
-        plain["controls"] = [_control_plain(c) for c in catalog.controls]
+        plain["controls"] = [_control_plain(c, keep_parts) for c in catalog.controls]
     return plain
 
 
@@ -493,10 +493,10 @@ def _profile_plain(profile: Profile) -> dict:
     return plain
 
 
-def document_plain(doc: DocumentEnvelope) -> dict:
+def document_plain(doc: DocumentEnvelope, keep_parts: bool = False) -> dict:
     """The canonical dict/list/str form of a document (fixed key order)."""
     if doc.kind == "catalog":
-        return {"catalog": _catalog_plain(doc.body)}  # type: ignore[arg-type]
+        return {"catalog": _catalog_plain(doc.body, keep_parts)}  # type: ignore[arg-type]
     return {"profile": _profile_plain(doc.body)}  # type: ignore[arg-type]
 
 
@@ -523,26 +523,15 @@ def _foldable(value: str) -> bool:
             and not _UNSAFE_WORD_RE.search(value))
 
 
+_QUOTE_ESCAPES = str.maketrans({
+    **{chr(code): f"\\u{code:04x}" for code in (*range(0x20), *range(0x7F, 0xA0),
+                                                0x2028, 0x2029, 0xFEFF, 0xFFFE, 0xFFFF)},
+    '"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r",
+})
+
+
 def _quote(value: str) -> str:
-    out = ['"']
-    for ch in value:
-        code = ord(ch)
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif code < 0x20 or 0x7F <= code <= 0x9F or code in (0x2028, 0x2029, 0xFEFF, 0xFFFE, 0xFFFF):
-            out.append(f"\\u{code:04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return f'"{value.translate(_QUOTE_ESCAPES)}"'
 
 
 @functools.cache  # widths run from 20 to 78, so few patterns are ever kept
@@ -564,28 +553,37 @@ def _emit_scalar(head: str, value: str, indent: int, lines: list[str]) -> None:
         lines.append(f"{head} {_quote(value)}")
 
 
-def _emit_mapping(mapping: dict, indent: int, lines: list[str]) -> None:
+def _emit_mapping(mapping: dict, indent: int, lines: list[str], memo: dict | None = None) -> None:
     pad = " " * indent
     for key, value in mapping.items():
         kind = value.__class__
         if kind is dict:
             lines.append(f"{pad}{key}:")
-            _emit_mapping(value, indent + 2, lines)
+            _emit_mapping(value, indent + 2, lines, memo)
         elif kind is list:
             lines.append(f"{pad}{key}:")
-            _emit_sequence(value, indent + 2, lines)
+            _emit_sequence(value, indent + 2, lines, memo)
         else:
             _emit_scalar(f"{pad}{key}:", value, indent, lines)
 
 
-def _emit_sequence(items: list, indent: int, lines: list[str]) -> None:
+def _emit_sequence(items: list, indent: int, lines: list[str], memo: dict | None = None) -> None:
+    """Emit a block sequence; a ``Part`` item's text is looked up in, or added to, ``memo``."""
     head = " " * indent + "-"
     dash = head + " "
     for item in items:
         kind = item.__class__
-        if kind is dict:
+        if kind is Part:
+            cached = memo.get((id(item), indent))
+            if cached is None:  # the part is kept in the value, so its id stays unique
+                first = len(lines)
+                _emit_sequence([_part_plain(item)], indent, lines)
+                cached = memo[id(item), indent] = (item, "\n".join(lines[first:]))
+                del lines[first:]
+            lines.append(cached[1])
+        elif kind is dict:
             first = len(lines)
-            _emit_mapping(item, indent + 2, lines)
+            _emit_mapping(item, indent + 2, lines, memo)
             lines[first] = dash + lines[first][indent + 2:]
         elif kind is list:
             raise TypeError("nested sequences are not part of the document model")
@@ -593,9 +591,9 @@ def _emit_sequence(items: list, indent: int, lines: list[str]) -> None:
             _emit_scalar(head, item, indent, lines)
 
 
-def _emit_yaml(plain: dict) -> str:
+def _emit_yaml(plain: dict, memo: dict | None = None) -> str:
     lines: list[str] = []
-    _emit_mapping(plain, 0, lines)
+    _emit_mapping(plain, 0, lines, memo)
     return "\n".join(lines) + "\n"
 
 
@@ -622,11 +620,15 @@ def split_controls(text: bytes) -> tuple[bytes, list[tuple[bytes, bytes]]]:
     return header, [(line, text[start:end]) for (start, line), end in zip(starts, ends)]
 
 
-def serialize_document(doc: DocumentEnvelope, format: str = YAML) -> bytes:
-    """Serialize to canonical bytes; re-parsing yields a structurally equal document."""
-    plain = document_plain(doc)
+def serialize_document(doc: DocumentEnvelope, format: str = YAML, *,
+                       memo: dict | None = None) -> bytes:
+    """Serialize to canonical bytes; re-parsing yields a structurally equal document.
+
+    Calls that pass one ``memo`` emit the YAML of a shared catalog ``Part`` once.
+    """
+    plain = document_plain(doc, keep_parts=memo is not None and format == YAML)
     if format == YAML:
-        return _emit_yaml(plain).encode("utf-8")
+        return _emit_yaml(plain, memo).encode("utf-8")
     if format == JSON:
         return (json.dumps(plain, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {format!r}")

@@ -165,29 +165,15 @@ def patch_with_changeset(before: Catalog, changeset: ChangeSet, after: Catalog) 
 # detection and alteration application re-derived from the documented rules.
 
 
-def _collect_selection(catalog: Catalog, directive: ImportDirective,
-                       findings: ValidationReport, path: str) -> list[Control]:
-    """Simulate one import's selection, reporting include/exclude misses.
+def _selection_warnings(catalog: Catalog, directive: ImportDirective,
+                        findings: ValidationReport, path: str) -> None:
+    """Report the include and exclude ids of one import that match nothing.
 
-    Mirrors the resolver's documented selection semantics but is
-    implemented independently. Returns the selected subtree roots with
-    exclusions pruned.
+    An include id matches a control reached from the top without passing an
+    excluded or an already included control; an exclude id matches any.
     """
     exclude = set(directive.exclude)
-    roots: list[Control] = []
-
-    def pruned(control: Control) -> Control | None:
-        if control.id in exclude:
-            return None
-        kept = tuple(c for child in control.children if (c := pruned(child)) is not None)
-        return Control(control.id, control.classifier, control.parts, kept)
-
-    if directive.include_all:
-        for control in catalog.controls:
-            kept = pruned(control)
-            if kept is not None:
-                roots.append(kept)
-    else:
+    if not directive.include_all:
         wanted = set(directive.include)
         matched: set[str] = set()
 
@@ -195,10 +181,7 @@ def _collect_selection(catalog: Catalog, directive: ImportDirective,
             if control.id in exclude:
                 return
             if control.id in wanted:
-                kept = pruned(control)
-                if kept is not None:
-                    roots.append(kept)
-                    matched.add(control.id)
+                matched.add(control.id)
                 return
             for child in control.children:
                 walk(child)
@@ -213,7 +196,60 @@ def _collect_selection(catalog: Catalog, directive: ImportDirective,
     for cid in directive.exclude:
         if cid not in present:
             findings.append(Finding(WARNING, path, f"exclude id {cid!r} matched nothing"))
-    return roots
+
+
+def selected_ids(catalog: Catalog, directive: ImportDirective) -> set[str]:
+    """The ids one import selects: a control is in when a control on its path
+    from the top is included and none is excluded."""
+    included = ({c.id for c in catalog.controls} if directive.include_all
+                else set(directive.include))
+    chosen: set[str] = set()
+
+    def walk(control: Control, path: set[str]) -> None:
+        path = path | {control.id}
+        if path & included and not path & set(directive.exclude):
+            chosen.add(control.id)
+        for child in control.children:
+            walk(child, path)
+
+    for control in catalog.controls:
+        walk(control, set())
+    return chosen
+
+
+def selection_outline(imports: Sequence[tuple[ImportDirective, Catalog]]
+                      ) -> dict[str, list[tuple[str, str | None, int]]]:
+    """Per source uri, in order of first import: what its imports select, whatever their order.
+
+    Each entry is a selected control's id, its parent's id (``None`` for a
+    root) and the index of the first import that selects it. The imports of
+    one source select the union of their ``selected_ids``; a control keeps
+    its parent when that is selected too, and is a root otherwise. Entries
+    follow the output: roots in the source's document order, each followed
+    by its selected descendants.
+    """
+    outlines: dict[str, list[tuple[str, str | None, int]]] = {}
+    for uri in dict.fromkeys(source.uri for _, source in imports):
+        first: dict[str, int] = {}
+        for index, (directive, source) in enumerate(imports):
+            if source.uri == uri:
+                for cid in selected_ids(source, directive):
+                    first.setdefault(cid, index)
+        catalog = next(source for _, source in imports if source.uri == uri)
+        parents = {child.id: control.id for control in iter_controls(catalog.controls)
+                   for child in control.children}
+        outline = outlines[uri] = []
+
+        def add(control: Control, parent: str | None) -> None:
+            outline.append((control.id, parent, first[control.id]))
+            for child in control.children:
+                if child.id in first:
+                    add(child, control.id)
+
+        for control in iter_controls(catalog.controls):
+            if control.id in first and parents.get(control.id) not in first:
+                add(control, None)
+    return outlines
 
 
 def simulate_profile_findings(profile: Profile,
@@ -243,22 +279,19 @@ def simulate_profile_findings(profile: Profile,
         return findings
 
     selected: dict[str, Control] = {}
-    selected_from: dict[str, str] = {}
-    for index, (directive, source) in enumerate(paired):
-        path = f"imports/{index}"
-        source_uri = source.uri or directive.source
-        roots = _collect_selection(source, directive, findings, path)
-        for root in roots:
-            if selected_from.get(root.id) == source_uri:
-                continue  # the same source re-selected an already-present root
-            for control in iter_controls([root]):
-                if control.id in selected:
-                    findings.append(
-                        Finding(ERROR, path, f"duplicate control id {control.id!r} in selection")
-                    )
-                else:
-                    selected[control.id] = control
-                    selected_from[control.id] = source_uri
+    for uri, outline in selection_outline(paired).items():
+        for index, (directive, source) in enumerate(paired):
+            if source.uri == uri:
+                _selection_warnings(source, directive, findings, f"imports/{index}")
+        catalog = next(source for _, source in paired if source.uri == uri)
+        controls = {control.id: control for control in iter_controls(catalog.controls)}
+        for cid, _, index in outline:
+            if cid in selected:
+                findings.append(
+                    Finding(ERROR, f"imports/{index}", f"duplicate control id {cid!r} in selection")
+                )
+            else:
+                selected[cid] = controls[cid]
 
     for alteration in profile.alterations:
         path = f"alterations/{alteration.control_id}"
@@ -382,14 +415,14 @@ def dependents_in_store(imports: dict[str, str], unreadable: set[str], changed: 
     ``imports`` maps each profile to the one store uri it imports; a document
     that does not parse imports nothing as far as anyone can tell. The build
     output ``resolved/<name>.yaml`` depends on the profile ``<name>.yaml``
-    when that parses.
+    when that parses, whether or not the output itself parses.
     """
-    depends = dict(imports)
-    depends.update({f"resolved/{uri}": uri for uri in imports if uri not in unreadable})
+    writers = {f"resolved/{uri}": uri for uri in imports if uri not in unreadable}
     found = {changed}
     while True:
-        more = {uri for uri, source in depends.items()
-                if source in found and uri not in unreadable} - found
+        more = {uri for uri, source in imports.items() if source in found and uri not in unreadable}
+        more |= {output for output, writer in writers.items() if writer in found}
+        more -= found
         if not more:
             return found
         found |= more

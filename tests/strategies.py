@@ -380,9 +380,12 @@ SPELLINGS = ("{}", "./{}", "sub/../{}")  # three spellings of one store uri
 
 
 def catalog_text(name: str, control_id: str) -> bytes:
+    """A catalog of ``control_id``, which profiles alter, and ``<control_id>-shared``, which none do."""
     return (f"catalog:\n  metadata:\n    title: {name}\n    version: \"1\"\n  controls:\n"
             f"    - id: {control_id}\n      parts:\n        - name: statement\n"
-            f"          prose: {name} statement v0\n").encode()
+            f"          prose: {name} statement v0\n"
+            f"    - id: {control_id}-shared\n      parts:\n        - name: statement\n"
+            f"          prose: {name} shared v0\n").encode()
 
 
 def profile_text(name: str, source: str, control_id: str) -> bytes:
@@ -390,6 +393,29 @@ def profile_text(name: str, source: str, control_id: str) -> bytes:
             f"    - source: {source}\n  alterations:\n    - control-id: {control_id}\n"
             f"      adds:\n        - parts:\n            - name: note-{name}\n"
             f"              prose: {name} note v0\n").encode()
+
+
+TAMPERS = ("mangle", "break", "reword")
+
+
+def tampered(text: bytes, kind: str, at: int) -> bytes:
+    """``text`` with its ``at``-th ``- id:`` block changed as ``kind`` in ``TAMPERS`` says.
+
+    ``mangle`` adds a comment to the block's last line, ``break`` makes the
+    block invalid YAML and ``reword`` gives each prose of the block ending
+    `` v0`` other, still canonical, words. A block past the last is left alone.
+    """
+    header, blocks = serialize.split_controls(text)
+    pieces = [block for _, block in blocks]
+    if at >= len(pieces):
+        return text
+    if kind == "mangle":
+        pieces[at] = pieces[at][:-1] + b"  # edited by hand\n"
+    elif kind == "break":
+        pieces[at] += b"      note: \"unterminated\n"
+    else:
+        pieces[at] = pieces[at].replace(b" v0\n", b" v0 reworded\n")
+    return header + b"".join(pieces)
 
 
 @st.composite
@@ -404,13 +430,17 @@ def edited_stores(draw) -> dict:
     edit is ``prose`` (a longer prose part), ``break`` (a repeated ``title``
     key, so the document no longer parses) or ``respell`` (a profile's
     import under another spelling); an edit of ``new.yaml`` adds that
-    catalog, whole or broken. Build outputs are never edited or changed.
+    catalog, whole or broken. The edit never touches a build output.
+    Profiles alter only the first control of what they import, so the
+    second control's block is the same in every output over one catalog.
+    ``tamper`` lists up to two ``(profile, kind, block index)``: after the
+    first ``propagate``, that profile's output is ``tampered`` as ``kind``.
     """
     roots = {"base.yaml": "c-1", "other.yaml": "o-1"}
     files = {uri: catalog_text(uri[:-5], cid) for uri, cid in roots.items()}
     imports: dict[str, str] = {}
     spelled: dict[str, str] = {}
-    for index in range(draw(st.integers(1, 4))):
+    for index in range(draw(st.integers(1, 5))):
         name = f"p{index + 1}"
         outputs = [f"resolved/{uri}" for uri in imports]
         source = draw(st.sampled_from(sorted(files) + outputs))
@@ -439,7 +469,9 @@ def edited_stores(draw) -> dict:
                                     if s.format(imports[target]) != old]))
         edited = text.replace(f"source: {old}\n".encode(), f"source: {new}\n".encode())
     changed = draw(st.one_of(st.just(target), st.sampled_from([*editable, target])))
+    tamper = draw(st.lists(st.tuples(st.sampled_from(sorted(imports)), st.sampled_from(TAMPERS),
+                                     st.integers(0, 1)), max_size=2, unique_by=lambda t: t[0]))
     return {
         "files": files, "imports": imports, "edit": (target, kind, edited),
-        "changed": draw(st.sampled_from(SPELLINGS)).format(changed),
+        "changed": draw(st.sampled_from(SPELLINGS)).format(changed), "tamper": tamper,
     }

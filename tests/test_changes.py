@@ -476,9 +476,9 @@ class TestPropagateOutputs:
         self._uses_output(fixture_store)
         original = changes_module._write_atomic
 
-        def same_tick_write(target, data, mode):
+        def same_tick_write(target, data):
             stat = target.stat()
-            original(target, data, mode)
+            original(target, data)
             os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns))
 
         monkeypatch.setattr(changes_module, "_write_atomic", same_tick_write)
@@ -490,6 +490,29 @@ class TestPropagateOutputs:
         assert [r.error for r in results] == [None, None, None]
         written = (fixture_store / "resolved" / "uses-output.yaml").read_bytes()
         assert b"understand THE flow" in written
+
+    def test_a_changed_block_shared_by_sibling_outputs_is_parsed_and_emitted_once(
+            self, tmp_path, parses, monkeypatch):
+        """Three profiles over ``base.yaml`` alter ``c-1``; the edit changes ``c-1-shared``."""
+        (tmp_path / "base.yaml").write_bytes(strategies.catalog_text("base", "c-1"))
+        for name in ("p1", "p2", "p3"):
+            (tmp_path / f"{name}.yaml").write_bytes(strategies.profile_text(name, "base.yaml", "c-1"))
+        propagate(SourceStore(tmp_path), "base.yaml")
+        path = tmp_path / "base.yaml"
+        path.write_bytes(path.read_bytes().replace(b"shared v0", b"shared v1"))
+        checked: list[str] = []
+        original = changes_module.emit_control
+
+        def recording_emit(control, indent):
+            checked.append(control.id)
+            return original(control, indent)
+
+        monkeypatch.setattr(changes_module, "emit_control", recording_emit)
+        results = propagate(SourceStore(tmp_path), "base.yaml")
+        assert [[(e.kind, e.control_id) for e in r.changes.entries] for r in results] \
+            == [[("part-modified", "c-1-shared")]] * 3
+        assert len(parses) == 1 and b"- id: c-1-shared" in parses[0]
+        assert checked == ["c-1-shared"]
 
     def test_a_missing_document_outranks_an_earlier_failing_import(self, fixture_store):
         """``prec.yaml`` imports a failing layer, then a missing document."""
@@ -593,7 +616,7 @@ def _defect_case(import_spelling: str, target: str, old: bytes, new: bytes) -> d
              "p1.yaml": strategies.profile_text("p1", import_spelling, "c-1")}
     text = files.get(target, strategies.catalog_text("new", "n-1"))
     return {"files": files, "imports": {"p1.yaml": "base.yaml"},
-            "edit": (target, "edit", text.replace(old, new)), "changed": "base.yaml"}
+            "edit": (target, "edit", text.replace(old, new)), "changed": "base.yaml", "tamper": []}
 
 
 def _output_importer_case() -> dict:
@@ -602,6 +625,16 @@ def _output_importer_case() -> dict:
     case["files"]["resolved/p1.yaml"] = strategies.catalog_text("stand-in", "c-1")
     case["files"]["p2.yaml"] = strategies.profile_text("p2", "resolved/p1.yaml", "c-1")
     case["imports"]["p2.yaml"] = "resolved/p1.yaml"
+    return case
+
+
+def _siblings_case(*tamper: tuple[str, str, int]) -> dict:
+    """``p1``-``p3`` over ``base.yaml``, ``p4`` over ``p1``; both base controls edited."""
+    case = _defect_case("base.yaml", "base.yaml", b" v0\n", b" v1, edited\n")
+    for name, source in (("p2", "base.yaml"), ("p3", "base.yaml"), ("p4", "p1.yaml")):
+        case["files"][f"{name}.yaml"] = strategies.profile_text(name, source, "c-1")
+        case["imports"][f"{name}.yaml"] = source
+    case["tamper"] = list(tamper)
     return case
 
 
@@ -616,6 +649,11 @@ class TestPropagateOracle:
     @example(_defect_case("base.yaml", "new.yaml", b"    title: new\n",
                           b"    title: new\n    title: new\n"))
     @example(_output_importer_case())
+    # One output read whole for one mangled or broken block; two outputs whose
+    # previous texts differ for one control id.
+    @example(_siblings_case(("p2.yaml", "mangle", 1)))
+    @example(_siblings_case(("p3.yaml", "break", 1)))
+    @example(_siblings_case(("p2.yaml", "reword", 1), ("p4.yaml", "reword", 0)))
     @settings(max_examples=80, deadline=None)
     def test_after_any_edit_propagate_equals_a_fresh_resolve(self, case):
         """One long-lived store, one edit, one ``propagate``: as if resolved from scratch."""
@@ -630,6 +668,9 @@ class TestPropagateOracle:
             assert sorted(initial) == sorted(case["imports"])
             target, _, edited = case["edit"]
             outputs = {uri: resolution_output_uri(uri) for uri in case["imports"]}
+            for uri, kind, at in case["tamper"]:
+                path = root / outputs[uri]
+                path.write_bytes(strategies.tampered(path.read_bytes(), kind, at))
             before = {uri: (root / out).read_bytes() for uri, out in outputs.items()}
             (root / target).write_bytes(edited)
 
@@ -651,12 +692,16 @@ class TestPropagateOracle:
                 if isinstance(expected, GuidanceError):
                     assert _same_failure(result.error, expected)
                     continue
+                data = serialize_document(DocumentEnvelope("catalog", expected.catalog))
+                previous = before[result.profile_uri]
+                changes = _outcome(lambda: changes_by_full_parse(previous, expected.catalog))
+                if isinstance(changes, GuidanceError):  # a broken previous output fails alone
+                    assert _same_failure(result.error, changes)
+                    continue
                 assert result.error is None
                 assert result.resolved == expected
-                previous = parse_document(before[result.profile_uri]).body
-                assert result.changes == diff(previous, expected.catalog)
-                envelope = DocumentEnvelope("catalog", expected.catalog)
-                assert (root / result.output_uri).read_bytes() == serialize_document(envelope)
+                assert result.changes == changes
+                assert (root / result.output_uri).read_bytes() == data
                 written.add(result.profile_uri)
             for uri, out in outputs.items():
                 if uri not in written:

@@ -192,6 +192,33 @@ class TestValidateCommand:
         )
         assert captured.out == "1 errors\n"
 
+    @pytest.mark.parametrize("broken", [None, b"catalog:\n  metadata:\n    title: [\n"])
+    def test_a_missing_or_unreadable_import_is_reported_and_validation_goes_on(
+            self, tmp_path, capsys, broken):
+        """``missing.yaml`` is absent, or present but not a parsable document."""
+        if broken is not None:
+            (tmp_path / "missing.yaml").write_bytes(broken)
+        miss = tmp_path / "miss.yaml"
+        miss.write_bytes(b"profile:\n  metadata:\n    title: M\n    version: \"1\"\n"
+                         b"  imports:\n    - source: missing.yaml\n")
+        (tmp_path / "base.yaml").write_bytes(
+            b"catalog:\n  metadata:\n    title: Base\n    version: \"1\"\n"
+        )
+        empty = tmp_path / "empty.yaml"
+        empty.write_bytes(
+            b"profile:\n  metadata:\n    title: ''\n    version: \"1\"\n"
+            b"  imports:\n    - source: base.yaml\n"
+        )
+        assert main(["validate", str(miss), str(empty), "--store", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        first, second = captured.err.splitlines()
+        if broken is None:
+            assert first == f"error: {miss}: imports/0: document not found: missing.yaml"
+        else:
+            assert first.startswith(f"error: {miss}: imports/0: missing.yaml: syntax error")
+        assert second == f"warning: {empty}: metadata/title: title is empty"
+        assert captured.out == "1 errors\n"
+
 
 class TestDiffCommand:
     def test_text_report(self, fixture_store, tmp_path, capsys):

@@ -25,7 +25,7 @@ from layered_guidance.model import (
     validate_catalog,
 )
 from layered_guidance.resolver import resolve, resolve_chain, SourceStore, validate_profile
-from oracles import simulate_profile_findings
+from oracles import selection_outline, simulate_profile_findings
 
 
 def _catalog(*controls: Control) -> Catalog:
@@ -194,18 +194,30 @@ def _import_directive(draw, source: str, ids: list[str]) -> ImportDirective:
 # Randomized profiles, valid and invalid alike: the report must equal the
 # independent simulation's, an error-free report must mean strict resolution
 # succeeds, and any error finding must mean it fails.
+def _deepened(catalog: Catalog) -> Catalog:
+    """``catalog`` with its later top-level controls moved under the first one's first child."""
+    first, *rest = catalog.controls
+    if not first.children or not rest:
+        return catalog
+    child = replace(first.children[0], children=first.children[0].children + tuple(rest))
+    return replace(catalog, controls=(replace(first, children=(child, *first.children[1:])),))
+
+
 @st.composite
-def resolution_cases(draw):
-    catalog = replace(draw(strategies.catalogs(min_controls=1, max_controls=5)), uri="src.yaml")
+def resolution_cases(draw, second=st.sampled_from(["src.yaml", "other.yaml", None])):
+    catalog = draw(strategies.catalogs(min_controls=1, max_controls=5))
+    if draw(st.booleans()):
+        catalog = _deepened(catalog)
+    catalog = replace(catalog, uri="src.yaml")
     ids = [c.id for c in iter_controls(catalog.controls)]
     sources = [catalog]
     imports = [draw(_import_directive("src.yaml", ids))]
-    # A second import either re-selects from the same source, which skips
-    # roots it already brought and clashes on the rest, or reads a second
-    # catalog holding one of the same ids beside a fresh one.
-    second = draw(st.sampled_from(["src.yaml", "other.yaml", None]))
+    # A second import either re-selects from the same source, which adds
+    # what it selects to the first's selection, in either order, or reads a
+    # second catalog holding one of the same ids beside a fresh one.
+    second = draw(second)
     if second == "src.yaml":
-        imports.append(draw(_import_directive("src.yaml", ids)))
+        imports.insert(draw(st.sampled_from([0, 1])), draw(_import_directive("src.yaml", ids)))
     elif second == "other.yaml":
         other_ids = [draw(st.sampled_from(ids)), "zz.other"]
         other = _catalog(*(_control(cid, "statement") for cid in other_ids))
@@ -256,3 +268,53 @@ def test_validate_profile_predicts_resolution_outcome(case):
         result = resolve(sources, profile)
         # part-name uniqueness and statement ordering survive resolution
         assert not has_errors(validate_catalog(result.catalog))
+
+
+def _outline(controls, parent=None) -> list[tuple[str, str | None]]:
+    return [entry for control in controls
+            for entry in [(control.id, parent), *_outline(control.children, control.id)]]
+
+
+@given(resolution_cases(second=st.just("src.yaml")))
+@settings(max_examples=200, deadline=None)
+def test_imports_of_one_source_select_a_union_in_either_order(case):
+    sources, profile = case
+    swapped = replace(profile, imports=profile.imports[::-1])
+    outcomes = []
+    for imports in (profile, swapped):
+        try:
+            outcomes.append(resolve(sources, imports).catalog)
+        except GuidanceError as error:
+            outcomes.append(str(error))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], Catalog):
+        [expected] = selection_outline(list(zip(profile.imports, sources * 2))).values()
+        assert _outline(outcomes[0].controls) == [(cid, parent) for cid, parent, _ in expected]
+
+
+def test_a_control_whose_parent_is_not_selected_is_a_root():
+    """``x`` without ``x-2``, and ``x-2-a`` under it: the union keeps ``x-2-a`` a root."""
+    grandchild = Control("x-2-a", parts=(Part("statement", "a"),))
+    top = Control("x", children=(_control("x-1", "statement"), Control("x-2", children=(grandchild,))))
+    source = replace(_catalog(top, _control("y", "statement")), uri="src.yaml")
+    imports = (ImportDirective("src.yaml", include=("x",), exclude=("x-2",)),
+               ImportDirective("src.yaml", include=("x-2-a",)))
+    for order in (imports, imports[::-1]):
+        profile = Profile(Metadata("P", "1"), imports=order)
+        resolved = resolve([source], profile).catalog
+        assert resolved.controls == (replace(top, children=top.children[:1]), grandchild)
+
+
+@pytest.mark.parametrize("first, second", [("id.am-1", "id.am"), ("id.am", "id.am-1")])
+def test_a_source_imported_twice_resolves_in_either_order(tmp_path, first, second):
+    """Before, ``id.am-1`` then ``id.am`` failed as a duplicate ``id.am-1``."""
+    from layered_guidance import write_fixture_store
+    write_fixture_store(tmp_path)
+    (tmp_path / "twice.yaml").write_text(
+        "profile:\n  metadata:\n    title: T\n    version: \"1\"\n  imports:\n"
+        f"    - source: csf-id-am.yaml\n      include: [{first}]\n"
+        f"    - source: csf-id-am.yaml\n      include: [{second}]\n"
+    )
+    resolved = resolve_chain(SourceStore(tmp_path), "twice.yaml").catalog
+    source = load_fixture("csf-id-am").body
+    assert resolved.controls == (find_control(source, "id.am"),)

@@ -12,7 +12,7 @@ import strategies
 from conftest import FIXTURES_DIR
 from layered_guidance import serialize
 from layered_guidance.errors import DocumentSyntaxError, SchemaError, ValidationError
-from layered_guidance.model import Catalog, Control, DocumentEnvelope, Metadata, Part
+from layered_guidance.model import Catalog, Control, DocumentEnvelope, Metadata, Part, iter_controls
 from layered_guidance.serialize import parse_document, serialize_document
 
 CONTROL_SNIPPET = b"""\
@@ -219,6 +219,47 @@ class TestCanonicalForm:
         assert list(payload) == ["profile"]
         assert payload["profile"]["alterations"][0]["control-id"] == "id.am-3"
         assert payload["profile"]["alterations"][0]["removes"][0]["by-name"] == "ot-specific"
+
+
+class TestEmissionMemo:
+    @given(st.lists(strategies.catalogs(), min_size=1, max_size=3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_catalogs_sharing_parts_emit_the_same_bytes(self, catalogs, data):
+        """Later catalogs carry parts of the first, at other depths too."""
+        shared = [part for control in iter_controls(catalogs[0].controls) for part in control.parts]
+
+        def share(control: Control) -> Control:
+            parts = control.parts
+            if shared and data.draw(st.booleans()):
+                part = data.draw(st.sampled_from(shared))
+                parts = (part, *(p for p in parts if p.name != part.name))
+            return Control(control.id, control.classifier, parts,
+                           tuple(share(child) for child in control.children))
+
+        memo: dict = {}
+        for catalog in catalogs[:1] + [Catalog(c.metadata, tuple(share(x) for x in c.controls))
+                                       for c in catalogs[1:]]:
+            envelope = DocumentEnvelope("catalog", catalog)
+            assert serialize_document(envelope, memo=memo) == serialize_document(envelope)
+
+    def test_a_shared_part_is_emitted_once_per_indent(self, monkeypatch):
+        shared = Part("statement", "shared words " * 10 + "end")
+        catalogs = [Catalog(Metadata(f"T{i}", "1"), (
+            Control("c-1", parts=(shared, Part("note", f"note {i}"))),
+            Control("c-2", children=(Control("c-3", parts=(shared,)),)),
+        )) for i in range(3)]
+        expected = [serialize_document(DocumentEnvelope("catalog", c)) for c in catalogs]
+        emitted: list[Part] = []
+        original = serialize._part_plain
+        monkeypatch.setattr(serialize, "_part_plain",
+                            lambda part: emitted.append(part) or original(part))
+        memo: dict = {}
+        assert [serialize_document(DocumentEnvelope("catalog", c), memo=memo)
+                for c in catalogs] == expected
+        assert emitted == [shared, Part("note", "note 0"), shared,
+                           Part("note", "note 1"), Part("note", "note 2")]
+        assert serialize_document(DocumentEnvelope("catalog", catalogs[0]), "json", memo=memo) \
+            == serialize_document(DocumentEnvelope("catalog", catalogs[0]), "json")
 
 
 class TestSchemaErrors:
