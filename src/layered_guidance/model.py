@@ -142,7 +142,8 @@ class ImportDirective:
     """Selects controls from one source document.
 
     ``include`` is either the string ``"all"`` or an explicit tuple of
-    control ids; excluded ids prune whole subtrees.
+    control ids; excluded ids prune whole subtrees. Any other string is a
+    structural error that selects nothing.
     """
 
     source: str
@@ -156,7 +157,12 @@ class ImportDirective:
 
     @property
     def include_all(self) -> bool:
-        return isinstance(self.include, str) and self.include == INCLUDE_ALL
+        return self.include == INCLUDE_ALL
+
+    @property
+    def include_ids(self) -> tuple[str, ...]:
+        """The listed include ids; none when ``include`` is a string."""
+        return () if isinstance(self.include, str) else self.include
 
 
 @dataclass(frozen=True)
@@ -289,15 +295,18 @@ def profile_structure_findings(profile: Profile) -> ValidationReport:
         path = f"imports/{index}"
         if not imp.source:
             findings.append(Finding(ERROR, path, "import source is empty"))
-        if not imp.include_all:
-            for cid in imp.include:
-                if not _valid_identifier(cid):
-                    findings.append(Finding(ERROR, path, f"include id {cid!r} is not a valid identifier"))
-            overlap = sorted(set(imp.include) & set(imp.exclude))
-            if overlap:
-                findings.append(
-                    Finding(ERROR, path, f"include and exclude overlap: {', '.join(overlap)}")
-                )
+        if isinstance(imp.include, str) and not imp.include_all:
+            findings.append(Finding(
+                ERROR, path, f"include must be \"all\" or a list of control ids, got {imp.include!r}"
+            ))
+        for cid in imp.include_ids:
+            if not _valid_identifier(cid):
+                findings.append(Finding(ERROR, path, f"include id {cid!r} is not a valid identifier"))
+        overlap = sorted(set(imp.include_ids) & set(imp.exclude))
+        if overlap:
+            findings.append(
+                Finding(ERROR, path, f"include and exclude overlap: {', '.join(overlap)}")
+            )
         for cid in imp.exclude:
             if not _valid_identifier(cid):
                 findings.append(Finding(ERROR, path, f"exclude id {cid!r} is not a valid identifier"))

@@ -85,17 +85,23 @@ class ResolvedCatalog:
 
 
 def wrap_catalog(catalog: Catalog, uri: str = "") -> ResolvedCatalog:
-    """Treat a plain catalog as a depth-0 resolution of itself."""
-    origin = uri or catalog.uri
-    provenance = {
-        (control.id, part.name): ProvenanceEntry(origin, 0)
-        for control in iter_controls(catalog.controls)
-        for part in control.parts
-    }
-    return ResolvedCatalog(
-        catalog=catalog, provenance=provenance, lineage=(origin,) if origin else (),
-        depth=0,
-    )
+    """A plain catalog as a depth-0 resolution of itself, each part stamped with its origin."""
+    layer = _layer(replace(catalog, uri=uri) if uri else catalog)
+    entry = ProvenanceEntry(layer.catalog.uri, 0)
+    provenance = {(control.id, part.name): entry
+                  for control in iter_controls(catalog.controls) for part in control.parts}
+    return replace(layer, provenance=provenance)
+
+
+def _layer(source: Catalog | ResolvedCatalog) -> ResolvedCatalog:
+    """``source`` as a layer to resolve against; a plain catalog is depth 0.
+
+    A plain catalog's parts get no provenance here: ``_resolve`` stamps each
+    part it selects with the source's name.
+    """
+    if isinstance(source, ResolvedCatalog):
+        return source
+    return ResolvedCatalog(source, {}, (source.uri,) if source.uri else (), 0)
 
 
 class _Report:
@@ -177,8 +183,10 @@ def _select(catalog: Catalog, directive: ImportDirective, report: _Report,
     gets a warning for each include or exclude id that matches nothing.
     """
     exclude = set(directive.exclude)
-    include_all = isinstance(directive.include, str)
-    wanted = {top.id for top in catalog.controls} if include_all else set(directive.include)
+    if directive.include_all:
+        wanted = {top.id for top in catalog.controls}
+    else:
+        wanted = set(directive.include_ids)
     selected: list[Control] = []
 
     def walk(control: Control) -> None:
@@ -194,11 +202,10 @@ def _select(catalog: Catalog, directive: ImportDirective, report: _Report,
         walk(top)
     if report.findings is None:
         return selected
-    if not include_all:
-        matched = {root.id for root in selected}
-        for cid in directive.include:
-            if cid not in matched:
-                report.findings.append(Finding(WARNING, path, f"include id {cid!r} matched nothing"))
+    matched = {root.id for root in selected}
+    for cid in directive.include_ids:
+        if cid not in matched:
+            report.findings.append(Finding(WARNING, path, f"include id {cid!r} matched nothing"))
     present = {c.id for c in iter_controls(catalog.controls)}
     for cid in directive.exclude:
         if cid not in present:
@@ -238,12 +245,14 @@ def resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile, *,
             lenient: bool = False) -> ResolvedCatalog:
     """Resolve a profile against its source catalogs.
 
-    Sources pair with import directives by uri when one matches, otherwise
-    positionally. Sources that are themselves resolved catalogs keep their
-    upstream provenance; parts added here are stamped with this profile's
-    uri at the next layer depth.
+    An import pairs with the source whose uri it names. The imports that
+    name no source pair, in order, with the sources whose uri no import
+    names, when there are as many of each. A source is named by its uri, or
+    by its import's ``source`` when it has none. Sources that are themselves
+    resolved catalogs keep their upstream provenance; a plain catalog's
+    parts are stamped with the source's name at depth 0, and parts added
+    here with this profile's uri at the next layer depth.
     """
-    sources = [s if isinstance(s, ResolvedCatalog) else wrap_catalog(s) for s in sources]
     return _resolve(sources, profile, _Report(lenient=lenient, warnings=[]))
 
 
@@ -252,19 +261,20 @@ def validate_profile(profile: Profile, resolved_sources: Sequence[Catalog]) -> V
 
     This is ``resolve`` with a report that collects findings instead of
     raising, so an error-free report means strict resolution succeeds, and
-    each error finding is a failure strict resolution would raise.
+    each error finding is a failure strict resolution would raise. Sources
+    pair with imports and are named as ``resolve`` says.
     """
     findings: ValidationReport = []
-    # Findings need no provenance, so the sources are not wrapped.
-    sources = [ResolvedCatalog(source, {}, (), 0) for source in resolved_sources]
-    _resolve(sources, profile, _Report(findings))
+    _resolve(resolved_sources, profile, _Report(findings))
     return findings
 
 
-def _resolve(sources: Sequence[ResolvedCatalog], profile: Profile,
+def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
              report: _Report) -> ResolvedCatalog | None:
     """Select, alter and stamp provenance in one pass over the selected forest.
 
+    Each source becomes a layer and is paired and named here, as ``resolve``
+    says, and a part of a plain catalog is stamped only when it is selected.
     The imports of one source select the union of what each selects, in
     that source's document order, where the first of them stands. Only a
     raising report gets the resolved catalog back.
@@ -275,24 +285,26 @@ def _resolve(sources: Sequence[ResolvedCatalog], profile: Profile,
     elif has_errors(structural):
         raise ValidationError(structural)
 
+    sources = [_layer(source) for source in sources]
     by_uri = {normalize_uri(rs.catalog.uri): rs for rs in sources if rs.catalog.uri}
-    paired: list[ResolvedCatalog] = []
-    for index, directive in enumerate(profile.imports):
-        if (uri := normalize_uri(directive.source)) in by_uri:
-            paired.append(by_uri[uri])
-        elif len(sources) == len(profile.imports):
-            paired.append(sources[index])
-        else:
-            message = f"no source supplied for import {directive.source!r}"
+    paired = [by_uri.get(normalize_uri(directive.source)) for directive in profile.imports]
+    named = {normalize_uri(directive.source) for directive in profile.imports}
+    spare = [rs for rs in sources
+             if not rs.catalog.uri or normalize_uri(rs.catalog.uri) not in named]
+    unpaired = [index for index, source in enumerate(paired) if source is None]
+    if unpaired and len(unpaired) != len(spare):
+        for index in unpaired:
+            message = f"no source supplied for import {profile.imports[index].source!r}"
             report.fail(ResolutionError(message), f"imports/{index}", message)
-    if len(paired) != len(profile.imports):
         return None
+    for index, source in zip(unpaired, spare):
+        paired[index] = source
 
     profile_uri = profile.uri or "<profile>"
     depth = max((rs.depth for rs in paired), default=0) + 1
     provenance: dict[tuple[str, str], ProvenanceEntry] = {}
     selected: dict[str, Control] = {}
-    origins: dict[str, str] = {}  # control id -> source uri, as named in messages
+    origins: dict[str, str] = {}  # control id -> the name of its source, for messages
     forest: list[Control] = []
     imports_of: dict[int, list[int]] = {}  # each source, by identity -> indexes of its imports
     for index, source in enumerate(paired):
@@ -320,7 +332,7 @@ def _resolve(sources: Sequence[ResolvedCatalog], profile: Profile,
                     )
                     continue
                 selected[control.id] = control
-                origins[control.id] = source.catalog.uri or "a source"
+                origins[control.id] = source_uri
                 for part in control.parts:
                     key = (control.id, part.name)
                     provenance[key] = source.provenance.get(key) or ProvenanceEntry(source_uri, 0)
@@ -495,16 +507,18 @@ def resolve_chain(store: SourceStore, profile_uri: str, *, lenient: bool = False
 
 def resolve_acyclic(store: SourceStore, uri: str, *, lenient: bool = False,
                     memo: dict[str, ResolvedCatalog]) -> ResolvedCatalog:
-    """``resolve_chain`` without its cycle check; a catalog resolves to itself.
+    """``resolve_chain`` without its cycle check; a catalog is a depth-0 layer of itself.
 
-    The caller must already know that no import cycle is reachable from
-    ``uri``: on one, this recurses without end.
+    A catalog's layer carries no provenance: a profile that selects its parts
+    stamps them with the catalog's uri, as ``resolve`` does for any plain
+    source. The caller must already know that no import cycle is reachable
+    from ``uri``: on one, this recurses without end.
     """
     if uri in memo:
         return memo[uri]
     envelope = store.load(uri)
     if envelope.kind == "catalog":
-        result = wrap_catalog(envelope.body, uri)
+        result = _layer(envelope.body)
     else:
         sources = [resolve_acyclic(store, source, lenient=lenient, memo=memo)
                    for source in import_sources(envelope)]

@@ -464,7 +464,8 @@ def _catalog_plain(catalog: Catalog, keep_parts: bool = False) -> dict:
 
 def _import_plain(directive: ImportDirective) -> dict:
     plain: dict = {"source": directive.source}
-    plain["include"] = "all" if directive.include_all else list(directive.include)
+    include = directive.include
+    plain["include"] = include if isinstance(include, str) else list(include)
     if directive.exclude:
         plain["exclude"] = list(directive.exclude)
     return plain

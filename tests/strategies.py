@@ -395,7 +395,7 @@ def profile_text(name: str, source: str, control_id: str) -> bytes:
             f"              prose: {name} note v0\n").encode()
 
 
-TAMPERS = ("mangle", "break", "reword")
+TAMPERS = ("mangle", "break", "reword", "spaced", "extra")
 
 
 def tampered(text: bytes, kind: str, at: int) -> bytes:
@@ -403,7 +403,10 @@ def tampered(text: bytes, kind: str, at: int) -> bytes:
 
     ``mangle`` adds a comment to the block's last line, ``break`` makes the
     block invalid YAML and ``reword`` gives each prose of the block ending
-    `` v0`` other, still canonical, words. A block past the last is left alone.
+    `` v0`` other, still canonical, words. ``spaced`` puts trailing spaces
+    after the block's ``children:`` key, if it has one. ``extra`` ends the
+    block with a sibling control ``id.zz`` whose item starts ``- class:``,
+    not ``- id:``. A block past the last is left alone.
     """
     header, blocks = serialize.split_controls(text)
     pieces = [block for _, block in blocks]
@@ -413,6 +416,12 @@ def tampered(text: bytes, kind: str, at: int) -> bytes:
         pieces[at] = pieces[at][:-1] + b"  # edited by hand\n"
     elif kind == "break":
         pieces[at] += b"      note: \"unterminated\n"
+    elif kind == "spaced":
+        pieces[at] = pieces[at].replace(b"children:\n", b"children:   \n")
+    elif kind == "extra":
+        line = blocks[at][0]
+        pad = line[:len(line) - len(line.lstrip(b" "))]
+        pieces[at] += pad + b"- class: extra\n" + pad + b"  id: id.zz\n"
     else:
         pieces[at] = pieces[at].replace(b" v0\n", b" v0 reworded\n")
     return header + b"".join(pieces)

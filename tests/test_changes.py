@@ -35,6 +35,7 @@ from layered_guidance.errors import (
     SchemaError,
     UnknownControlId,
 )
+from layered_guidance.fixtures import fixture_bytes
 from layered_guidance.model import Catalog, Control, DocumentEnvelope, Metadata, Part, find_control
 from layered_guidance.resolver import SourceStore, resolve_chain
 from layered_guidance.serialize import parse_document, serialize_document
@@ -628,6 +629,17 @@ def _output_importer_case() -> dict:
     return case
 
 
+def _fixture_case(*tamper: tuple[str, str, int]) -> dict:
+    """The shipped OT profile over the shipped catalog, as ``base.yaml``; ``id.am-2`` edited."""
+    base = fixture_bytes("csf-id-am")
+    files = {"base.yaml": base, "other.yaml": strategies.catalog_text("other", "o-1"),
+             "ot-profile.yaml": fixture_bytes("ot-profile").replace(b"source: csf-id-am.yaml",
+                                                                    b"source: base.yaml")}
+    edited = base.replace(b"Software platforms", b"Software tools", 1)
+    return {"files": files, "imports": {"ot-profile.yaml": "base.yaml"},
+            "edit": ("base.yaml", "edit", edited), "changed": "base.yaml", "tamper": list(tamper)}
+
+
 def _siblings_case(*tamper: tuple[str, str, int]) -> dict:
     """``p1``-``p3`` over ``base.yaml``, ``p4`` over ``p1``; both base controls edited."""
     case = _defect_case("base.yaml", "base.yaml", b" v0\n", b" v1, edited\n")
@@ -654,6 +666,10 @@ class TestPropagateOracle:
     @example(_siblings_case(("p2.yaml", "mangle", 1)))
     @example(_siblings_case(("p3.yaml", "break", 1)))
     @example(_siblings_case(("p2.yaml", "reword", 1), ("p4.yaml", "reword", 0)))
+    # Both read whole: trailing spaces after ``id.am``'s ``children:`` key;
+    # an ``id.am-1`` block that parses to two controls.
+    @example(_fixture_case(("ot-profile.yaml", "spaced", 0)))
+    @example(_fixture_case(("ot-profile.yaml", "extra", 1)))
     @settings(max_examples=80, deadline=None)
     def test_after_any_edit_propagate_equals_a_fresh_resolve(self, case):
         """One long-lived store, one edit, one ``propagate``: as if resolved from scratch."""

@@ -73,6 +73,28 @@ class TestResolveCommand:
         assert main(["resolve", "ghost.yaml", "--store", str(FIXTURES_DIR)]) == 3
         assert "ghost.yaml" in capsys.readouterr().err
 
+    def test_without_output_writes_to_stdout(self, tmp_path, capsysbinary):
+        out = tmp_path / "out.yaml"
+        assert main(["resolve", "am-profile.yaml", "--store", str(FIXTURES_DIR), "-o", str(out)]) == 0
+        assert main(["resolve", "am-profile.yaml", "--store", str(FIXTURES_DIR)]) == 0
+        assert capsysbinary.readouterr() == (out.read_bytes(), b"")
+
+    def test_a_structural_error_is_a_validation_error(self, tmp_path, capsys):
+        (tmp_path / "bad.yaml").write_bytes(
+            b"profile:\n  metadata:\n    title: P\n    version: \"1\"\n  imports: []\n"
+        )
+        assert main(["resolve", "bad.yaml", "--store", str(tmp_path)]) == 1
+        assert capsys.readouterr() == (
+            "", "validation error: bad.yaml: imports: profile must import at least one source\n"
+        )
+
+    def test_output_into_a_missing_directory_is_an_io_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.yaml"
+        assert main(["resolve", "am-profile.yaml", "--store", str(FIXTURES_DIR), "-o", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "", f"i/o error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        )
+
 
 class TestValidateCommand:
     def test_valid_catalog(self, capsys):
@@ -239,6 +261,20 @@ class TestDiffCommand:
         assert ("part-removed", "ot-specific") in kinds
         assert ("part-added", "am-specific") in kinds
 
+    def test_added_and_removed_controls(self, tmp_path, capsys):
+        for name, cid in (("a", "c2"), ("b", "c3")):
+            (tmp_path / f"{name}.yaml").write_bytes(
+                b"catalog:\n  metadata:\n    title: A\n    version: \"1\"\n"
+                b"  controls:\n    - id: c1\n    - id: " + cid.encode() + b"\n"
+            )
+        assert main(["diff", str(tmp_path / "a.yaml"), str(tmp_path / "b.yaml")]) == 0
+        assert capsys.readouterr() == ("- control c2\n+ control c3\n", "")
+
+    def test_a_profile_is_not_a_catalog(self, capsys):
+        profile = str(FIXTURES_DIR / "ot-profile.yaml")
+        assert main(["diff", profile, str(FIXTURES_DIR / "csf-id-am.yaml")]) == 3
+        assert capsys.readouterr() == ("", f"error: {profile}: expected a catalog document\n")
+
 
 class TestRenderCommand:
     def test_render_resolved_catalog(self, fixture_store, tmp_path):
@@ -254,6 +290,13 @@ class TestRenderCommand:
         rendered = tmp_path / "out.md"
         assert main(["render", str(am_out), "--provenance", "-o", str(rendered)]) == 0
         assert "*Source:" in rendered.read_text()
+
+    def test_without_output_writes_to_stdout(self, fixture_store, tmp_path, capsysbinary):
+        _, am_out = _resolve_both(fixture_store, tmp_path)
+        rendered = tmp_path / "out.md"
+        assert main(["render", str(am_out), "-o", str(rendered)]) == 0
+        assert main(["render", str(am_out)]) == 0
+        assert capsysbinary.readouterr() == (rendered.read_bytes(), b"")
 
 
 class TestGraphCommand:
@@ -364,6 +407,43 @@ class TestPropagateCommand:
              "before-prose": am_changes[0]["before-prose"],
              "after-prose": am_changes[0]["after-prose"]},
         ]
+
+    def test_text_output_counts_and_lists_changes(self, fixture_store, capsys):
+        args = ["propagate", "--store", str(fixture_store), "--changed", "ot-profile.yaml"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr() == (
+            "re-resolved ot-profile.yaml -> resolved/ot-profile.yaml (no changes)\n"
+            "re-resolved am-profile.yaml -> resolved/am-profile.yaml (no changes)\n", ""
+        )
+        path = fixture_store / "ot-profile.yaml"
+        path.write_bytes(path.read_bytes().replace(b"understand the flow", b"map the movement")
+                         .replace(b"should consider", b"must consider"))
+        assert main(args) == 0
+        assert capsys.readouterr() == (
+            "re-resolved ot-profile.yaml -> resolved/ot-profile.yaml (2 changes)\n"
+            "  id.am-3:\n"
+            "    ~ part guidance\n"
+            "    ~ part ot-specific\n"
+            "re-resolved am-profile.yaml -> resolved/am-profile.yaml (1 change)\n"
+            "  id.am-3:\n"
+            "    ~ part guidance\n", ""
+        )
+
+    def test_json_output_reports_a_failed_profile(self, fixture_store, capsys):
+        path = fixture_store / "ot-profile.yaml"
+        path.write_bytes(path.read_bytes().replace(b"control-id: id.am-3", b"control-id: id.am-99"))
+        assert main(["propagate", "--store", str(fixture_store),
+                     "--changed", "ot-profile.yaml", "--format", "json"]) == 2
+        error = "unknown control id: 'id.am-99' (profile ot-profile.yaml)"
+        expected = [
+            {"profile-uri": "ot-profile.yaml", "output-uri": "resolved/ot-profile.yaml",
+             "error": error},
+            {"profile-uri": "am-profile.yaml", "output-uri": "resolved/am-profile.yaml",
+             "error": error},
+        ]
+        assert capsys.readouterr() == (json.dumps(expected, indent=2) + "\n", "")
 
     def test_unrelated_cycle_does_not_stop_propagation(self, fixture_store, capsys):
         for name, source in (("cyc-a", "cyc-b.yaml"), ("cyc-b", "cyc-a.yaml")):

@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
+from layered_guidance.cli import main
 from layered_guidance.errors import GuidanceError
 from layered_guidance.fixtures import load_fixture
 from layered_guidance.model import (
+    ERROR,
+    WARNING,
     AddDirective,
     Alteration,
     Catalog,
     Control,
+    Finding,
     ImportDirective,
     Metadata,
     Part,
@@ -22,6 +26,7 @@ from layered_guidance.model import (
     find_control,
     has_errors,
     iter_controls,
+    profile_structure_findings,
     validate_catalog,
 )
 from layered_guidance.resolver import resolve, resolve_chain, SourceStore, validate_profile
@@ -178,6 +183,97 @@ class TestValidateProfile:
         catalog = replace(_catalog(_control("c1")), uri="src.yaml")
         findings = validate_profile(profile, [catalog])
         assert findings and all(f.severity == "warning" for f in findings)
+
+    @pytest.mark.parametrize("include", ["zzz", "c-1"])
+    def test_an_include_string_other_than_all_is_reported_once(self, include):
+        profile = Profile(
+            metadata=Metadata("P", "1"),
+            imports=(ImportDirective("src.yaml", include=include),),
+        )
+        catalog = replace(_catalog(_control("c1")), uri="src.yaml")
+        expected = [Finding(ERROR, "imports/0",
+                            f"include must be \"all\" or a list of control ids, got {include!r}")]
+        assert profile_structure_findings(profile) == expected
+        assert validate_profile(profile, [catalog]) == expected
+
+
+_PROFILE = ('profile:\n  metadata:\n    title: P\n    version: "1"\n'
+            '  imports:\n    - source: base.yaml\n')
+_PART = "            - name: g\n              prose: x\n"
+_ADD = "    - control-id: c1\n      adds:\n        - parts:\n" + _PART
+_EMPTY_ADD = "    - control-id: c1\n      adds:\n        - parts: []\n"
+_CATALOG = ('catalog:\n  metadata:\n    title: C\n    version: "1"\n  controls:\n'
+            '    - id: c1\n      class: outcome\n      parts:\n        - name: statement\n'
+            '          class: outcome\n          prose: s\n')
+_SOURCE = Catalog(Metadata("C", "1"), (_control("c1", "statement"),), uri="base.yaml")
+_NO_SELECTOR = Profile(
+    metadata=Metadata("P", "1"),
+    imports=(ImportDirective("base.yaml"),),
+    alterations=(Alteration("c1", removes=(RemoveDirective(),)),),
+)
+_AT_START = Profile(
+    metadata=Metadata("P", "1"),
+    imports=(ImportDirective("base.yaml"),),
+    alterations=(Alteration("c1", adds=(AddDirective((Part("g", "x"),), position="start"),)),),
+)
+
+
+# One case per finding: a document the parser reads goes through
+# ``guidance validate``; the others are built in memory.
+@pytest.mark.parametrize("document, severity, path, message", [
+    pytest.param(_PROFILE.replace('version: "1"', 'version: ""'),
+                 WARNING, "metadata/version", "version is empty", id="profile-empty-version"),
+    pytest.param(_PROFILE.replace("\n    - source: base.yaml", " []"),
+                 ERROR, "imports", "profile must import at least one source", id="no-imports"),
+    pytest.param(_PROFILE.replace("base.yaml", '""'),
+                 ERROR, "imports/0", "import source is empty", id="empty-import-source"),
+    pytest.param(_PROFILE + "      include: [1bad]\n",
+                 ERROR, "imports/0", "include id '1bad' is not a valid identifier",
+                 id="invalid-include-id"),
+    pytest.param(_PROFILE + "      exclude: [1bad]\n",
+                 ERROR, "imports/0", "exclude id '1bad' is not a valid identifier",
+                 id="invalid-exclude-id"),
+    pytest.param(_PROFILE + "  alterations:\n" + _ADD * 2,
+                 ERROR, "alterations/c1", "duplicate alteration for control 'c1'",
+                 id="duplicate-alteration-target"),
+    pytest.param(_PROFILE + "  alterations:\n" + _EMPTY_ADD,
+                 ERROR, "alterations/c1/adds/0", "add directive has no parts", id="add-no-parts"),
+    pytest.param(_PROFILE + "  alterations:\n" + _ADD + _PART,
+                 ERROR, "alterations/c1/adds/0/parts/1", "duplicate part name 'g'",
+                 id="duplicate-part-in-one-add"),
+    pytest.param(lambda: validate_profile(_NO_SELECTOR, [_SOURCE]),
+                 ERROR, "alterations/c1/removes/0", "exactly one selector must be populated",
+                 id="remove-no-selector"),
+    pytest.param(lambda: validate_profile(_NO_SELECTOR, [_SOURCE]),
+                 ERROR, "alterations/c1/removes/0", "removal matched nothing (by-name '')",
+                 id="remove-no-selector-matches-nothing"),
+    pytest.param(lambda: profile_structure_findings(_AT_START),
+                 ERROR, "alterations/c1/adds/0", "unsupported position 'start'",
+                 id="unsupported-position"),
+    pytest.param(_CATALOG.replace("title: C", 'title: ""'),
+                 WARNING, "metadata/title", "title is empty", id="catalog-empty-title"),
+    pytest.param(_CATALOG.replace('version: "1"', 'version: ""'),
+                 WARNING, "metadata/version", "version is empty", id="catalog-empty-version"),
+    pytest.param(_CATALOG.replace("name: statement", 'name: ""'),
+                 ERROR, "controls/c1/parts/0", "part name is empty", id="empty-part-name"),
+    pytest.param(_CATALOG.replace("          class: outcome", '          class: "1x"'),
+                 ERROR, "controls/c1/parts/0", "part class '1x' is not a valid identifier",
+                 id="invalid-part-class"),
+    pytest.param(_CATALOG.replace("id: c1", 'id: ""'),
+                 ERROR, "controls/", "control id is empty", id="empty-control-id"),
+    pytest.param(_CATALOG.replace("class: outcome", 'class: "1x"', 1),
+                 ERROR, "controls/c1", "control class '1x' is not a valid identifier",
+                 id="invalid-control-class"),
+])
+def test_each_finding_is_reported_at_its_path(tmp_path, capsys, document, severity, path,
+                                              message):
+    if callable(document):
+        assert Finding(severity, path, message) in document()
+        return
+    file = tmp_path / "doc.yaml"
+    file.write_text(document)
+    assert main(["validate", str(file)]) == (1 if severity == ERROR else 0)
+    assert f"{severity}: {file}: {path}: {message}" in capsys.readouterr().err.splitlines()
 
 
 @st.composite

@@ -238,6 +238,47 @@ class TestResolve:
         with pytest.raises(DuplicateControlId, match="c1"):
             resolve([one, two], profile)
 
+    def test_duplicate_id_names_uri_less_sources_by_their_imports(self):
+        one = Catalog(Metadata("A", "1"), (Control("c1"),))
+        two = Catalog(Metadata("B", "1"), (Control("c1"),))
+        profile = Profile(
+            metadata=Metadata("P", "1"),
+            imports=(ImportDirective("a.yaml"), ImportDirective("b.yaml")),
+        )
+        with pytest.raises(DuplicateControlId) as raised:
+            resolve([one, two], profile)
+        assert str(raised.value) == (
+            "duplicate control id: 'c1' (supplied by both 'a.yaml' and 'b.yaml')"
+        )
+
+    def test_an_import_naming_no_source_pairs_with_the_unnamed_source(self):
+        named = Catalog(Metadata("A", "1"), (Control("a1"),), uri="a.yaml")
+        unnamed = Catalog(Metadata("B", "1"), (Control("b1"),))
+        profile = Profile(
+            metadata=Metadata("P", "1"),
+            imports=(ImportDirective("b.yaml"), ImportDirective("a.yaml")),
+        )
+        resolved = resolve([named, unnamed], profile)
+        assert [c.id for c in resolved.catalog.controls] == ["b1", "a1"]
+
+    def test_unpaired_imports_fail_when_the_spare_sources_differ_in_number(self):
+        sources = [Catalog(Metadata("A", "1"), (Control("a1"),), uri="a.yaml"),
+                   Catalog(Metadata("B", "1"), (Control("b1"),)),
+                   Catalog(Metadata("C", "1"), (Control("c1"),))]
+        profile = Profile(
+            metadata=Metadata("P", "1"),
+            imports=(ImportDirective("b.yaml"), ImportDirective("a.yaml")),
+        )
+        with pytest.raises(ResolutionError, match="no source supplied for import 'b.yaml'"):
+            resolve(sources, profile)
+
+    def test_an_include_string_other_than_all_is_a_validation_error(self):
+        catalog = Catalog(Metadata("A", "1"), (Control("c1"),), uri="b.yaml")
+        profile = Profile(metadata=Metadata("P", "1"),
+                          imports=(ImportDirective("b.yaml", include="zzz"),))
+        with pytest.raises(ValidationError, match="include must be \"all\""):
+            resolve([catalog], profile)
+
     def test_empty_alteration_is_a_validation_error(self):
         catalog = Catalog(Metadata("A", "1"), (Control("c1"),), uri="a.yaml")
         profile = Profile(
@@ -322,6 +363,13 @@ class TestProvenance:
         resolved = resolve([catalog], profile)
         assert resolved.provenance[("b", "g")] == resolver.ProvenanceEntry("p.yaml", 1)
         assert resolved.provenance[("a", "g")] == resolver.ProvenanceEntry("cat.yaml", 0)
+
+    def test_a_uri_less_source_is_stamped_with_its_import_source(self):
+        catalog = Catalog(Metadata("Base", "1"), (Control("c1", parts=(Part("statement", "s"),)),))
+        profile = Profile(metadata=Metadata("P", "1"), imports=(ImportDirective("base.yaml"),),
+                          uri="p.yaml")
+        resolved = resolve([catalog], profile)
+        assert resolved.provenance == {("c1", "statement"): resolver.ProvenanceEntry("base.yaml", 0)}
 
 
 class TestResolveChain:

@@ -12,7 +12,16 @@ import strategies
 from conftest import FIXTURES_DIR
 from layered_guidance import serialize
 from layered_guidance.errors import DocumentSyntaxError, SchemaError, ValidationError
-from layered_guidance.model import Catalog, Control, DocumentEnvelope, Metadata, Part, iter_controls
+from layered_guidance.model import (
+    Catalog,
+    Control,
+    DocumentEnvelope,
+    ImportDirective,
+    Metadata,
+    Part,
+    Profile,
+    iter_controls,
+)
 from layered_guidance.serialize import parse_document, serialize_document
 
 CONTROL_SNIPPET = b"""\
@@ -219,6 +228,11 @@ class TestCanonicalForm:
         assert list(payload) == ["profile"]
         assert payload["profile"]["alterations"][0]["control-id"] == "id.am-3"
         assert payload["profile"]["alterations"][0]["removes"][0]["by-name"] == "ot-specific"
+
+    def test_an_include_string_is_emitted_as_written(self):
+        profile = Profile(Metadata("P", "1"), imports=(ImportDirective("b.yaml", include="zzz"),))
+        text = serialize_document(DocumentEnvelope("profile", profile), "yaml")
+        assert text.endswith(b"  imports:\n    - source: b.yaml\n      include: zzz\n")
 
 
 class TestEmissionMemo:
