@@ -24,6 +24,7 @@ from .resolver import (
     ResolvedCatalog,
     SourceStore,
     _swap_in,
+    detect_cycles,
     import_sources,
     resolve_acyclic,
     topological_order,
@@ -313,30 +314,6 @@ class PropagationResult:
     error: GuidanceError | None = None
 
 
-def _load_failures(store: SourceStore, graph: DependencyGraph,
-                   order: list[str]) -> dict[str, GuidanceError]:
-    """The error ``resolve_chain`` reports first for each uri of ``order`` that has one.
-
-    That is the first document of its closure, depth first in import order,
-    that is missing or does not parse; the documents that parse are cached.
-    """
-    failed = dict(graph.unreadable)
-    if not (graph.findings or graph.unreadable):
-        return failed  # every import names a document that parses
-    nodes = set(graph.nodes)
-    for uri in order:
-        for source in () if uri in failed else import_sources(store.load(uri)):
-            if source not in nodes:
-                try:
-                    store.load(source)  # a missing file: this raises without a parse
-                except GuidanceError as error:
-                    failed[source] = error
-            if source in failed:
-                failed[uri] = failed[source]
-                break
-    return failed
-
-
 def propagate(store: SourceStore, changed_uri: str, *,
               lenient: bool = False) -> list[PropagationResult]:
     """Re-resolve every profile downstream of ``changed_uri``, in topological order.
@@ -346,8 +323,10 @@ def propagate(store: SourceStore, changed_uri: str, *,
     persisted atomically with the mode the umask gives a new file. A failing
     profile is reported in place with the error ``resolve_chain`` gives, and
     so is one whose output path another profile shares; the rest still run.
-    An import cycle upstream of a re-resolved profile raises ``CycleDetected``;
-    one elsewhere does not matter. A ``changed_uri`` that does not parse raises.
+    Where a load can fail, each profile's closure is first walked with
+    ``detect_cycles``, as ``resolve_chain`` does. An import cycle upstream of
+    a re-resolved profile raises ``CycleDetected``; one elsewhere does not
+    matter. A ``changed_uri`` that does not parse raises.
     """
     if not store.exists(changed_uri):
         raise NotFound(changed_uri)
@@ -362,7 +341,7 @@ def propagate(store: SourceStore, changed_uri: str, *,
     # existing file is an edge, so the walk meets any cycle resolution could.
     order = topological_order([uri for uri in graph.nodes if uri in affected],
                               sources.__getitem__)
-    failed = _load_failures(store, graph, order)
+    broken = bool(graph.findings or graph.unreadable)  # a missing or unparsable document
     outputs = {uri: resolution_output_uri(uri) for uri in graph.profiles}
     writers: dict[str, list[str]] = {}
     for uri, output_uri in outputs.items():
@@ -381,10 +360,9 @@ def propagate(store: SourceStore, changed_uri: str, *,
             error = StoreError(f"output {output_uri} is also the output of {', '.join(others)}")
             results.append(PropagationResult(uri, output_uri, error=error))
             continue
-        if uri in failed:
-            results.append(PropagationResult(uri, output_uri, error=failed[uri]))
-            continue
         try:
+            if broken:
+                detect_cycles(store, uri)
             resolved = resolve_acyclic(store, uri, lenient=lenient, memo=memo)
             data = serialize_document(DocumentEnvelope("catalog", resolved.catalog), "yaml",
                                       memo=emitted)

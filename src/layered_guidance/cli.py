@@ -43,8 +43,16 @@ from .model import (
     validate_catalog,
 )
 from .render import RenderOptions, render_markdown
-from .resolver import SourceStore, import_sources, resolve_chain, validate_profile, wrap_catalog
-from .serialize import parse_document, serialize_document
+from .resolver import (
+    SourceStore,
+    detect_cycles,
+    import_sources,
+    resolve_acyclic,
+    resolve_chain,
+    validate_profile,
+    wrap_catalog,
+)
+from .serialize import format_of, parse_document, serialize_document
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -94,9 +102,9 @@ def _write_output(data: bytes, output: str | None) -> None:
         sys.stdout.buffer.flush()
 
 
-def _parse_file(path: str):
+def _parse_file(path: str) -> DocumentEnvelope:
     try:
-        return parse_document(Path(path).read_bytes())
+        return parse_document(Path(path).read_bytes(), format_of(path))
     except GuidanceError as exc:
         if exc.source is None:
             exc.source = path
@@ -178,9 +186,8 @@ def validate_cmd(ctx: click.Context, files: tuple[str, ...], store_dir: str | No
                 sources = []
                 for index, source in enumerate(import_sources(envelope)):
                     try:
-                        source_env = store.load(source)
-                        sources.append(source_env.body if source_env.kind == "catalog"
-                                       else resolve_chain(store, source, memo=memo).catalog)
+                        detect_cycles(store, source)
+                        sources.append(resolve_acyclic(store, source, memo=memo))
                     except GuidanceError as exc:  # reported for this file; the rest still run
                         findings = [Finding(ERROR, f"imports/{index}", _describe(exc))]
                         upstream_exit = max(upstream_exit, _failure(exc)[1])
@@ -247,8 +254,7 @@ def diff_cmd(catalog_a: str, catalog_b: str, fmt: str) -> None:
 @click.option("--provenance", is_flag=True, help="Annotate each part with its origin layer.")
 def render_cmd(catalog_file: str, output: str | None, provenance: bool) -> None:
     """Render a resolved catalog as Markdown."""
-    catalog = _read_catalog(catalog_file)
-    resolved = wrap_catalog(catalog, catalog_file)
+    resolved = wrap_catalog(_read_catalog(catalog_file))
     options = RenderOptions(include_provenance=provenance)
     _write_output(render_markdown(resolved, options).encode("utf-8"), output)
 

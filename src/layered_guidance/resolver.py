@@ -52,7 +52,7 @@ from .model import (
     iter_controls,
     profile_structure_findings,
 )
-from .serialize import parse_document
+from .serialize import format_of, parse_document
 
 _DOCUMENT_SUFFIXES = (".yaml", ".yml", ".json")
 RESOLVED_DIR = "resolved"
@@ -84,13 +84,12 @@ class ResolvedCatalog:
     warnings: tuple[Finding, ...] = ()
 
 
-def wrap_catalog(catalog: Catalog, uri: str = "") -> ResolvedCatalog:
-    """A plain catalog as a depth-0 resolution of itself, each part stamped with its origin."""
-    layer = _layer(replace(catalog, uri=uri) if uri else catalog)
-    entry = ProvenanceEntry(layer.catalog.uri, 0)
+def wrap_catalog(catalog: Catalog) -> ResolvedCatalog:
+    """A plain catalog as a depth-0 resolution of itself, each part stamped with its uri."""
+    entry = ProvenanceEntry(catalog.uri, 0)
     provenance = {(control.id, part.name): entry
                   for control in iter_controls(catalog.controls) for part in control.parts}
-    return replace(layer, provenance=provenance)
+    return replace(_layer(catalog), provenance=provenance)
 
 
 def _layer(source: Catalog | ResolvedCatalog) -> ResolvedCatalog:
@@ -164,45 +163,39 @@ def _alter(control: Control, alteration: Alteration, report: _Report) -> Control
     return replace(control, parts=tuple(parts))
 
 
-def _prune(control: Control, exclude: set[str]) -> Control | None:
-    if control.id in exclude:
-        return None
-    children = tuple(c for child in control.children if (c := _prune(child, exclude)) is not None)
-    if children == control.children:
-        return control
-    return replace(control, children=children)
-
-
 def _select(catalog: Catalog, directive: ImportDirective, report: _Report,
-            path: str) -> list[Control]:
-    """Import selection: include/exclude applied, document order preserved.
+            path: str) -> list[str]:
+    """Import selection: the ids of the controls one import selects, in document order.
 
-    A selected control brings its whole subtree, minus individually
-    excluded descendants. Explicit includes match anywhere in the tree but
-    never descend into an already-selected subtree. A collecting report
-    gets a warning for each include or exclude id that matches nothing.
+    A selected control brings its whole subtree, minus excluded controls and
+    their subtrees. An include id matches a control reached without passing
+    an excluded or an already selected one, so one inside a selected subtree
+    matches nothing. A collecting report gets a warning for each include or
+    exclude id that matches nothing.
     """
     exclude = set(directive.exclude)
     if directive.include_all:
         wanted = {top.id for top in catalog.controls}
     else:
         wanted = set(directive.include_ids)
-    selected: list[Control] = []
+    selected: list[str] = []
+    matched: set[str] = set()
 
-    def walk(control: Control) -> None:
+    def walk(control: Control, taken: bool) -> None:
         if control.id in exclude:
             return
-        if control.id in wanted:
-            selected.append(_prune(control, exclude))
-            return
+        if not taken and control.id in wanted:
+            matched.add(control.id)
+            taken = True
+        if taken:
+            selected.append(control.id)
         for child in control.children:
-            walk(child)
+            walk(child, taken)
 
     for top in catalog.controls:
-        walk(top)
+        walk(top, False)
     if report.findings is None:
         return selected
-    matched = {root.id for root in selected}
     for cid in directive.include_ids:
         if cid not in matched:
             report.findings.append(Finding(WARNING, path, f"include id {cid!r} matched nothing"))
@@ -214,22 +207,28 @@ def _select(catalog: Catalog, directive: ImportDirective, report: _Report,
 
 
 def _restrict(controls: Iterable[Control], ids: Container[str]) -> list[Control]:
-    """The forest ``controls`` induce on ``ids``, roots in document order.
+    """The selected forest: what ``controls`` induce on ``ids``, roots in document order.
 
     A control in ``ids`` keeps its children in ``ids`` and is a root when
-    its parent is not in ``ids``.
+    its parent is not in ``ids``. A control whose children all stay is kept
+    as it is.
     """
+    forest: list[Control] = []
+
     def kept(control: Control) -> Control:
         children = tuple(kept(child) for child in control.children if child.id in ids)
         return control if children == control.children else replace(control, children=children)
 
-    def roots(controls: Iterable[Control], parent_kept: bool) -> Iterator[Control]:
+    def walk(controls: Iterable[Control], parent_kept: bool) -> None:
         for control in controls:
-            if control.id in ids and not parent_kept:
-                yield kept(control)
-            yield from roots(control.children, control.id in ids)
+            inside = control.id in ids
+            if inside and not parent_kept:
+                forest.append(kept(control))
+            if control.children:
+                walk(control.children, inside)
 
-    return list(roots(controls, False))
+    walk(controls, False)
+    return forest
 
 
 def _swap_in(control: Control, altered: Mapping[str, Control]) -> Control:
@@ -256,13 +255,15 @@ def resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile, *,
     return _resolve(sources, profile, _Report(lenient=lenient, warnings=[]))
 
 
-def validate_profile(profile: Profile, resolved_sources: Sequence[Catalog]) -> ValidationReport:
+def validate_profile(profile: Profile,
+                     resolved_sources: Sequence[Catalog | ResolvedCatalog]) -> ValidationReport:
     """Preflight a profile against its already-resolved sources.
 
     This is ``resolve`` with a report that collects findings instead of
     raising, so an error-free report means strict resolution succeeds, and
     each error finding is a failure strict resolution would raise. Sources
-    pair with imports and are named as ``resolve`` says.
+    are the layers ``resolve`` takes, such as those ``resolve_acyclic``
+    gives, and pair with imports and are named as ``resolve`` says.
     """
     findings: ValidationReport = []
     _resolve(resolved_sources, profile, _Report(findings))
@@ -275,9 +276,10 @@ def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
 
     Each source becomes a layer and is paired and named here, as ``resolve``
     says, and a part of a plain catalog is stamped only when it is selected.
-    The imports of one source select the union of what each selects, in
-    that source's document order, where the first of them stands. Only a
-    raising report gets the resolved catalog back.
+    The imports of one source select the union of the ids each selects;
+    ``_restrict`` builds that source's forest in its document order, where
+    the first of them stands. Only a raising report gets the resolved
+    catalog back.
     """
     structural = profile_structure_findings(profile)
     if report.findings is not None:
@@ -314,20 +316,17 @@ def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
         paths: dict[str, str] = {}  # control id -> the first of these imports that selects it
         for index in indexes:
             path = f"imports/{index}"
-            roots = _select(source.catalog, profile.imports[index], report, path)
-            for control in iter_controls(roots) if len(indexes) > 1 else ():
-                paths.setdefault(control.id, path)
-        if paths:
-            roots = _restrict(source.catalog.controls, paths)
+            for cid in _select(source.catalog, profile.imports[index], report, path):
+                paths.setdefault(cid, path)
         source_uri = source.catalog.uri or profile.imports[indexes[0]].source
-        for root in roots:
+        for root in _restrict(source.catalog.controls, paths):
             for control in iter_controls([root]):
                 if control.id in selected:
                     first = origins[control.id]
                     report.fail(
                         DuplicateControlId(control.id,
                                            f"supplied by both {first!r} and {source_uri!r}"),
-                        paths.get(control.id, path),
+                        paths[control.id],
                         f"duplicate control id {control.id!r} in selection",
                     )
                     continue
@@ -418,9 +417,8 @@ class SourceStore:
             fingerprint = _fingerprint(path)
             if fingerprint is None or not path.is_file():
                 raise NotFound(uri)
-            fmt = "json" if path.suffix == ".json" else "yaml"
             try:
-                envelope = parse_document(path.read_bytes(), fmt)
+                envelope = parse_document(path.read_bytes(), format_of(path))
             except GuidanceError as exc:
                 if exc.source is None:
                     exc.source = uri

@@ -32,6 +32,7 @@ import functools
 import json
 import re
 from collections.abc import Callable
+from pathlib import PurePath
 from typing import Any
 
 import yaml
@@ -386,6 +387,11 @@ def _build_profile(value: Any, path: str) -> Profile:
     )
 
 
+def format_of(path: str | PurePath) -> str:
+    """The format a document file is read in: JSON when its name ends in ``.json``, else YAML."""
+    return JSON if PurePath(path).suffix == ".json" else YAML
+
+
 def parse_document(text: bytes | str, format: str = AUTO) -> DocumentEnvelope:
     """Parse and validate one document; returns its envelope.
 
@@ -561,6 +567,8 @@ def _emit_mapping(mapping: dict, indent: int, lines: list[str], memo: dict | Non
         if kind is dict:
             lines.append(f"{pad}{key}:")
             _emit_mapping(value, indent + 2, lines, memo)
+        elif kind is list and not value:
+            lines.append(f"{pad}{key}: []")  # a bare key would read back as null
         elif kind is list:
             lines.append(f"{pad}{key}:")
             _emit_sequence(value, indent + 2, lines, memo)

@@ -383,6 +383,8 @@ def _emit_mapping(mapping: dict, indent: int, lines: list[str]) -> None:
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             _emit_mapping(value, indent + 2, lines)
+        elif isinstance(value, list) and not value:
+            lines.append(f"{pad}{key}: []")
         elif isinstance(value, list):
             lines.append(f"{pad}{key}:")
             _emit_sequence(value, indent + 2, lines)

@@ -90,7 +90,7 @@ def profiles(draw, source: str = "source.yaml") -> Profile:
             removes = (RemoveDirective(by_name=draw(part_names)),)
         alterations.append(Alteration(cid, removes=removes, adds=adds))
     include = draw(
-        st.just("all") | st.lists(identifiers, unique=True, min_size=1, max_size=3).map(tuple)
+        st.just("all") | st.lists(identifiers, unique=True, max_size=3).map(tuple)
     )
     exclude = draw(st.lists(identifiers, unique=True, max_size=2).map(tuple))
     if not isinstance(include, str):

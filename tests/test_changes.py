@@ -306,6 +306,7 @@ class TestPropagate:
             assert "id.zz-9" in str(result.error)
 
     def test_the_walk_replaces_per_profile_cycle_checks(self, fixture_store, monkeypatch):
+        """Both bindings are watched: ``propagate`` calls ``changes.detect_cycles``."""
         checked = []
         original = resolver.detect_cycles
 
@@ -313,7 +314,8 @@ class TestPropagate:
             checked.append(uri)
             return original(store, uri)
 
-        monkeypatch.setattr(resolver, "detect_cycles", counting_detect_cycles)
+        for module in (resolver, changes_module):
+            monkeypatch.setattr(module, "detect_cycles", counting_detect_cycles)
         results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
         assert [r.error for r in results] == [None, None]
         assert checked == []
@@ -515,19 +517,30 @@ class TestPropagateOutputs:
         assert len(parses) == 1 and b"- id: c-1-shared" in parses[0]
         assert checked == ["c-1-shared"]
 
-    def test_a_missing_document_outranks_an_earlier_failing_import(self, fixture_store):
-        """``prec.yaml`` imports a failing layer, then a missing document."""
+    def _failing_then(self, fixture_store, later: bytes | None) -> GuidanceError:
+        """``prec.yaml`` imports a failing layer, then ``later.yaml`` (absent when ``later`` is None)."""
         propagate(SourceStore(fixture_store), "csf-id-am.yaml")
         path = fixture_store / "ot-profile.yaml"
         path.write_bytes(path.read_bytes().replace(b"control-id: id.am-3", b"control-id: id.zz-9"))
-        (fixture_store / "prec.yaml").write_bytes(_profile("ot-profile.yaml", "missing.yaml"))
+        if later is not None:
+            (fixture_store / "later.yaml").write_bytes(later)
+        (fixture_store / "prec.yaml").write_bytes(_profile("ot-profile.yaml", "later.yaml"))
         expected = _outcome(lambda: resolve_chain(SourceStore(fixture_store), "prec.yaml"))
-        assert isinstance(expected, NotFound)
         results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
         by_uri = {r.profile_uri: r.error for r in results}
         assert _same_failure(by_uri["prec.yaml"], expected)
-        assert str(by_uri["prec.yaml"]) == "document not found: missing.yaml"
         assert isinstance(by_uri["ot-profile.yaml"], UnknownControlId)
+        return by_uri["prec.yaml"]
+
+    def test_a_missing_document_outranks_an_earlier_failing_import(self, fixture_store):
+        error = self._failing_then(fixture_store, None)
+        assert isinstance(error, NotFound)
+        assert str(error) == "document not found: later.yaml"
+
+    def test_an_unparsable_document_outranks_an_earlier_failing_import(self, fixture_store):
+        error = self._failing_then(fixture_store, DUPLICATE_TITLE)
+        assert isinstance(error, SchemaError)
+        assert (error.source, str(error)) == ("later.yaml", DUPLICATE_TITLE_MESSAGE)
 
 
 def _with_long_prose(catalog: Catalog) -> Catalog:

@@ -242,6 +242,36 @@ class TestValidateCommand:
         assert captured.out == "1 errors\n"
 
 
+class TestDocumentFormat:
+    """A file is JSON when its name ends in ``.json`` and YAML otherwise, for every command."""
+
+    FLOW = (b'{catalog: {metadata: {title: Flow, version: "1"},\n'
+            b'  controls: [{id: c1, parts: [{name: statement, prose: Do it}]}]}}\n')
+    BLOCK = b'catalog:\n  metadata:\n    title: Block\n    version: "1"\n'
+
+    @pytest.mark.parametrize("args, out", [
+        (["validate", "flow.yaml"], "0 errors\n"),
+        (["diff", "flow.yaml", "flow.yaml"], "no differences\n"),
+        (["render", "flow.yaml"], "# Flow\n\nVersion: 1\n\n## C1\n\n> Do it\n"),
+    ], ids=["validate", "diff", "render"])
+    def test_flow_style_yaml_is_read_as_yaml(self, tmp_path, monkeypatch, capsys, args, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "flow.yaml").write_bytes(self.FLOW)
+        assert main(args) == 0
+        assert capsys.readouterr() == (out, "")
+
+    def test_block_yaml_named_json_fails_validate_as_it_fails_resolve(self, tmp_path, capsys):
+        yamlish = tmp_path / "yamlish.json"
+        yamlish.write_bytes(self.BLOCK)
+        (tmp_path / "p.yaml").write_bytes(b'profile:\n  metadata:\n    title: P\n    version: "1"\n'
+                                          b"  imports:\n    - source: yamlish.json\n")
+        message = "syntax error at line 1, column 1: Expecting value"
+        assert main(["validate", str(yamlish)]) == 3
+        assert capsys.readouterr() == ("", f"error: {yamlish}: {message}\n")
+        assert main(["resolve", "p.yaml", "--store", str(tmp_path)]) == 3
+        assert capsys.readouterr() == ("", f"error: yamlish.json: {message}\n")
+
+
 class TestDiffCommand:
     def test_text_report(self, fixture_store, tmp_path, capsys):
         ot_out, am_out = _resolve_both(fixture_store, tmp_path)

@@ -234,6 +234,15 @@ class TestCanonicalForm:
         text = serialize_document(DocumentEnvelope("profile", profile), "yaml")
         assert text.endswith(b"  imports:\n    - source: b.yaml\n      include: zzz\n")
 
+    def test_an_empty_include_list_round_trips(self):
+        """A bare ``include:`` would read back as null and fail to parse."""
+        profile = Profile(Metadata("P", "1"), imports=(ImportDirective("a.yaml", include=()),))
+        envelope = DocumentEnvelope("profile", profile)
+        text = serialize_document(envelope, "yaml")
+        assert text.endswith(b"  imports:\n    - source: a.yaml\n      include: []\n")
+        assert parse_document(text) == envelope
+        assert oracles.emit_yaml(serialize.document_plain(envelope)).encode("utf-8") == text
+
 
 class TestEmissionMemo:
     @given(st.lists(strategies.catalogs(), min_size=1, max_size=3), st.data())
