@@ -4,10 +4,12 @@
 exactly when the catalogs are structurally equal (uri aside). ``propagate``
 re-resolves every profile that transitively depends on a changed document
 and reports each fresh resolution together with its delta against the
-previously persisted one under ``<store>/resolved/``. That delta parses
-only the controls of the previous file whose canonical text changed. Within
-one ``propagate`` call, a part shared by several outputs is emitted once, and
-a changed control's previous text shared by outputs is parsed and checked once.
+previously persisted one under ``<store>/resolved/``. That delta compares
+the previous file with the fresh output's own blocks (``catalog_blocks``),
+then parses and diffs only the controls whose canonical text changed.
+Within one ``propagate`` call, a control's own block or a part shared by
+several outputs is emitted once, and a changed control's previous text
+shared by outputs is parsed and checked once.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from .resolver import (
     RESOLVED_DIR,
     ResolvedCatalog,
     SourceStore,
-    _swap_in,
     detect_cycles,
     import_sources,
     resolve_acyclic,
     topological_order,
 )
-from .serialize import emit_control, parse_document, serialize_document, split_controls
+from .serialize import catalog_blocks, emit_control, parse_document, serialize_document
 
 CONTROL_ADDED = "control-added"
 CONTROL_REMOVED = "control-removed"
@@ -247,61 +248,81 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-def _canonical_before(previous: bytes, fresh: bytes, after: Catalog, *,
-                      verified: dict[bytes, Control] | None = None) -> Catalog | None:
-    """The catalog ``previous`` holds, from ``after`` and a parse of only the changed controls.
+def _delta(previous: bytes, after: Catalog, *, memo: dict | None = None,
+           verified: dict[str, Control] | None = None) -> ChangeSet:
+    """``diff`` from the catalog ``previous`` holds to ``after``, parsing only changed own blocks.
 
-    ``None`` unless ``previous`` has the header and ``- id:`` lines of
-    ``fresh`` (the canonical YAML of ``after``, which is valid, as every
-    resolution is) and each own block that differs is the canonical text of
-    the control it parses to; only those blocks are parsed, in one document.
-    A block ``verified`` maps to its control is not parsed; one found canonical joins it.
+    ``after`` is valid, as every resolution is; ``catalog_blocks`` gives its
+    header and own blocks, read back from ``memo`` when ``serialize_document``
+    just emitted it with that memo. ``previous`` must start with the header,
+    and is then walked block by block: a block equal to ``after``'s is
+    skipped; one that differs must start with the same ``- id:`` line, ends
+    where the next block's ``- id:`` line starts, must keep the
+    ``children:`` key and, without it, be the canonical text of the
+    childless control it parses to. Nothing may follow the last block. Then
+    ``previous`` is the canonical text of ``after`` with the changed
+    controls' own fields, and ``diff`` over those controls alone gives the
+    delta. Otherwise ``previous`` is parsed whole. The changed blocks are
+    parsed in one document; a block ``verified`` maps to its control is not
+    parsed, and one found canonical joins it.
     """
-    header, blocks = split_controls(previous)
-    fresh_header, fresh_blocks = split_controls(fresh)
-    controls = list(iter_controls(after.controls))
-    # As many pieces as controls: no folded line of ``fresh`` reads ``- id:``.
-    if (header != fresh_header or len(controls) != len(fresh_blocks)
-            or [line for line, _ in blocks] != [line for line, _ in fresh_blocks]):
-        return None
+    def whole() -> ChangeSet:
+        return diff(parse_document(previous, "yaml").body, after)
+
+    header, blocks = catalog_blocks(after, memo)
+    try:
+        text = previous.decode("utf-8")
+    except UnicodeDecodeError:
+        return whole()
+    if not text.startswith(header):
+        return whole()
     verified = {} if verified is None else verified
-    replaced: dict[str, Control] = {}
-    changed: list[tuple[bytes, Control, int]] = []
-    texts = [header]
-    for (line, block), (_, fresh_block), control in zip(blocks, fresh_blocks, controls):
-        if block == fresh_block:
+    offset = len(header)
+    changed: list[tuple[str, Control, int]] = []  # (previous own block, control, indent)
+    for index, (block, control) in enumerate(zip(blocks, iter_controls(after.controls))):
+        if text.startswith(block, offset):
+            offset += len(block)
             continue
-        indent = len(line) - len(line.lstrip(b" "))
-        children_key = b" " * (indent + 2) + b"children:\n" if control.children else b""
-        if not block.endswith(children_key):
-            return None
-        own = block[:len(block) - len(children_key)]
-        if own in verified:  # its ``- id:`` line is ``fresh``'s, so it holds ``control.id``
-            replaced[control.id] = replace(verified[own], children=control.children)
-            continue
-        pad = b" " * (indent - 4)  # dedented to a top-level control
-        texts.append(own[len(pad):].replace(b"\n" + pad, b"\n") if pad else own)
-        changed.append((own, control, indent))
-    if changed:
+        line = block[:block.index("\n") + 1]
+        if not text.startswith(line, offset):
+            return whole()
+        end = len(text)
+        if index + 1 < len(blocks):  # up to the next block's ``- id:`` line
+            following = blocks[index + 1]
+            end = text.find("\n" + following[:following.index("\n") + 1],
+                            offset + len(line) - 1) + 1
+            if not end:  # no such line
+                return whole()
+        indent = len(line) - len(line.lstrip(" "))
+        children_key = " " * (indent + 2) + "children:\n" if control.children else ""
+        own_end = end - len(children_key)
+        if not text.startswith(children_key, own_end):
+            return whole()
+        changed.append((text[offset:own_end], control, indent))
+        offset = end
+    if offset != len(text):
+        return whole()
+    # A verified block starts with this control's ``- id:`` line, so it holds ``control.id``.
+    unparsed = [item for item in changed if item[0] not in verified]
+    if unparsed:
+        texts = [header]
+        for own, _, indent in unparsed:
+            pad = " " * (indent - 4)  # dedented to a top-level control
+            texts.append(own[len(pad):].replace("\n" + pad, "\n") if pad else own)
         try:
-            parsed = parse_document(b"".join(texts), "yaml").body.controls
+            parsed = parse_document("".join(texts), "yaml").body.controls
         except GuidanceError:
-            return None
-        if len(parsed) != len(changed):
-            return None
-        for new, (own, control, indent) in zip(parsed, changed):
+            return whole()
+        if len(parsed) != len(unparsed):
+            return whole()
+        for new, (own, control, indent) in zip(parsed, unparsed):
             if new.id != control.id or new.children or emit_control(new, indent) != own:
-                return None
+                return whole()
             verified[own] = new
-            replaced[control.id] = replace(new, children=control.children)
-    return Catalog(after.metadata, tuple(_swap_in(root, replaced) for root in after.controls))
-
-
-def _changes_since(previous: bytes, fresh: bytes, after: Catalog, *,
-                   verified: dict[bytes, Control] | None = None) -> ChangeSet:
-    """``diff`` from the catalog in ``previous`` to ``after``; a whole parse when not canonical."""
-    before = _canonical_before(previous, fresh, after, verified=verified)
-    return diff(before or parse_document(previous, "yaml").body, after)
+    # Both sides share every other control and the tree: the changed controls alone differ.
+    return diff(Catalog(after.metadata, tuple(verified[own] for own, _, _ in changed)),
+                Catalog(after.metadata, tuple(replace(control, children=())
+                                              for _, control, _ in changed)))
 
 
 @dataclass(frozen=True)
@@ -349,8 +370,8 @@ def propagate(store: SourceStore, changed_uri: str, *,
 
     results: list[PropagationResult] = []
     memo: dict[str, ResolvedCatalog] = {}
-    emitted: dict = {}  # the text of each part emitted in this run, for serialize_document
-    verified: dict[bytes, Control] = {}  # previous own blocks found canonical in this run
+    emitted: dict = {}  # each own block and part emitted in this run, for serialize_document
+    verified: dict[str, Control] = {}  # previous own blocks found canonical in this run
     for uri in order:
         if uri not in affected or uri not in outputs:
             continue
@@ -371,8 +392,8 @@ def propagate(store: SourceStore, changed_uri: str, *,
             changes = ChangeSet(())
             if previous != data:
                 if previous is not None:
-                    changes = _changes_since(previous, data, resolved.catalog,
-                                             verified=verified)
+                    changes = _delta(previous, resolved.catalog, memo=emitted,
+                                     verified=verified)
                 _write_atomic(path, data)
                 store.evict(output_uri)  # a same-size rewrite can keep its fingerprint
         except GuidanceError as error:

@@ -275,7 +275,8 @@ def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
     """Select, alter and stamp provenance in one pass over the selected forest.
 
     Each source becomes a layer and is paired and named here, as ``resolve``
-    says, and a part of a plain catalog is stamped only when it is selected.
+    says, and a part of a plain catalog is stamped only when it is selected,
+    with the one ``ProvenanceEntry`` made for that source.
     The imports of one source select the union of the ids each selects;
     ``_restrict`` builds that source's forest in its document order, where
     the first of them stands. Only a raising report gets the resolved
@@ -319,6 +320,7 @@ def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
             for cid in _select(source.catalog, profile.imports[index], report, path):
                 paths.setdefault(cid, path)
         source_uri = source.catalog.uri or profile.imports[indexes[0]].source
+        stamp = ProvenanceEntry(source_uri, 0)  # for each part of a plain catalog
         for root in _restrict(source.catalog.controls, paths):
             for control in iter_controls([root]):
                 if control.id in selected:
@@ -334,7 +336,7 @@ def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
                 origins[control.id] = source_uri
                 for part in control.parts:
                     key = (control.id, part.name)
-                    provenance[key] = source.provenance.get(key) or ProvenanceEntry(source_uri, 0)
+                    provenance[key] = source.provenance.get(key) or stamp
             forest.append(root)
 
     altered: dict[str, Control] = {}
@@ -376,19 +378,31 @@ def _fingerprint(path: Path) -> tuple[int, int] | None:
     return stat.st_mtime_ns, stat.st_size
 
 
+def _raised(error: GuidanceError, uri: str) -> GuidanceError:
+    """A new error of ``error``'s class, message and fields; ``source`` is ``uri`` unless set."""
+    raised = error.__class__.__new__(error.__class__, *error.args)
+    raised.__dict__.update(error.__dict__)
+    if raised.source is None:
+        raised.source = uri
+    return raised
+
+
 class SourceStore:
     """A directory of guidance documents addressed by relative path.
 
     Every spelling of a path names one document, cached under its normalized
     path, its ``uri``, and parsed again once the file's modification time or
-    size changes or ``evict`` drops it. Concurrent loads of the same uri
-    parse at most once.
+    size changes or ``evict`` drops it. A parse that fails is cached the same
+    way: until then each load raises an equal error, of the same class,
+    message and ``source``, without reading the file. Concurrent loads of
+    the same uri parse at most once.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self._real_root = self.root.resolve()
-        self._cache: dict[str, tuple[Path, tuple[int, int], DocumentEnvelope]] = {}
+        # normalized uri -> (path, fingerprint, envelope or parse error)
+        self._cache: dict[str, tuple[Path, tuple[int, int], DocumentEnvelope | GuidanceError]] = {}
         self._lock = threading.Lock()
         self.load_count = 0  # loads that actually parsed the file
 
@@ -411,23 +425,25 @@ class SourceStore:
         key = normalize_uri(uri)
         with self._lock:
             cached = self._cache.get(key)
-            if cached is not None and _fingerprint(cached[0]) == cached[1]:
-                return cached[2]
-            path = self._resolve_path(uri)
-            fingerprint = _fingerprint(path)
-            if fingerprint is None or not path.is_file():
-                raise NotFound(uri)
-            try:
-                envelope = parse_document(path.read_bytes(), format_of(path))
-            except GuidanceError as exc:
-                if exc.source is None:
-                    exc.source = uri
-                raise
-            body = replace(envelope.body, uri=key)
-            envelope = DocumentEnvelope(kind=envelope.kind, body=body)
-            self._cache[key] = (path, fingerprint, envelope)
-            self.load_count += 1
-            return envelope
+            if cached is None or _fingerprint(cached[0]) != cached[1]:
+                path = self._resolve_path(uri)
+                fingerprint = _fingerprint(path)
+                if fingerprint is None or not path.is_file():
+                    raise NotFound(uri)
+                try:
+                    envelope = parse_document(path.read_bytes(), format_of(path))
+                except GuidanceError as exc:
+                    cached = self._cache[key] = (path, fingerprint, exc.with_traceback(None))
+                else:
+                    body = replace(envelope.body, uri=key)
+                    envelope = DocumentEnvelope(kind=envelope.kind, body=body)
+                    cached = self._cache[key] = (path, fingerprint, envelope)
+                    self.load_count += 1
+            result = cached[2]
+            if isinstance(result, GuidanceError):
+                # A new error per load, so no traceback grows on the cached one.
+                raise _raised(result, uri) from result.__cause__
+            return result
 
     def evict(self, uri: str) -> None:
         """Forget ``uri``'s cached parse, so its next load reads the file again."""

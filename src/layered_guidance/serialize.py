@@ -24,6 +24,8 @@ folded scalar where the text permits it (otherwise a quoted scalar). The
 text permits it when it is words separated by single spaces, with no
 leading or trailing space and no character a fold would alter; the words
 wrap greedily, and a word longer than the width gets a line of its own.
+A catalog's YAML is built as a header plus one own block per control in
+pre-order (``catalog_blocks``), so a caller can compare it block by block.
 """
 
 from __future__ import annotations
@@ -446,14 +448,14 @@ def _part_plain(part: Part) -> dict:
     return plain
 
 
-def _control_plain(control: Control, keep_parts: bool = False) -> dict:
+def _control_plain(control: Control) -> dict:
     plain: dict = {"id": control.id}
     if control.classifier is not None:
         plain["class"] = control.classifier
     if control.parts:
-        plain["parts"] = list(control.parts) if keep_parts else [_part_plain(p) for p in control.parts]
+        plain["parts"] = [_part_plain(p) for p in control.parts]
     if control.children:
-        plain["children"] = [_control_plain(c, keep_parts) for c in control.children]
+        plain["children"] = [_control_plain(c) for c in control.children]
     return plain
 
 
@@ -461,10 +463,10 @@ def _metadata_plain(metadata: Metadata) -> dict:
     return {"title": metadata.title, "version": metadata.version}
 
 
-def _catalog_plain(catalog: Catalog, keep_parts: bool = False) -> dict:
+def _catalog_plain(catalog: Catalog) -> dict:
     plain: dict = {"metadata": _metadata_plain(catalog.metadata)}
     if catalog.controls:
-        plain["controls"] = [_control_plain(c, keep_parts) for c in catalog.controls]
+        plain["controls"] = [_control_plain(c) for c in catalog.controls]
     return plain
 
 
@@ -500,10 +502,10 @@ def _profile_plain(profile: Profile) -> dict:
     return plain
 
 
-def document_plain(doc: DocumentEnvelope, keep_parts: bool = False) -> dict:
+def document_plain(doc: DocumentEnvelope) -> dict:
     """The canonical dict/list/str form of a document (fixed key order)."""
     if doc.kind == "catalog":
-        return {"catalog": _catalog_plain(doc.body, keep_parts)}  # type: ignore[arg-type]
+        return {"catalog": _catalog_plain(doc.body)}  # type: ignore[arg-type]
     return {"profile": _profile_plain(doc.body)}  # type: ignore[arg-type]
 
 
@@ -560,18 +562,18 @@ def _emit_scalar(head: str, value: str, indent: int, lines: list[str]) -> None:
         lines.append(f"{head} {_quote(value)}")
 
 
-def _emit_mapping(mapping: dict, indent: int, lines: list[str], memo: dict | None = None) -> None:
+def _emit_mapping(mapping: dict, indent: int, lines: list[str]) -> None:
     pad = " " * indent
     for key, value in mapping.items():
         kind = value.__class__
         if kind is dict:
             lines.append(f"{pad}{key}:")
-            _emit_mapping(value, indent + 2, lines, memo)
+            _emit_mapping(value, indent + 2, lines)
         elif kind is list and not value:
             lines.append(f"{pad}{key}: []")  # a bare key would read back as null
         elif kind is list:
             lines.append(f"{pad}{key}:")
-            _emit_sequence(value, indent + 2, lines, memo)
+            _emit_sequence(value, indent + 2, lines)
         else:
             _emit_scalar(f"{pad}{key}:", value, indent, lines)
 
@@ -592,7 +594,7 @@ def _emit_sequence(items: list, indent: int, lines: list[str], memo: dict | None
             lines.append(cached[1])
         elif kind is dict:
             first = len(lines)
-            _emit_mapping(item, indent + 2, lines, memo)
+            _emit_mapping(item, indent + 2, lines)
             lines[first] = dash + lines[first][indent + 2:]
         elif kind is list:
             raise TypeError("nested sequences are not part of the document model")
@@ -600,44 +602,88 @@ def _emit_sequence(items: list, indent: int, lines: list[str], memo: dict | None
             _emit_scalar(head, item, indent, lines)
 
 
-def _emit_yaml(plain: dict, memo: dict | None = None) -> str:
+def _emit_yaml(plain: dict) -> str:
     lines: list[str] = []
-    _emit_mapping(plain, 0, lines, memo)
+    _emit_mapping(plain, 0, lines)
     return "\n".join(lines) + "\n"
 
 
-def emit_control(control: Control, indent: int) -> bytes:
-    """A control's canonical YAML as a sequence item whose ``-`` sits at column ``indent``."""
-    lines: list[str] = []
-    _emit_sequence([_control_plain(control)], indent, lines)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _own_block(control: Control, indent: int, memo: dict | None) -> str:
+    """``control``'s own block: its item at column ``indent``, up to its ``children:`` key.
 
-
-_CONTROL_LINE_RE = re.compile(rb"\n( *- id: [^\n]*)")
-
-
-def split_controls(text: bytes) -> tuple[bytes, list[tuple[bytes, bytes]]]:
-    """Catalog YAML cut before each ``- id:`` line: the header, then (that line, block) pairs.
-
-    A block holds a control's fields, parts and ``children:`` key, not its
-    children. The pieces concatenate to ``text``; on canonical text they are
-    exact unless a folded line reads ``- id:``, making more pieces than controls.
+    The block holds the ``- id:`` line, the other fields, the parts and the
+    ``children:`` key when there are children, but not the children, and
+    ends with a line end. The keys come in ``_control_plain``'s order. With
+    a ``memo``, a ``Part``'s text is looked up in, or added to, it.
     """
-    starts = [(match.start(1), match.group(1)) for match in _CONTROL_LINE_RE.finditer(text)]
-    ends = [start for start, _ in starts[1:]] + [len(text)]
-    header = text[:starts[0][0]] if starts else text
-    return header, [(line, text[start:end]) for (start, line), end in zip(starts, ends)]
+    pad = " " * (indent + 2)
+    lines: list[str] = []
+    _emit_scalar(" " * indent + "- id:", control.id, indent + 2, lines)
+    if control.classifier is not None:
+        _emit_scalar(pad + "class:", control.classifier, indent + 2, lines)
+    if control.parts:
+        lines.append(pad + "parts:")
+        parts = [_part_plain(p) for p in control.parts] if memo is None else control.parts
+        _emit_sequence(parts, indent + 4, lines, memo)
+    if control.children:
+        lines.append(pad + "children:")
+    lines.append("")  # the line end of the last line
+    return "\n".join(lines)
+
+
+def emit_control(control: Control, indent: int) -> str:
+    """The own block of ``control`` at column ``indent``; for a childless control, its whole YAML."""
+    return _own_block(control, indent, None)
+
+
+def catalog_blocks(catalog: Catalog, memo: dict | None = None) -> tuple[str, list[str]]:
+    """A catalog's canonical YAML as a header and the own block of each control, in pre-order.
+
+    The header holds every line before the first control: the ``catalog:``
+    key, the metadata and the ``controls:`` key. Header and blocks
+    concatenate to the text ``serialize_document`` emits, and a control's
+    children follow its block at four more columns. Calls that pass one
+    ``memo`` emit each control's own block, and each ``Part``, once per
+    indent, so the blocks of a catalog just serialized with ``memo`` are
+    read back from it.
+    """
+    lines: list[str] = []
+    _emit_mapping({"catalog": {"metadata": _metadata_plain(catalog.metadata)}}, 0, lines)
+    if catalog.controls:
+        lines.append("  controls:")
+    lines.append("")
+    blocks: list[str] = []
+
+    def walk(controls: tuple[Control, ...], indent: int) -> None:
+        for control in controls:
+            if memo is None:
+                blocks.append(_own_block(control, indent, None))
+            else:
+                cached = memo.get((id(control), indent))
+                if cached is None:  # the control is kept in the value, so its id stays unique
+                    cached = memo[id(control), indent] = (control, _own_block(control, indent, memo))
+                blocks.append(cached[1])
+            if control.children:
+                walk(control.children, indent + 4)
+
+    walk(catalog.controls, 4)
+    return "\n".join(lines), blocks
 
 
 def serialize_document(doc: DocumentEnvelope, format: str = YAML, *,
                        memo: dict | None = None) -> bytes:
     """Serialize to canonical bytes; re-parsing yields a structurally equal document.
 
-    Calls that pass one ``memo`` emit the YAML of a shared catalog ``Part`` once.
+    A catalog's YAML is its ``catalog_blocks`` joined; calls that pass one
+    ``memo`` emit the YAML of a shared ``Control``'s own block, and of a
+    shared catalog ``Part``, once.
     """
-    plain = document_plain(doc, keep_parts=memo is not None and format == YAML)
+    if format == YAML and doc.kind == "catalog":
+        header, blocks = catalog_blocks(doc.body, memo)  # type: ignore[arg-type]
+        return (header + "".join(blocks)).encode("utf-8")
+    plain = document_plain(doc)
     if format == YAML:
-        return _emit_yaml(plain, memo).encode("utf-8")
+        return _emit_yaml(plain).encode("utf-8")
     if format == JSON:
         return (json.dumps(plain, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {format!r}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from hypothesis import strategies as st
 
 from layered_guidance import serialize
@@ -263,6 +265,32 @@ def _tree_parts(tree: dict) -> list[list]:
     return [part for node in _all_nodes(tree) for part in node["parts"]]
 
 
+_CONTROL_LINE_RE = re.compile(rb"\n( *- id: [^\n]*)")
+
+
+def split_controls(text: bytes) -> tuple[bytes, list[tuple[bytes, bytes]]]:
+    """Catalog YAML cut before each ``- id:`` line: the header, then (that line, block) pairs.
+
+    A block holds a control's fields, parts and ``children:`` key, not its
+    children. The pieces concatenate to ``text``; on canonical text they are
+    exact unless a folded line reads ``- id:``, making more pieces than controls.
+    """
+    starts = [(match.start(1), match.group(1)) for match in _CONTROL_LINE_RE.finditer(text)]
+    ends = [start for start, _ in starts[1:]] + [len(text)]
+    header = text[:starts[0][0]] if starts else text
+    return header, [(line, text[start:end]) for (start, line), end in zip(starts, ends)]
+
+
+def with_long_prose(catalog: Catalog) -> Catalog:
+    """``catalog`` with every prose prefixed by enough words to fold where the prose allows."""
+    def lengthen(control: Control) -> Control:
+        parts = tuple(Part(p.name, " ".join(["folded words"] * 8 + [p.prose]), p.classifier)
+                      for p in control.parts)
+        return Control(control.id, control.classifier, parts,
+                       tuple(lengthen(child) for child in control.children))
+    return Catalog(catalog.metadata, tuple(lengthen(c) for c in catalog.controls))
+
+
 MANGLES = ("none", "reindented", "comment", "crlf", "requoted", "swapped", "duplicated",
            "invalid", "metadata", "truncated")
 
@@ -281,7 +309,7 @@ def mangled_catalog_texts(draw, catalog: Catalog) -> tuple[str, bytes]:
     text = serialize.serialize_document(envelope)
     kind = draw(st.one_of(st.just("none"), st.sampled_from(MANGLES)))
     tree = to_tree(catalog)
-    header, blocks = serialize.split_controls(text)
+    header, blocks = split_controls(text)
     pieces = [block for _, block in blocks]
     lines = text.splitlines(keepends=True)
     if kind == "reindented":
@@ -408,7 +436,7 @@ def tampered(text: bytes, kind: str, at: int) -> bytes:
     block with a sibling control ``id.zz`` whose item starts ``- class:``,
     not ``- id:``. A block past the last is left alone.
     """
-    header, blocks = serialize.split_controls(text)
+    header, blocks = split_controls(text)
     pieces = [block for _, block in blocks]
     if at >= len(pieces):
         return text

@@ -20,7 +20,7 @@ from oracles import (
 )
 from layered_guidance import changes as changes_module
 from layered_guidance.changes import (
-    _changes_since,
+    _delta,
     build_graph,
     diff,
     propagate,
@@ -382,6 +382,35 @@ class TestPropagate:
         with pytest.raises(SchemaError, match=r"duplicate key 'title' \(line 4, column 5\)"):
             propagate(SourceStore(fixture_store), "dup.yaml")
 
+    def test_an_unparsable_document_is_parsed_once_while_unchanged(self, fixture_store,
+                                                                   monkeypatch):
+        """``build_graph`` and each importer's cycle walk reuse the first failed parse."""
+        dup = fixture_store / "dup.yaml"
+        dup.write_bytes(DUPLICATE_TITLE)
+        fixed = b"catalog:\n  metadata:\n    title: fixed\n    version: \"1\"\n"
+        importers = ["uses-dup-1.yaml", "uses-dup-2.yaml", "uses-dup-3.yaml"]
+        for uri in importers:
+            (fixture_store / uri).write_bytes(_profile("csf-id-am.yaml", "dup.yaml"))
+        dup_parses = []
+        original = resolver.parse_document
+
+        def counting_parse(data, *args):
+            if data in (DUPLICATE_TITLE, fixed):
+                dup_parses.append(data)
+            return original(data, *args)
+
+        monkeypatch.setattr(resolver, "parse_document", counting_parse)
+        store = SourceStore(fixture_store)
+        results = {r.profile_uri: r.error for r in propagate(store, "csf-id-am.yaml")}
+        assert dup_parses == [DUPLICATE_TITLE]
+        for uri in importers:
+            assert isinstance(results[uri], SchemaError)
+            assert (results[uri].source, str(results[uri])) == ("dup.yaml", DUPLICATE_TITLE_MESSAGE)
+        dup.write_bytes(fixed)  # a new size, so a new fingerprint
+        results = {r.profile_uri: r.error for r in propagate(store, "csf-id-am.yaml")}
+        assert dup_parses == [DUPLICATE_TITLE, fixed]
+        assert [results[uri] for uri in importers] == [None] * 3
+
     def test_cycle_through_an_imported_build_output(self, tmp_path):
         (tmp_path / "p.yaml").write_bytes(_profile("resolved/q.yaml"))
         (tmp_path / "resolved").mkdir()
@@ -413,9 +442,12 @@ class TestPropagate:
 
 
 @pytest.fixture
-def parses(monkeypatch) -> list[bytes]:
-    """The texts ``changes`` hands to ``parse_document``, in call order."""
-    texts: list[bytes] = []
+def parses(monkeypatch) -> list[bytes | str]:
+    """The texts ``changes`` hands to ``parse_document``, in call order.
+
+    A whole previous output is handed over as bytes, its changed blocks as text.
+    """
+    texts: list[bytes | str] = []
     original = changes_module.parse_document
 
     def recording_parse(text, *args):
@@ -514,7 +546,7 @@ class TestPropagateOutputs:
         results = propagate(SourceStore(tmp_path), "base.yaml")
         assert [[(e.kind, e.control_id) for e in r.changes.entries] for r in results] \
             == [[("part-modified", "c-1-shared")]] * 3
-        assert len(parses) == 1 and b"- id: c-1-shared" in parses[0]
+        assert len(parses) == 1 and "- id: c-1-shared" in parses[0]
         assert checked == ["c-1-shared"]
 
     def _failing_then(self, fixture_store, later: bytes | None) -> GuidanceError:
@@ -543,16 +575,6 @@ class TestPropagateOutputs:
         assert (error.source, str(error)) == ("later.yaml", DUPLICATE_TITLE_MESSAGE)
 
 
-def _with_long_prose(catalog: Catalog) -> Catalog:
-    """``catalog`` with every prose prefixed by enough words to fold where the prose allows."""
-    def lengthen(control: Control) -> Control:
-        parts = tuple(Part(p.name, " ".join(["folded words"] * 8 + [p.prose]), p.classifier)
-                      for p in control.parts)
-        return Control(control.id, control.classifier, parts,
-                       tuple(lengthen(child) for child in control.children))
-    return Catalog(catalog.metadata, tuple(lengthen(c) for c in catalog.controls))
-
-
 class TestChangesSince:
     """Reading only the changed controls of the previous output against a whole parse."""
 
@@ -563,11 +585,10 @@ class TestChangesSince:
         if edit:
             after = data.draw(strategies.prose_edited(after))
         if long_prose:
-            before, after = _with_long_prose(before), _with_long_prose(after)
+            before, after = strategies.with_long_prose(before), strategies.with_long_prose(after)
         _, previous = data.draw(strategies.mangled_catalog_texts(before))
-        fresh = serialize_document(DocumentEnvelope("catalog", after))
         expected = _outcome(lambda: changes_by_full_parse(previous, after))
-        actual = _outcome(lambda: _changes_since(previous, fresh, after))
+        actual = _outcome(lambda: _delta(previous, after))
         if isinstance(expected, GuidanceError):
             assert _same_failure(actual, expected)
         else:
@@ -578,25 +599,25 @@ class TestChangesSince:
                          for i, text in enumerate(prose))
         return Catalog(Metadata("T", "1"), (Control("top", children=children),))
 
-    def test_folded_prose_that_reads_like_a_control_is_parsed_whole(self):
+    def test_folded_prose_that_reads_like_a_control_is_read_by_block(self, parses):
         line = "- id: c-9 " * 12  # folds into lines that start "- id:"
         before = self._catalog(line + "old", line + "same")
         after = self._catalog(line + "new", line + "same")
         previous = serialize_document(DocumentEnvelope("catalog", before))
         fresh = serialize_document(DocumentEnvelope("catalog", after))
         assert b"\n                - id: c-9" in fresh
-        assert changes_module._canonical_before(previous, fresh, after) is None
-        assert _changes_since(previous, fresh, after) == changes_by_full_parse(previous, after)
+        assert _delta(previous, after) == changes_by_full_parse(previous, after)
+        assert len(parses) == 1
+        assert "- id: c-0" in parses[0] and "- id: c-1" not in parses[0]
 
     def test_only_the_changed_controls_are_parsed(self, parses):
         before = self._catalog("one", "two", "three")
         after = self._catalog("one", "TWO", "three")
         previous = serialize_document(DocumentEnvelope("catalog", before))
-        fresh = serialize_document(DocumentEnvelope("catalog", after))
-        changes = _changes_since(previous, fresh, after)
+        changes = _delta(previous, after)
         assert changes == changes_by_full_parse(previous, after)
         assert len(parses) == 1
-        assert b"c-1" in parses[0] and b"c-0" not in parses[0] and b"c-2" not in parses[0]
+        assert "c-1" in parses[0] and "c-0" not in parses[0] and "c-2" not in parses[0]
 
     @pytest.mark.parametrize("edit", [
         (b"\n", b"\r\n"),  # CRLF line ends
@@ -607,8 +628,20 @@ class TestChangesSince:
         before = self._catalog("one", "two")
         after = self._catalog("one", "TWO")
         previous = serialize_document(DocumentEnvelope("catalog", before)).replace(*edit)
-        fresh = serialize_document(DocumentEnvelope("catalog", after))
-        assert _changes_since(previous, fresh, after) == changes_by_full_parse(previous, after)
+        assert _delta(previous, after) == changes_by_full_parse(previous, after)
+        assert parses[-1] == previous
+
+    @pytest.mark.parametrize("before, after", [
+        (("one", "two", "three"), ("one", "two")),  # one control more, after the last block
+        (("one", "TWO", "three"), ("one", "two")),  # one more, after a changed last block
+        (("one", "two"), ("one", "two", "three")),  # one control fewer
+        (("one",), ("ONE", "two")),  # one fewer, after a changed block
+    ])
+    def test_a_previous_output_with_another_control_count_is_parsed_whole(self, parses, before,
+                                                                          after):
+        previous = serialize_document(DocumentEnvelope("catalog", self._catalog(*before)))
+        after_catalog = self._catalog(*after)
+        assert _delta(previous, after_catalog) == changes_by_full_parse(previous, after_catalog)
         assert parses[-1] == previous
 
 

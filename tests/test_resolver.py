@@ -18,6 +18,7 @@ from layered_guidance.errors import (
     NotFound,
     RemovalMatchedNothing,
     ResolutionError,
+    SchemaError,
     StatementNotFirst,
     UnknownControlId,
     ValidationError,
@@ -532,6 +533,32 @@ class TestSourceStore:
         path.write_bytes(path.read_bytes().replace(b'version: "1.1"', b'version: "1.10"'))
         assert store.load("csf-id-am.yaml").body.metadata.version == "1.10"
         assert store.load_count == 2
+
+    def test_a_failed_parse_is_raised_again_until_the_file_changes(self, fixture_store,
+                                                                   monkeypatch):
+        path = fixture_store / "dup.yaml"
+        path.write_bytes(b"catalog:\n  metadata:\n    title: a\n    title: b\n")
+        parsed = []
+        original = resolver.parse_document
+        monkeypatch.setattr(resolver, "parse_document",
+                            lambda data, *args: parsed.append(data) or original(data, *args))
+        store = SourceStore(fixture_store)
+        spellings = ("dup.yaml", "./dup.yaml", "dup.yaml", "dup.yaml")
+        raised, depths = [], []
+        for uri in spellings:
+            with pytest.raises(SchemaError) as caught:
+                store.load(uri)
+            raised.append((caught.value.source, str(caught.value)))
+            depth, entry = 0, caught.value.__traceback__
+            while entry is not None:
+                depth, entry = depth + 1, entry.tb_next
+            depths.append(depth)
+        assert raised == [(uri, "duplicate key 'title' (line 4, column 5)") for uri in spellings]
+        assert len(parsed) == 1
+        assert depths[1] == depths[2] == depths[3]  # no traceback grows from load to load
+        path.write_bytes(b"catalog:\n  metadata:\n    title: a\n    version: b\n")
+        assert store.load("dup.yaml").body.metadata.title == "a"
+        assert len(parsed) == 2 and store.load_count == 1
 
     def test_a_hit_resolves_no_path(self, fixture_store, monkeypatch):
         store = SourceStore(fixture_store)

@@ -285,6 +285,34 @@ class TestEmissionMemo:
             == serialize_document(DocumentEnvelope("catalog", catalogs[0]), "json")
 
 
+class TestCatalogBlocks:
+    @given(strategies.catalogs(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_header_and_blocks_are_the_yaml_cut_before_each_control(self, catalog, long_prose):
+        if long_prose:
+            catalog = strategies.with_long_prose(catalog)
+        envelope = DocumentEnvelope("catalog", catalog)
+        header, blocks = serialize.catalog_blocks(catalog)
+        data = serialize_document(envelope)
+        assert (header + "".join(blocks)).encode("utf-8") == data
+        assert oracles.emit_yaml(serialize.document_plain(envelope)).encode("utf-8") == data
+        assert len(blocks) == len(list(iter_controls(catalog.controls)))
+        split_header, pieces = strategies.split_controls(data)
+        if len(pieces) == len(blocks):  # no folded line reads ``- id:``
+            assert header.encode("utf-8") == split_header
+            assert [block.encode("utf-8") for block in blocks] == [piece for _, piece in pieces]
+        memo: dict = {}
+        assert serialize_document(envelope, memo=memo) == data
+        assert serialize.catalog_blocks(catalog, memo) == (header, blocks)
+
+    def test_a_childless_controls_block_is_its_emitted_yaml(self):
+        control = Control("c-1", "Zk", (Part("statement", "words " * 20 + "end"),))
+        block = serialize.emit_control(control, 8)
+        assert block.startswith("        - id: c-1\n          class: Zk\n          parts:\n")
+        parent = Catalog(Metadata("T", "1"), (Control("top", children=(control,)),))
+        assert serialize.catalog_blocks(parent)[1] == ["    - id: top\n      children:\n", block]
+
+
 class TestSchemaErrors:
     @pytest.mark.parametrize("metadata, message", [
         pytest.param("{bogus: x}", "unknown key 'bogus'", id="unknown-before-missing"),
