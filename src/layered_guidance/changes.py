@@ -7,9 +7,9 @@ and reports each fresh resolution together with its delta against the
 previously persisted one under ``<store>/resolved/``. That delta compares
 the previous file with the fresh output's own blocks (``catalog_blocks``),
 then parses and diffs only the controls whose canonical text changed.
-Within one ``propagate`` call, a control's own block or a part shared by
-several outputs is emitted once, and a changed control's previous text
-shared by outputs is parsed and checked once.
+Within one ``propagate`` call, a control's own block shared by several
+outputs (also one rebuilt with other children) is emitted once, and a
+changed control's previous text shared by outputs is parsed and checked once.
 """
 
 from __future__ import annotations
@@ -90,11 +90,11 @@ def diff(before: Catalog, after: Catalog) -> ChangeSet:
         keyed.append((control_key, part_key, seq, entry))
         seq += 1
 
-    for field in ("title", "version"):
-        old = getattr(before.metadata, field)
-        new = getattr(after.metadata, field)
+    for name in ("title", "version"):
+        old = getattr(before.metadata, name)
+        new = getattr(after.metadata, name)
         if old != new:
-            emit(-1.0, 0.0, ChangeEntry(METADATA_MODIFIED, part_name=field,
+            emit(-1.0, 0.0, ChangeEntry(METADATA_MODIFIED, part_name=name,
                                         before_prose=old, after_prose=new))
 
     bnodes, border = _flatten(before)
@@ -370,7 +370,7 @@ def propagate(store: SourceStore, changed_uri: str, *,
 
     results: list[PropagationResult] = []
     memo: dict[str, ResolvedCatalog] = {}
-    emitted: dict = {}  # each own block and part emitted in this run, for serialize_document
+    emitted: dict = {}  # each own block emitted in this run, for serialize_document
     verified: dict[str, Control] = {}  # previous own blocks found canonical in this run
     for uri in order:
         if uri not in affected or uri not in outputs:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import posixpath
 import threading
-from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 

@@ -578,21 +578,12 @@ def _emit_mapping(mapping: dict, indent: int, lines: list[str]) -> None:
             _emit_scalar(f"{pad}{key}:", value, indent, lines)
 
 
-def _emit_sequence(items: list, indent: int, lines: list[str], memo: dict | None = None) -> None:
-    """Emit a block sequence; a ``Part`` item's text is looked up in, or added to, ``memo``."""
+def _emit_sequence(items: list, indent: int, lines: list[str]) -> None:
     head = " " * indent + "-"
     dash = head + " "
     for item in items:
         kind = item.__class__
-        if kind is Part:
-            cached = memo.get((id(item), indent))
-            if cached is None:  # the part is kept in the value, so its id stays unique
-                first = len(lines)
-                _emit_sequence([_part_plain(item)], indent, lines)
-                cached = memo[id(item), indent] = (item, "\n".join(lines[first:]))
-                del lines[first:]
-            lines.append(cached[1])
-        elif kind is dict:
+        if kind is dict:
             first = len(lines)
             _emit_mapping(item, indent + 2, lines)
             lines[first] = dash + lines[first][indent + 2:]
@@ -608,13 +599,13 @@ def _emit_yaml(plain: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _own_block(control: Control, indent: int, memo: dict | None) -> str:
+def emit_control(control: Control, indent: int) -> str:
     """``control``'s own block: its item at column ``indent``, up to its ``children:`` key.
 
     The block holds the ``- id:`` line, the other fields, the parts and the
     ``children:`` key when there are children, but not the children, and
-    ends with a line end. The keys come in ``_control_plain``'s order. With
-    a ``memo``, a ``Part``'s text is looked up in, or added to, it.
+    ends with a line end; a childless control's block is its whole YAML.
+    The keys come in ``_control_plain``'s order.
     """
     pad = " " * (indent + 2)
     lines: list[str] = []
@@ -623,17 +614,11 @@ def _own_block(control: Control, indent: int, memo: dict | None) -> str:
         _emit_scalar(pad + "class:", control.classifier, indent + 2, lines)
     if control.parts:
         lines.append(pad + "parts:")
-        parts = [_part_plain(p) for p in control.parts] if memo is None else control.parts
-        _emit_sequence(parts, indent + 4, lines, memo)
+        _emit_sequence([_part_plain(p) for p in control.parts], indent + 4, lines)
     if control.children:
         lines.append(pad + "children:")
     lines.append("")  # the line end of the last line
     return "\n".join(lines)
-
-
-def emit_control(control: Control, indent: int) -> str:
-    """The own block of ``control`` at column ``indent``; for a childless control, its whole YAML."""
-    return _own_block(control, indent, None)
 
 
 def catalog_blocks(catalog: Catalog, memo: dict | None = None) -> tuple[str, list[str]]:
@@ -643,9 +628,11 @@ def catalog_blocks(catalog: Catalog, memo: dict | None = None) -> tuple[str, lis
     key, the metadata and the ``controls:`` key. Header and blocks
     concatenate to the text ``serialize_document`` emits, and a control's
     children follow its block at four more columns. Calls that pass one
-    ``memo`` emit each control's own block, and each ``Part``, once per
-    indent, so the blocks of a catalog just serialized with ``memo`` are
-    read back from it.
+    ``memo`` emit each own block once per indent: a block is keyed by what
+    it is built from, the control's id and class, its parts tuple and
+    whether it has children, so a control rebuilt around the same parts
+    tuple (with other children, say) shares its block, and the blocks of a
+    catalog just serialized with ``memo`` are read back from it.
     """
     lines: list[str] = []
     _emit_mapping({"catalog": {"metadata": _metadata_plain(catalog.metadata)}}, 0, lines)
@@ -657,11 +644,13 @@ def catalog_blocks(catalog: Catalog, memo: dict | None = None) -> tuple[str, lis
     def walk(controls: tuple[Control, ...], indent: int) -> None:
         for control in controls:
             if memo is None:
-                blocks.append(_own_block(control, indent, None))
+                blocks.append(emit_control(control, indent))
             else:
-                cached = memo.get((id(control), indent))
-                if cached is None:  # the control is kept in the value, so its id stays unique
-                    cached = memo[id(control), indent] = (control, _own_block(control, indent, memo))
+                parts = control.parts
+                key = (control.id, control.classifier, id(parts), bool(control.children), indent)
+                cached = memo.get(key)
+                if cached is None:  # the parts are kept in the value, so their id stays unique
+                    cached = memo[key] = (parts, emit_control(control, indent))
                 blocks.append(cached[1])
             if control.children:
                 walk(control.children, indent + 4)
@@ -675,8 +664,8 @@ def serialize_document(doc: DocumentEnvelope, format: str = YAML, *,
     """Serialize to canonical bytes; re-parsing yields a structurally equal document.
 
     A catalog's YAML is its ``catalog_blocks`` joined; calls that pass one
-    ``memo`` emit the YAML of a shared ``Control``'s own block, and of a
-    shared catalog ``Part``, once.
+    ``memo`` emit each own block once per indent, keyed as ``catalog_blocks``
+    says.
     """
     if format == YAML and doc.kind == "catalog":
         header, blocks = catalog_blocks(doc.body, memo)  # type: ignore[arg-type]

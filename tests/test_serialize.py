@@ -248,8 +248,15 @@ class TestEmissionMemo:
     @given(st.lists(strategies.catalogs(), min_size=1, max_size=3), st.data())
     @settings(max_examples=100, deadline=None)
     def test_catalogs_sharing_parts_emit_the_same_bytes(self, catalogs, data):
-        """Later catalogs carry parts of the first, at other depths too."""
-        shared = [part for control in iter_controls(catalogs[0].controls) for part in control.parts]
+        """Later catalogs carry parts and parts tuples of the first, at other depths too.
+
+        The second catalog rebuilds each control of the first with other
+        children objects, as a selection does, and replaces at most one of
+        its id, class, parts tuple or children (with none), in place or one
+        level deeper.
+        """
+        first = catalogs[0]
+        shared = [part for control in iter_controls(first.controls) for part in control.parts]
 
         def share(control: Control) -> Control:
             parts = control.parts
@@ -259,28 +266,48 @@ class TestEmissionMemo:
             return Control(control.id, control.classifier, parts,
                            tuple(share(child) for child in control.children))
 
+        def rebuild(control: Control) -> Control:
+            replaced = data.draw(st.sampled_from([None, "id", "class", "parts", "children"]))
+            return Control("other" if replaced == "id" else control.id,
+                           "other" if replaced == "class" else control.classifier,
+                           control.parts[1:] if replaced == "parts" else control.parts,
+                           () if replaced == "children" else tuple(map(rebuild, control.children)))
+
+        rebuilt = tuple(rebuild(control) for control in first.controls)
+        if data.draw(st.booleans()):
+            rebuilt = (Control("top", children=rebuilt),)
         memo: dict = {}
-        for catalog in catalogs[:1] + [Catalog(c.metadata, tuple(share(x) for x in c.controls))
-                                       for c in catalogs[1:]]:
+        for catalog in [first, Catalog(first.metadata, rebuilt)] + [
+                Catalog(c.metadata, tuple(share(x) for x in c.controls)) for c in catalogs[1:]]:
             envelope = DocumentEnvelope("catalog", catalog)
             assert serialize_document(envelope, memo=memo) == serialize_document(envelope)
 
-    def test_a_shared_part_is_emitted_once_per_indent(self, monkeypatch):
-        shared = Part("statement", "shared words " * 10 + "end")
-        catalogs = [Catalog(Metadata(f"T{i}", "1"), (
-            Control("c-1", parts=(shared, Part("note", f"note {i}"))),
-            Control("c-2", children=(Control("c-3", parts=(shared,)),)),
-        )) for i in range(3)]
+    def test_a_rebuilt_controls_own_block_is_emitted_once_per_indent(self, monkeypatch):
+        """A control rebuilt with other children, as a selection rebuilds it, keeps its block."""
+        parts = (Part("statement", "shared words " * 10 + "end"), Part("note", "a note"))
+        catalogs = [Catalog(Metadata(f"T{i}", "1"), controls) for i, controls in enumerate([
+            (Control("c-1", "Zk", parts, (Control("c-2"), Control("c-3"))),),
+            (Control("c-1", "Zk", parts, (Control("c-3"),)),),
+            (Control("top", children=(Control("c-1", "Zk", parts, (Control("c-2"),)),)),),
+            (Control("c-1", "Zk", parts),
+             Control("c-2", "Zk", parts, (Control("c-3", parts=parts[1:]),))),
+        ])]
         expected = [serialize_document(DocumentEnvelope("catalog", c)) for c in catalogs]
-        emitted: list[Part] = []
-        original = serialize._part_plain
-        monkeypatch.setattr(serialize, "_part_plain",
-                            lambda part: emitted.append(part) or original(part))
+        emitted: list[tuple[str, int]] = []  # (control id, indent) of each own block emitted
+        original = serialize._emit_scalar
+
+        def recording_emit(head: str, value: str, indent: int, lines: list[str]) -> None:
+            if head.endswith("- id:"):
+                emitted.append((value, indent - 2))
+            original(head, value, indent, lines)
+
+        monkeypatch.setattr(serialize, "_emit_scalar", recording_emit)
         memo: dict = {}
         assert [serialize_document(DocumentEnvelope("catalog", c), memo=memo)
                 for c in catalogs] == expected
-        assert emitted == [shared, Part("note", "note 0"), shared,
-                           Part("note", "note 1"), Part("note", "note 2")]
+        assert emitted == [("c-1", 4), ("c-2", 8), ("c-3", 8),  # the second catalog adds none
+                           ("top", 4), ("c-1", 8), ("c-2", 12),
+                           ("c-1", 4), ("c-2", 4), ("c-3", 8)]
         assert serialize_document(DocumentEnvelope("catalog", catalogs[0]), "json", memo=memo) \
             == serialize_document(DocumentEnvelope("catalog", catalogs[0]), "json")
 
