@@ -236,9 +236,12 @@ def resolution_output_uri(profile_uri: str) -> str:
 
 def _write_atomic(path: Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` in one rename; the file gets the mode the umask allows."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
-    fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    try:
+        fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    except (FileNotFoundError, NotADirectoryError):  # no directory yet, or a file in its place
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

@@ -17,11 +17,13 @@ report without errors means strict resolution succeeds by construction.
 
 from __future__ import annotations
 
+import os
 import posixpath
 import threading
 from collections.abc import Callable, Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
-from pathlib import Path
+from pathlib import Path, PurePath
+from stat import S_ISLNK, S_ISREG
 
 from .errors import (
     CycleDetected,
@@ -371,11 +373,29 @@ def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
 
 
 def _fingerprint(path: Path) -> tuple[int, int] | None:
+    """The modification time and size of the regular file at ``path``; None for anything else."""
     try:
-        stat = path.stat()
+        stat = os.stat(path)
     except OSError:
         return None
-    return stat.st_mtime_ns, stat.st_size
+    return (stat.st_mtime_ns, stat.st_size) if S_ISREG(stat.st_mode) else None
+
+
+def _has_link(root: str, relative: str) -> bool:
+    """Whether a component of ``relative`` below ``root`` is a symbolic link.
+
+    The walk stops at the first component that cannot be lstat'ed: nothing
+    below it exists, so no link does.
+    """
+    path = root
+    for name in relative.split("/"):
+        path = os.path.join(path, name)
+        try:
+            if S_ISLNK(os.lstat(path).st_mode):
+                return True
+        except OSError:
+            return False
+    return False
 
 
 def _raised(error: GuidanceError, uri: str) -> GuidanceError:
@@ -396,6 +416,11 @@ class SourceStore:
     way: until then each load raises an equal error, of the same class,
     message and ``source``, without reading the file. Concurrent loads of
     the same uri parse at most once.
+
+    A normalized uri names the file at that path below the root's real
+    path. A uri that leaves the root, or whose path passes a symbolic link
+    that leads out of it, is an ``InvalidUri``. Only a path through a link
+    is resolved in full; the others cost one lstat per component.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -410,12 +435,15 @@ class SourceStore:
         normalized = normalize_uri(uri)
         if normalized.startswith(("/", "../")) or normalized == "..":
             raise InvalidUri(uri, "escapes the store root")
-        path = (self.root / normalized).resolve()
-        if not path.is_relative_to(self._real_root):
-            raise InvalidUri(uri, "escapes the store root")
+        path = self._real_root / normalized
+        if _has_link(str(self._real_root), normalized):
+            path = path.resolve()
+            if not path.is_relative_to(self._real_root):
+                raise InvalidUri(uri, "escapes the store root")
         return path
 
     def exists(self, uri: str) -> bool:
+        """Whether ``uri`` names a file inside the store; a link out or an escape is not one."""
         try:
             return self._resolve_path(uri).is_file()
         except InvalidUri:
@@ -428,7 +456,7 @@ class SourceStore:
             if cached is None or _fingerprint(cached[0]) != cached[1]:
                 path = self._resolve_path(uri)
                 fingerprint = _fingerprint(path)
-                if fingerprint is None or not path.is_file():
+                if fingerprint is None:
                     raise NotFound(uri)
                 try:
                     envelope = parse_document(path.read_bytes(), format_of(path))
@@ -451,11 +479,34 @@ class SourceStore:
             self._cache.pop(normalize_uri(uri), None)
 
     def list_documents(self) -> list[str]:
-        """All document uris under the root, sorted; build outputs and links out excluded."""
-        uris = (path.relative_to(self.root).as_posix() for path in self.root.rglob("*")
-                if path.suffix in _DOCUMENT_SUFFIXES)
-        return sorted(uri for uri in uris
-                      if not uri.startswith(f"{RESOLVED_DIR}/") and self.exists(uri))
+        """All document uris under the root, sorted.
+
+        One walk from the root lists each regular file whose suffix is
+        ``.yaml``, ``.yml`` or ``.json``. It does not enter the top-level
+        ``resolved/`` of build outputs, a link to a directory, or a
+        directory it may not read. A link to a file inside the store is a
+        document under its own name; a link out of the store or to nothing
+        is not listed.
+        """
+        uris: list[str] = []
+        pending = [(str(self.root), "")]
+        while pending:
+            directory, prefix = pending.pop()
+            try:
+                with os.scandir(directory) as scan:
+                    entries = list(scan)
+            except OSError:
+                continue
+            for entry in entries:
+                uri = prefix + entry.name
+                if entry.is_dir(follow_symlinks=False):
+                    if uri != RESOLVED_DIR:
+                        pending.append((entry.path, f"{uri}/"))
+                elif PurePath(entry.name).suffix in _DOCUMENT_SUFFIXES and (
+                        entry.is_file(follow_symlinks=False)
+                        or entry.is_symlink() and self.exists(uri)):
+                    uris.append(uri)
+        return sorted(uris)
 
 
 def topological_order(roots: Iterable[str],

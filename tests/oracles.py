@@ -7,16 +7,21 @@ share no code path with the functions under test.
 
 from __future__ import annotations
 
+import posixpath
 from collections.abc import Sequence
+from dataclasses import replace
+from pathlib import Path
 
 from layered_guidance import serialize
 from layered_guidance.changes import ChangeSet, diff
+from layered_guidance.errors import InvalidUri, NotFound
 from layered_guidance.model import (
     ERROR,
     STATEMENT_PART,
     WARNING,
     Catalog,
     Control,
+    DocumentEnvelope,
     Finding,
     ImportDirective,
     Profile,
@@ -428,3 +433,45 @@ def dependents_in_store(imports: dict[str, str], unreadable: set[str], changed: 
         if not more:
             return found
         found |= more
+
+
+def store_path(root: Path, uri: str) -> Path:
+    """The file a store uri names, as ``Path.resolve`` finds it; ``InvalidUri`` outside ``root``.
+
+    The reference for ``SourceStore``'s path resolution, which lstat's the
+    components below the root and resolves in full only through a link.
+    """
+    normalized = posixpath.normpath(uri)
+    if normalized.startswith(("/", "../")) or normalized == "..":
+        raise InvalidUri(uri, "escapes the store root")
+    path = (root / normalized).resolve()
+    if not path.is_relative_to(root.resolve()):
+        raise InvalidUri(uri, "escapes the store root")
+    return path
+
+
+def store_exists(root: Path, uri: str) -> bool:
+    try:
+        return store_path(root, uri).is_file()
+    except InvalidUri:
+        return False
+
+
+def store_load(root: Path, uri: str) -> DocumentEnvelope:
+    """The document a store uri names, parsed afresh, with its normalized uri."""
+    path = store_path(root, uri)
+    if not path.is_file():
+        raise NotFound(uri)
+    envelope = serialize.parse_document(path.read_bytes(), serialize.format_of(path))
+    return DocumentEnvelope(envelope.kind, replace(envelope.body, uri=posixpath.normpath(uri)))
+
+
+def store_documents(root: Path) -> list[str]:
+    """``SourceStore.list_documents`` as ``rglob`` plus ``store_exists`` on each candidate.
+
+    ``rglob`` enters neither a link to a directory nor one it may not read.
+    """
+    uris = (path.relative_to(root).as_posix() for path in root.rglob("*")
+            if path.suffix in (".yaml", ".yml", ".json"))
+    return sorted(uri for uri in uris
+                  if not uri.startswith("resolved/") and store_exists(root, uri))

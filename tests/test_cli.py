@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import shutil
 import sys
 import weakref
 from pathlib import Path
@@ -522,6 +523,28 @@ class TestPropagateCommand:
         )
         assert main(["propagate", "--store", str(tmp_path), "--changed", "solo.yaml"]) == 0
         assert "nothing depends on solo.yaml" in capsys.readouterr().out
+
+    def test_a_deleted_resolved_directory_is_made_again(self, fixture_store, capsys):
+        args = ["propagate", "--store", str(fixture_store), "--changed", "csf-id-am.yaml"]
+        assert main(args) == 0
+        resolved = fixture_store / "resolved"
+        outputs = {path.name: path.read_bytes() for path in resolved.iterdir()}
+        assert sorted(outputs) == ["am-profile.yaml", "ot-profile.yaml"]
+        shutil.rmtree(resolved)
+        assert main(args) == 0
+        assert {path.name: path.read_bytes() for path in resolved.iterdir()} == outputs
+
+    def test_a_file_in_place_of_the_resolved_directory_is_an_io_error(self, fixture_store,
+                                                                       capsys):
+        (fixture_store / "resolved").write_bytes(b"")
+        assert main(["propagate", "--store", str(fixture_store),
+                     "--changed", "csf-id-am.yaml"]) == 3
+        assert capsys.readouterr().err == (
+            f"i/o error: [Errno 17] File exists: '{fixture_store}/resolved'\n"
+        )
+        assert sorted(path.name for path in fixture_store.iterdir()) == [
+            "am-profile.yaml", "csf-id-am.yaml", "ot-profile.yaml", "resolved",
+        ]
 
 
 class TestOutputStreams:

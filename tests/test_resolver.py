@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import tempfile
 import threading
 from dataclasses import replace
@@ -8,12 +9,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+import oracles
 import strategies
+from conftest import FIXTURES_DIR
 from layered_guidance import resolver
 from layered_guidance.errors import (
     CycleDetected,
     DuplicateControlId,
     DuplicatePartName,
+    GuidanceError,
     InvalidUri,
     NotFound,
     RemovalMatchedNothing,
@@ -585,6 +589,68 @@ class TestSourceStore:
         assert store.list_documents() == [
             "am-profile.yaml", "csf-id-am.yaml", "ot-profile.yaml",
         ]
+
+    def test_a_store_without_links_resolves_no_path(self, fixture_store, monkeypatch):
+        (fixture_store / "sub").mkdir()
+        (fixture_store / "sub" / "x.yml").write_bytes(
+            (fixture_store / "csf-id-am.yaml").read_bytes())
+        store = SourceStore(fixture_store)
+        resolved = []
+        resolve, realpath = Path.resolve, os.path.realpath
+        monkeypatch.setattr(Path, "resolve", lambda self, *a, **k: resolved.append(self)
+                            or resolve(self, *a, **k))
+        monkeypatch.setattr(os.path, "realpath", lambda path, *a, **k: resolved.append(path)
+                            or realpath(path, *a, **k))
+        assert store.list_documents() == [
+            "am-profile.yaml", "csf-id-am.yaml", "ot-profile.yaml", "sub/x.yml",
+        ]
+        assert store.load("./sub/x.yml").body.uri == "sub/x.yml"
+        with pytest.raises(NotFound):
+            store.load("ghost.yaml")
+        assert resolved == []
+
+    @pytest.fixture
+    def tangled_store(self, tmp_path):
+        """A store with nested, hidden and output directories, odd names and links in and out."""
+        catalog = (FIXTURES_DIR / "csf-id-am.yaml").read_bytes()
+        as_json = serialize_document(parse_document(catalog), "json")
+        root, outside = tmp_path / "store", tmp_path / "outside"
+        for directory in ("sub/deep", ".hidden", "d.yaml", "resolved", "sub/resolved"):
+            (root / directory).mkdir(parents=True)
+        outside.mkdir()
+        (outside / "x.yaml").write_bytes(catalog)
+        for name in ("x.yaml", "x.yml", "x.YAML", "..yaml", ".yaml", "x.yaml.", "sub/x.yml",
+                     "sub/deep/x.yaml", ".hidden/x.yaml", "d.yaml/x.yaml", "resolved/x.yaml",
+                     "sub/resolved/x.yaml"):
+            (root / name).write_bytes(catalog)
+        (root / "x.json").write_bytes(as_json)
+        links = {"inlink.yaml": "x.yaml", "j.yaml": "x.json", "sub/up.yaml": "../x.yaml",
+                 "out.yaml": "../outside/x.yaml", "broken.yaml": "missing.yaml",
+                 "alias": "sub", "l.yaml": "sub", "outdir": "../outside"}
+        for name, target in links.items():
+            (root / name).symlink_to(target)
+        return root, list(links)
+
+    def test_listing_and_lookups_match_the_resolving_oracle(self, tangled_store):
+        root, links = tangled_store
+        store = SourceStore(root)
+        listed = store.list_documents()
+        assert listed == oracles.store_documents(root) == [
+            "..yaml", ".hidden/x.yaml", "d.yaml/x.yaml", "inlink.yaml", "j.yaml",
+            "sub/deep/x.yaml", "sub/resolved/x.yaml", "sub/up.yaml", "sub/x.yml", "x.json",
+            "x.yaml", "x.yml",
+        ]
+
+        def outcome(load, uri):
+            try:
+                return load(uri)
+            except GuidanceError as error:
+                return type(error), str(error)
+
+        for uri in [*listed, *links, "alias/x.yml", "sub/../x.yaml", "outdir/x.yaml", "d.yaml",
+                    "x.yaml/x", "ghost.yaml", "../x.yaml", "/etc/passwd"]:
+            assert store.exists(uri) == oracles.store_exists(root, uri), uri
+            assert outcome(store.load, uri) == outcome(lambda u: oracles.store_load(root, u), uri)
 
 
 # Resolving the second layer against a serialized-then-reparsed first
