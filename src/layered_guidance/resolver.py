@@ -22,7 +22,7 @@ import posixpath
 import threading
 from collections.abc import Callable, Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
-from pathlib import Path, PurePath
+from pathlib import Path
 from stat import S_ISLNK, S_ISREG
 
 from .errors import (
@@ -60,6 +60,12 @@ _DOCUMENT_SUFFIXES = (".yaml", ".yml", ".json")
 RESOLVED_DIR = "resolved"
 # The store uri a path spells: ``./x.yaml`` and ``sub/../x.yaml`` are ``x.yaml``.
 normalize_uri = posixpath.normpath
+
+
+def _is_document_name(name: str) -> bool:
+    """Whether ``PurePath(name).suffix`` is a document suffix; a leading dot starts no suffix."""
+    dot = name.rfind(".")
+    return dot > 0 and name[dot:] in _DOCUMENT_SUFFIXES
 
 
 @dataclass(frozen=True)
@@ -502,7 +508,7 @@ class SourceStore:
                 if entry.is_dir(follow_symlinks=False):
                     if uri != RESOLVED_DIR:
                         pending.append((entry.path, f"{uri}/"))
-                elif PurePath(entry.name).suffix in _DOCUMENT_SUFFIXES and (
+                elif _is_document_name(entry.name) and (
                         entry.is_file(follow_symlinks=False)
                         or entry.is_symlink() and self.exists(uri)):
                     uris.append(uri)

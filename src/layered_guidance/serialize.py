@@ -5,13 +5,20 @@ Documents are YAML or JSON with a single top-level ``catalog:`` or
 required fields are schema errors; model-invariant violations raise
 ``ValidationError``.
 
-YAML made of untagged, un-anchored mappings, sequences and string scalars
-with unique string keys, which covers every canonical document, is built
-straight from the parser's events (``_EventLoader``). Anything else (a
-tag, anchor or alias, a scalar of another type, a non-string or duplicate
-key, not exactly one document, a syntax error) goes to the general strict
-loader, the only source of loader errors, so their wording, marks and
-exit code are the same on both paths.
+Block YAML of the subset the canonical emitter writes, which covers every
+canonical document, is read line by line (``_read_block``): block mappings
+and sequences with compact ``- key:`` items, each nested block two columns
+right of its key or dash; plain scalars and keys that the strict loader's
+resolver reads as str; single-line double-quoted scalars with JSON's
+escapes but no surrogate escape; ``>-`` folded scalars whose body lines
+all start two columns right of their key or dash; and ``[]``. Anything
+else (flow style, a comment, a single-quoted or literal scalar, a tag,
+anchor or alias, another indent, a blank or more-indented line, a tab, CR,
+BOM, control or separator character, a scalar of another type, a
+duplicate key, a ``key:`` without a nested block, no final newline, not
+exactly one document, a syntax error) goes to the general strict loader,
+the only source of loader errors, so their wording, marks and exit code
+are the same on both paths.
 
 Building the model checks each mapping's keys against its type's
 required and allowed key sets, and formats a value's path (such as
@@ -38,16 +45,6 @@ from pathlib import PurePath
 from typing import Any
 
 import yaml
-from yaml.events import (
-    DocumentEndEvent,
-    DocumentStartEvent,
-    MappingEndEvent,
-    MappingStartEvent,
-    ScalarEvent,
-    SequenceEndEvent,
-    SequenceStartEvent,
-    StreamEndEvent,
-)
 from yaml.nodes import ScalarNode
 
 from .errors import DocumentSyntaxError, SchemaError, ValidationError
@@ -108,90 +105,161 @@ _StrictLoader.add_constructor(
 )
 
 
-_DECLINED = object()  # what ``_load_events`` returns when ``_StrictLoader`` has to decide
+_DECLINED = object()  # what ``_read_block`` returns when ``_StrictLoader`` has to decide
+
+# Characters the block reader leaves to ``_StrictLoader``: controls but the
+# line feed, line and paragraph separators, surrogates, the byte order mark,
+# U+FFFE and U+FFFF. ASCII text is checked by deleting the bytes allowed.
+_ALLOWED_ASCII = b"\n" + bytes(range(0x20, 0x7F))
+_FOREIGN_RE = re.compile("[\x00-\x09\x0b-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff\ufeff\ufffe\uffff]")
+# A plain scalar starts with none of these (a space included) and ends in
+# neither a colon nor a space.
+_NOT_PLAIN_START = "-?:,[]{}#&*!|>'\"%@` "
+_NOT_PLAIN_END = ": "
+# A single-line double-quoted scalar with JSON's escapes, no surrogate escape.
+_QUOTED_RE = re.compile(r'"(?:[^"\\]|\\["\\/bfnrt]|\\u(?![dD][89a-fA-F])[0-9a-fA-F]{4})*"')
+_PLAIN_IMPLICIT = (True, False)  # the implicit flags of a plain scalar
 
 
-class _EventLoader:
-    """A loader for ``yaml.load`` that builds the tree straight from parser events.
+def _is_plain_str(value: str, loader: type) -> bool:
+    """Whether ``value`` written plain on one line, as a scalar or a key, reads back as itself.
 
-    It reads a ``_StrictLoader``'s events into dicts, lists and strings with
-    an explicit stack: no node graph, no constructor. A plain scalar asks
-    the resolver for its tag only if an implicit resolver is keyed by its
-    first character. Outside the subset the module docstring names, it
-    returns ``_DECLINED``. Plain scalars already resolved to str in this
-    document are not asked again.
+    When an implicit resolver is keyed by its first character, ``value`` is
+    asked of ``loader``'s resolver, which must give the str tag. The
+    resolver is called on the loader class: with no path resolvers, it
+    reads class attributes only.
     """
+    return (value != "" and value[0] not in _NOT_PLAIN_START and value[-1] not in _NOT_PLAIN_END
+            and ": " not in value and " #" not in value
+            and (value[:1] not in loader.yaml_implicit_resolvers
+                 or loader.resolve(loader, ScalarNode, value, _PLAIN_IMPLICIT)
+                 == loader.DEFAULT_SCALAR_TAG))
+
+
+def _read_block(text: str) -> Any:
+    """``text``'s dict/list/str tree if it is block YAML of the subset, else ``_DECLINED``.
+
+    ``text`` is read line by line with a stack of the open collections and
+    their columns. A nested block, and each line of a ``>-`` body, starts
+    two columns right of its key or dash. Plain scalars and keys must read
+    back as themselves under ``_StrictLoader`` (``_is_plain_str``), looked
+    up per call so that a stand-in loader decides them too.
+    """
+    if text[-1:] != "\n":
+        return _DECLINED
+    if text.isascii():
+        if text.encode().translate(None, _ALLOWED_ASCII):
+            return _DECLINED
+    elif _FOREIGN_RE.search(text):
+        return _DECLINED
+    loader = _StrictLoader
+    plain_strs: set[str] = set()  # plain scalars and keys already accepted in this document
+    lines = text.split("\n")
+    lines.pop()  # the empty string after the final line end
+    count = len(lines)
+    root = top = [] if lines[0][:2] == "- " else {}
+    column = 0  # the column of ``top``'s keys or dashes
+    stack: list = []  # (collection, column) of each collection enclosing ``top``
+    pending: str | None = None  # a key of ``top`` whose value is the block on the next line
+    index = 0
+    while index < count:
+        line = lines[index]
+        index += 1
+        content = line.lstrip(" ")
+        indent = len(line) - len(content)
+        if pending is not None:
+            if indent != column + 2:
+                return _DECLINED
+            child = [] if content[:2] == "- " else {}
+            top[pending] = child
+            stack.append((top, column))
+            top, column, pending = child, indent, None
+        elif indent != column:
+            while indent < column:
+                top, column = stack.pop()
+            if indent != column:
+                return _DECLINED
+        key = None
+        if top.__class__ is list:
+            if content[:2] != "- ":
+                return _DECLINED
+            content = content[2:]
+            if content[:1] != '"' and (": " in content or content[-1:] == ":"):
+                # a compact ``- key:`` item: a mapping whose first key is on this line
+                child = {}
+                top.append(child)
+                stack.append((top, column))
+                top, column = child, column + 2
+            else:
+                value = content
+        if top.__class__ is dict:
+            split = content.find(": ")
+            if split < 0:
+                if content[-1:] != ":":
+                    return _DECLINED
+                key, value = content[:-1], None
+            else:
+                key, value = content[:split], content[split + 2:]
+            if len(key) > 256 or key in top:  # far below the 1024 a simple key may span
+                return _DECLINED
+            if key not in plain_strs:
+                if not _is_plain_str(key, loader):
+                    return _DECLINED
+                plain_strs.add(key)
+            if value is None:
+                pending = key
+                continue
+        # ``value`` is the scalar after the key or dash at ``column``
+        if value[:1] == '"':
+            if "\\" in value:
+                if _QUOTED_RE.fullmatch(value) is None:
+                    return _DECLINED
+                value = json.loads(value)
+            elif value.find('"', 1) != len(value) - 1:
+                return _DECLINED
+            else:
+                value = value[1:-1]
+        elif value == ">-":
+            body_column = column + 2
+            pad = " " * body_column
+            first = index
+            while index < count and lines[index][:body_column] == pad:
+                index += 1
+            value = " ".join([line[body_column:] for line in lines[first:index]])
+            if not value or value[0] == " " or value[-1] == " " or "  " in value:
+                return _DECLINED  # no body, or a blank, more-indented or trailing-space line
+        elif value == "[]":
+            value = []
+        elif value not in plain_strs:
+            if not _is_plain_str(value, loader):
+                return _DECLINED
+            plain_strs.add(value)
+        if key is None:
+            top.append(value)
+        else:
+            top[key] = value
+    if pending is not None:
+        return _DECLINED
+    return root
+
+
+class _BlockReader:
+    """A loader for ``yaml.load`` whose only work is ``_read_block``: no parser, no events."""
 
     def __init__(self, stream: str) -> None:
-        self._loader = _StrictLoader(stream)
-
-    def dispose(self) -> None:
-        self._loader.dispose()
+        self._text = stream
 
     def get_single_data(self) -> Any:
-        loader = self._loader
-        resolvers = loader.yaml_implicit_resolvers
-        get_event, resolve, str_tag = loader.get_event, loader.resolve, loader.DEFAULT_SCALAR_TAG
-        get_event()  # StreamStartEvent
-        if get_event().__class__ is not DocumentStartEvent:
-            return _DECLINED
-        stack: list = []  # (collection, pending key) of each enclosing collection
-        top: Any = None  # the open collection; None when none is open
-        key: str | None = None  # an open mapping's key that still waits for its value
-        plain_strs: set[str] = set()  # plain scalars the resolver has tagged str
-        while True:
-            event = get_event()
-            kind = event.__class__
-            if kind is ScalarEvent:
-                if event.anchor is not None or event.tag is not None:
-                    return _DECLINED
-                value = event.value
-                if event.implicit[0] and value[:1] in resolvers and value not in plain_strs:
-                    if resolve(ScalarNode, value, event.implicit) != str_tag:
-                        return _DECLINED
-                    plain_strs.add(value)
-            elif kind is MappingStartEvent or kind is SequenceStartEvent:
-                if event.anchor is not None or event.tag is not None:
-                    return _DECLINED
-                stack.append((top, key))
-                top, key = ({} if kind is MappingStartEvent else []), None
-                continue
-            elif kind is MappingEndEvent or kind is SequenceEndEvent:
-                value = top
-                top, key = stack.pop()
-            else:  # an alias
-                return _DECLINED
-            if top is None:
-                break
-            if top.__class__ is list:
-                top.append(value)
-            elif key is None:
-                if value.__class__ is not str or value in top:
-                    return _DECLINED
-                key = value
-            else:
-                top[key] = value
-                key = None
-        if (get_event().__class__ is not DocumentEndEvent
-                or get_event().__class__ is not StreamEndEvent):
-            return _DECLINED
-        return value
+        return _read_block(self._text)
 
-
-def _load_events(text: str) -> Any:
-    """The tree ``_EventLoader`` builds for ``text``; ``_DECLINED`` also on parser errors.
-
-    Both paths parse through ``yaml.load``, so whatever wraps it to time
-    the parser (perfbench's trace spans) sees every parse.
-    """
-    try:
-        return yaml.load(text, Loader=_EventLoader)
-    except (yaml.YAMLError, UnicodeEncodeError):
-        return _DECLINED
+    def dispose(self) -> None:
+        pass
 
 
 def _load_yaml(text: str) -> Any:
-    tree = _load_events(text)
+    # Both paths go through ``yaml.load``, so whatever wraps it to time the
+    # parser (perfbench's trace spans) sees every parse.
+    tree = yaml.load(text, Loader=_BlockReader)
     if tree is not _DECLINED:
         return tree
     try:

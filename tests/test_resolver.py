@@ -4,10 +4,11 @@ import os
 import tempfile
 import threading
 from dataclasses import replace
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import strategies
@@ -619,9 +620,9 @@ class TestSourceStore:
             (root / directory).mkdir(parents=True)
         outside.mkdir()
         (outside / "x.yaml").write_bytes(catalog)
-        for name in ("x.yaml", "x.yml", "x.YAML", "..yaml", ".yaml", "x.yaml.", "sub/x.yml",
-                     "sub/deep/x.yaml", ".hidden/x.yaml", "d.yaml/x.yaml", "resolved/x.yaml",
-                     "sub/resolved/x.yaml"):
+        for name in ("x.yaml", "x.yml", "x.YAML", "..yaml", ".yaml", "x.yaml.", "a.", "a.b.yaml",
+                     "sub/x.yml", "sub/deep/x.yaml", ".hidden/x.yaml", "d.yaml/x.yaml",
+                     "resolved/x.yaml", "sub/resolved/x.yaml"):
             (root / name).write_bytes(catalog)
         (root / "x.json").write_bytes(as_json)
         links = {"inlink.yaml": "x.yaml", "j.yaml": "x.json", "sub/up.yaml": "../x.yaml",
@@ -636,7 +637,7 @@ class TestSourceStore:
         store = SourceStore(root)
         listed = store.list_documents()
         assert listed == oracles.store_documents(root) == [
-            "..yaml", ".hidden/x.yaml", "d.yaml/x.yaml", "inlink.yaml", "j.yaml",
+            "..yaml", ".hidden/x.yaml", "a.b.yaml", "d.yaml/x.yaml", "inlink.yaml", "j.yaml",
             "sub/deep/x.yaml", "sub/resolved/x.yaml", "sub/up.yaml", "sub/x.yml", "x.json",
             "x.yaml", "x.yml",
         ]
@@ -651,6 +652,16 @@ class TestSourceStore:
                     "x.yaml/x", "ghost.yaml", "../x.yaml", "/etc/passwd"]:
             assert store.exists(uri) == oracles.store_exists(root, uri), uri
             assert outcome(store.load, uri) == outcome(lambda u: oracles.store_load(root, u), uri)
+
+    @given(st.text(st.sampled_from(".aybmlYAMLjson"), max_size=8))
+    @example(".yaml")
+    @example("..yaml")
+    @example("a.")
+    @example("a.b.yaml")
+    @example("x.YAML")
+    def test_a_document_name_is_one_whose_path_suffix_is_a_document_suffix(self, name):
+        suffix = PurePath(name).suffix
+        assert resolver._is_document_name(name) == (suffix in (".yaml", ".yml", ".json"))
 
 
 # Resolving the second layer against a serialized-then-reparsed first

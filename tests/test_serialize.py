@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from conftest import FIXTURES_DIR
-from layered_guidance import serialize
+from layered_guidance import changes, serialize, write_fixture_store
+from layered_guidance.changes import propagate
 from layered_guidance.errors import DocumentSyntaxError, SchemaError, ValidationError
 from layered_guidance.model import (
     Catalog,
@@ -22,6 +23,7 @@ from layered_guidance.model import (
     Profile,
     iter_controls,
 )
+from layered_guidance.resolver import SourceStore
 from layered_guidance.serialize import parse_document, serialize_document
 
 CONTROL_SNIPPET = b"""\
@@ -556,16 +558,16 @@ class TestLoaderEquivalence:
         assert _outcome(serialize._StrictLoader, data) == pure
 
 
-def _load_outcome(text: str, event_path: bool = True):
+def _load_outcome(text: str, reader: bool = True):
     """``_load_yaml``'s value, or the error it raises.
 
     The value is compared as its repr, so types and key order count.
-    Without ``event_path`` this is ``yaml.load(text, Loader=_StrictLoader)``
+    Without ``reader`` this is ``yaml.load(text, Loader=_StrictLoader)``
     mapped to the package's errors.
     """
     with pytest.MonkeyPatch.context() as patch:
-        if not event_path:
-            patch.setattr(serialize, "_load_events", lambda text: serialize._DECLINED)
+        if not reader:
+            patch.setattr(serialize, "_read_block", lambda text: serialize._DECLINED)
         try:
             return repr(serialize._load_yaml(text))
         except DocumentSyntaxError as exc:
@@ -574,88 +576,136 @@ def _load_outcome(text: str, event_path: bool = True):
             return SchemaError, str(exc)
 
 
-_STR_SCALARS = ["a", "b c", "x-y", "title", "off", '"a"', "'1'", '"yes"', "''", '"\\u00e9 b"',
-                "'it''s'", '"a\\nb"']
-_OTHER_SCALARS = ["", "~", "1", "yes", "<<", "=", "null", "-2.5"]
-_STR_KEYS = ["a", "b", "c", '"d"', "'e'", "title", '""']
-_OTHER_KEYS = ["1", "yes", "~", "<<", "=", "[a]", "{a: b}", "&k a", "*k", "!!str 1", "! b"]
-_TAGGED_SCALARS = ["&k a", "&k 1", "!!str 1", "! b", "!!int 1", "!!float 2", "!!null ''", "!x a"]
-_BLOCK_LINES = ["word", "two words", "a: b", "# kept", "- item", "  indented"]
+# Each choice below is between forms inside the block reader's subset and
+# forms outside it: other scalars, keys and styles, near misses of the
+# subset, or text YAML reads otherwise. A text draws one mix for all its
+# choices (``_Mix``), so some texts lie wholly inside the subset.
+_SCALARS = (["a", "b c", "x-y", "title", '"a"', '"yes"', '"\\u00e9 b"', '"a\\nb"', "[]", "a:b",
+             "a#b", "a,b]", "...", '"a\\/b"', '"\\"\\\\"', '""'],
+            ["'1'", "''", "'it''s'", "off", "", "~", "1", "yes", "<<", "=", "null", "-2.5",
+             "a #b", "-a", "?a", ":a", "a:", "a: b", '"a" b', '"\\ud83d\\ude00"', '"\\x41"',
+             '"\\e"', '"\\U0001F600"', '"\\udc00"', '"a', "[a]", "{}", "&k a", "&k 1",
+             "!!str 1", "! b", "!!int 1", "!!float 2", "!!null ''", "!x a", "*k"])
+_KEYS = (["a", "b", "c", "d-e", "title", "k" * 200],
+         ['"d"', "'e'", '""', "1", "yes", "~", "<<", "=", "[a]", "{a: b}", "&k a", "*k",
+          "!!str 1", "! b", "a #b", "-k", "k" * 300, "k" * 1100])
+# Lines of a block scalar's body; None is a blank line, " " a line of spaces.
+_BLOCK_LINES = (["word", "two words", "a: b", "# kept", "- item"],
+                ["  indented", "trailing ", None, " "])
+_STEPS = ([2], [0, 1, 3, 4])  # columns from a key or dash to its nested block or body
+_VALUE_KINDS = (["inline", "inline", "folded"],
+                ["flow", "literal", "plain-lines", "folded-other"])
+_COLLECTION_PREFIXES = ([""], [" &k", " !", " !x"])
+_MUTATIONS = ([None], ["crlf", "no final newline", "bom", "char"])
+# Characters the block reader leaves to the strict loader, inserted anywhere.
+_FOREIGN_CHARS = ["\t", "\r", "\x07", "\x7f", "\x85", "\u2028", "\u2029", "\ufeff", "\ufffe",
+                  "\ud800", "\xa0"]
 
 
-def _inline_scalar(draw) -> str:
-    kind = draw(st.sampled_from(["str"] * 24 + ["other"] * 4 + ["tagged", "alias"]))
-    if kind == "alias":
-        return "*k"
-    if kind == "tagged":
-        return draw(st.sampled_from(_TAGGED_SCALARS))
-    return draw(st.sampled_from(_OTHER_SCALARS if kind == "other" else _STR_SCALARS))
+class _Mix:
+    """The choices of one text.
+
+    With ``inside_weight`` 0 it draws only forms inside the subset; otherwise
+    each inside form is ``inside_weight`` times as likely as each outside one.
+    """
+
+    def __init__(self, draw) -> None:
+        self.draw = draw
+        self.inside_weight = draw(st.sampled_from([0, 1, 8, 40]))
+
+    def __call__(self, choices: tuple[list, list]):
+        inside, outside = choices
+        if not self.inside_weight:
+            return self.draw(st.sampled_from(inside))
+        return self.draw(st.sampled_from(inside * self.inside_weight + outside))
 
 
-def _key(draw) -> str:
-    return draw(st.sampled_from(_STR_KEYS * 6 + _OTHER_KEYS))
-
-
-def _flow_node(draw, depth: int) -> str:
-    kind = draw(st.integers(0, 2 if depth else 0))
+def _flow_node(mix: _Mix, depth: int) -> str:
+    kind = mix.draw(st.integers(0, 2 if depth else 0))
     if kind == 0:
-        return _inline_scalar(draw)
-    items = [_flow_node(draw, depth - 1) for _ in range(draw(st.integers(0, 3)))]
+        return mix(_SCALARS)
+    items = [_flow_node(mix, depth - 1) for _ in range(mix.draw(st.integers(0, 3)))]
     if kind == 1:
         return "[" + ", ".join(items) + "]"
-    return "{" + ", ".join(f"{_key(draw)}: {item}" for item in items) + "}"
+    return "{" + ", ".join(f"{mix(_KEYS)}: {item}" for item in items) + "}"
 
 
-def _block_value(draw, indent: int, depth: int) -> str:
-    """What follows ``key:`` or ``-`` at ``indent``, up to the end of the node."""
-    kinds = ["inline", "flow", "folded", "literal"] + (["mapping", "sequence"] * 2 if depth else [])
-    kind = draw(st.sampled_from(kinds))
-    inner = " " * (indent + 2)
+def _block_value(mix: _Mix, indent: int, depth: int, item: bool = False) -> str:
+    """What follows ``key:``, or ``-`` if ``item``, at ``indent``, up to the end of the node."""
+    inside, outside = _VALUE_KINDS
+    if depth:  # a nested block: after a dash, the subset has only the compact ``- key:``
+        nested = ["mapping", "sequence"] * 2
+        inside, outside = (inside, outside + nested) if item else (inside + nested, outside)
+    kind = mix((inside, outside))
     if kind == "inline":
-        return " " + _inline_scalar(draw) + "\n"
+        return " " + mix(_SCALARS) + "\n"
     if kind == "flow":
-        return " " + _flow_node(draw, 2) + "\n"
-    if kind in ("folded", "literal"):
-        header = draw(st.sampled_from(["", "-", "+"]))
-        lines = draw(st.lists(st.sampled_from(_BLOCK_LINES), min_size=1, max_size=3))
-        indicator = ">" if kind == "folded" else "|"
-        return f" {indicator}{header}\n" + "".join(inner + line + "\n" for line in lines)
-    prefix = draw(st.sampled_from([""] * 8 + [" &k", " !", " !x"]))
+        return " " + _flow_node(mix, 2) + "\n"
+    inner = " " * (indent + mix(_STEPS))
+    if kind == "plain-lines":
+        lines = mix.draw(st.lists(st.sampled_from(["a", "b c", "d: e"]), min_size=1, max_size=2))
+        return " word\n" + "".join(inner + line + "\n" for line in lines)
+    if kind in ("folded", "folded-other", "literal"):
+        header = "-" if kind == "folded" else mix.draw(st.sampled_from(["-", "", "+"]))
+        lines = [mix(_BLOCK_LINES) for _ in range(mix.draw(st.integers(1, 3)))]
+        indicator = "|" if kind == "literal" else ">"
+        return f" {indicator}{header}\n" + "".join("\n" if line is None else inner + line + "\n"
+                                                   for line in lines)
+    prefix = mix(_COLLECTION_PREFIXES)
     if kind == "mapping":
-        return prefix + "\n" + _block_mapping(draw, indent + 2, depth - 1)
-    return prefix + "\n" + _block_sequence(draw, indent + 2, depth - 1)
+        return prefix + "\n" + _block_mapping(mix, len(inner), depth - 1)
+    return prefix + "\n" + _block_sequence(mix, len(inner), depth - 1)
 
 
-def _block_mapping(draw, indent: int, depth: int) -> str:
-    count = draw(st.integers(1, 4))
-    return "".join(" " * indent + _key(draw) + ":" + _block_value(draw, indent, depth)
-                   for _ in range(count))
+def _block_mapping(mix: _Mix, indent: int, depth: int) -> str:
+    keys = mix.draw(st.lists(st.sampled_from(_KEYS[0]), min_size=1, max_size=4, unique=True))
+    keys = [mix(([key], _KEYS[1] + keys[:1])) for key in keys]  # outside: other keys, a repeat
+    return "".join(" " * indent + key + ":" + _block_value(mix, indent, depth) for key in keys)
 
 
-def _block_sequence(draw, indent: int, depth: int) -> str:
-    count = draw(st.integers(1, 3))
-    return "".join(" " * indent + "-" + _block_value(draw, indent, depth) for _ in range(count))
+def _block_sequence(mix: _Mix, indent: int, depth: int) -> str:
+    items = []
+    for _ in range(mix.draw(st.integers(1, 3))):
+        if depth and mix.draw(st.booleans()):  # a compact ``- key:`` item
+            mapping = _block_mapping(mix, indent + 2, depth - 1)
+            items.append(" " * indent + "- " + mapping[indent + 2:])
+        else:
+            items.append(" " * indent + "-" + _block_value(mix, indent, depth, item=True))
+    return "".join(items)
 
 
 @st.composite
 def yaml_texts(draw) -> str:
-    """Small YAML streams, valid or not, inside and outside the event path's subset."""
+    """Small YAML streams, valid or not, inside and outside the block reader's subset."""
+    mix = _Mix(draw)
     documents = []
-    for _ in range(draw(st.sampled_from([1] * 8 + [0, 2]))):
-        kind = draw(st.sampled_from(["mapping", "mapping", "sequence", "flow", "scalar"]))
+    for _ in range(mix(([1], [1] * 8 + [0, 2]))):
+        kind = mix((["mapping", "mapping", "sequence"], ["flow", "scalar"]))
         if kind == "mapping":
-            documents.append(_block_mapping(draw, 0, 2))
+            documents.append(_block_mapping(mix, 0, 2))
         elif kind == "sequence":
-            documents.append(_block_sequence(draw, 0, 2))
+            documents.append(_block_sequence(mix, 0, 2))
         elif kind == "flow":
-            documents.append(_flow_node(draw, 2) + "\n")
+            documents.append(_flow_node(mix, 2) + "\n")
         else:
-            documents.append(_inline_scalar(draw) + "\n")
+            documents.append(mix(_SCALARS) + "\n")
     if not documents:
         return draw(st.sampled_from(["", "# only a comment\n", "---\n", "...\n"]))
-    if len(documents) == 1 and draw(st.booleans()):
-        return documents[0]
-    return "".join("---\n" + document for document in documents)
+    if len(documents) == 1 and mix(([True], [False])):
+        text = documents[0]
+    else:
+        text = "".join("---\n" + document for document in documents)
+    mutation = mix(_MUTATIONS)
+    if mutation == "crlf":
+        return text.replace("\n", "\r\n")
+    if mutation == "no final newline":
+        return text[:-1]
+    if mutation == "bom":
+        return "\ufeff" + text
+    if mutation == "char":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(_FOREIGN_CHARS)) + text[at:]
+    return text
 
 
 _LOADERS = [pytest.param(serialize._StrictLoader, id="strict"),
@@ -663,7 +713,12 @@ _LOADERS = [pytest.param(serialize._StrictLoader, id="strict"),
 
 
 class TestEventPath:
-    """``_load_yaml``'s event path builds what the strict loader builds, or declines."""
+    """``_load_yaml``'s block reader builds what the strict loader builds, or declines.
+
+    The reader asks the loader class's resolver, and a decline goes to that
+    loader, so each property runs with libyaml's loader and its pure-Python
+    twin.
+    """
 
     @pytest.mark.parametrize("loader", _LOADERS)
     @given(envelope=strategies.documents())
@@ -672,7 +727,7 @@ class TestEventPath:
         text = serialize_document(envelope, "yaml").decode("utf-8")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(serialize, "_StrictLoader", loader)
-            tree = serialize._load_events(text)
+            tree = serialize._read_block(text)
             assert tree is not serialize._DECLINED
             assert repr(tree) == repr(yaml.load(text, Loader=loader))
 
@@ -682,13 +737,14 @@ class TestEventPath:
     def test_any_text_loads_like_the_strict_loader(self, loader, text: str):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(serialize, "_StrictLoader", loader)
-            assert _load_outcome(text) == _load_outcome(text, event_path=False)
+            assert _load_outcome(text) == _load_outcome(text, reader=False)
 
     @pytest.mark.parametrize("text, declines", [
-        ("a: b\nc: [d, 'e', \"f\"]\ng: >-\n  h\n  i\nj: |\n  k\n", False),
+        ("a: b\nc: [d, 'e', \"f\"]\n", True),
+        ("a: b\nj: |\n  k\n", True),
         ("title: name\nnot: off-by-one\n", False),
-        ("a: ''\n", False),
-        ("plain", False),
+        ("a: ''\n", True),
+        ("plain", True),
         ("a:\n", True),
         ("a: ~\n", True),
         ("a: 1\n", True),
@@ -704,7 +760,73 @@ class TestEventPath:
         ("", True),
         ("a: b\n---\nc: d\n", True),
         ("a: [b\n", True),
+        # the canonical emitter's grammar
+        ("a:\n  - b: c\n    d: >-\n      e\n      f\n  - g\n  - >-\n    h\n    i\nj: []\n", False),
+        ("a:\n  b:\n    - \"c\\\"\\\\\\/\\b\\f\\n\\r\\t\\u00e9\"\n", False),
+        ("a: b,c] d#e f:g\n...: h\n", False),
+        # folded bodies at another indent, or with a line YAML reads otherwise
+        ("a: >-\n b\n", True),
+        ("a: >-\n   b\n", True),
+        ("a: >-\n    b\n", True),
+        ("a:\n  - >-\n     b\n", True),
+        ("a: >-\n  b\n\n  c\n", True),
+        ("a: >-\n  b \n  c\n", True),
+        ("a: >-\n  b\n    c\n", True),
+        ("a: >-\nb: c\n", True),
+        # other indents, lines and keys
+        ("a: b\n  c\n", True),
+        ("a:\n- b\n", True),
+        ("a:\n   b: c\n", True),
+        ("a: b\n\nc: d\n", True),
+        ("a: b\n# c\n", True),
+        ("a: b # c\n", True),
+        ("a: b: c\n", True),
+        ("- a: b: c\n", True),
+        ("a : b\n", True),
+        ("a: b \n", True),
+        (" a: b\n", True),
+        pytest.param("k" * 300 + ": b\n", True, id="key-of-300-characters"),
+        # quoted scalars that do not end the line, escapes outside JSON's, surrogate escapes
+        ('a: "b" c\n', True),
+        ('a: "b"c"\n', True),
+        ('a: "b\n', True),
+        ('- "\n', True),
+        ('a: "\\ud83d\\ude00"\n', True),
+        ('a: "\\x41"\n', True),
+        ('a: "\\e"\n', True),
+        ('a: "\\U0001F600"\n', True),
+        # characters and line ends
+        ("a: b\x85c\n", True),
+        ("a: b\u2028c\n", True),
+        ("\ufeffa: b\n", True),
+        ("a: b\tc\n", True),
+        ("a: b\r\n", True),
+        ("a: b", True),
     ])
     def test_what_declines(self, text, declines):
-        assert (serialize._load_events(text) is serialize._DECLINED) == declines
-        assert _load_outcome(text) == _load_outcome(text, event_path=False)
+        assert (serialize._read_block(text) is serialize._DECLINED) == declines
+        assert _load_outcome(text) == _load_outcome(text, reader=False)
+
+    def test_the_fixture_store_its_outputs_and_changed_blocks_never_decline(self, tmp_path,
+                                                                           monkeypatch):
+        """The shipped store, its propagated outputs and the blocks ``_delta`` parses are read."""
+        store = write_fixture_store(tmp_path / "store")
+        propagate(SourceStore(store), "csf-id-am.yaml")
+        parse, changed_blocks = changes.parse_document, []
+
+        def recording(text, *args):
+            if isinstance(text, str):  # ``_delta`` parses the changed blocks as one text
+                changed_blocks.append(text)
+            return parse(text, *args)
+
+        monkeypatch.setattr(changes, "parse_document", recording)
+        catalog = store / "csf-id-am.yaml"
+        catalog.write_bytes(catalog.read_bytes().replace(b"Physical devices and systems",
+                                                         b"Physical devices, systems"))
+        propagate(SourceStore(store), "csf-id-am.yaml")
+        texts = [path.read_text("utf-8") for path in [*store.glob("*.yaml"),
+                                                      *store.glob("resolved/*.yaml")]]
+        assert len(texts) == 5 and changed_blocks
+        declined = [text for text in texts + changed_blocks
+                    if serialize._read_block(text) is serialize._DECLINED]
+        assert declined == []
