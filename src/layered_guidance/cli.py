@@ -4,15 +4,23 @@ Diagnostics go to stderr, primary output to stdout or ``-o``. Identical
 invocations on identical stores produce byte-identical output. Exit codes:
 0 ok, 1 validation failure, 2 resolution failure, 3 I/O or parse failure,
 4 usage error.
+
+A usage error is an unknown command or option, a missing or invalid
+argument, a store that is not an existing directory, a file argument that
+does not exist or is a directory, or an ``-o`` that is a directory. It
+writes nothing to stdout and one line ``usage error: <message>`` to
+stderr, where the message names the offending argument, option or value.
+``--help`` prints help to stdout and exits 0.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from pathlib import Path
-
-import click
+from typing import NoReturn
 
 from .changes import (
     CONTROL_ADDED,
@@ -60,21 +68,19 @@ EXIT_RESOLUTION = 2
 EXIT_IO = 3
 EXIT_USAGE = 4
 
-_STORE_OPTION = click.option(
-    "--store", "store_dir", envvar="GUIDANCE_STORE", required=True,
-    type=click.Path(exists=True, file_okay=False),
-    help="Directory holding the guidance documents.",
-)
+
+class _UsageError(Exception):
+    """An invocation the CLI cannot run as given; ``main`` exits 4 with it."""
+
+
+class _HelpShown(Exception):
+    """``--help`` printed its help; ``main`` exits 0."""
 
 
 def _echo(message: str, *, err: bool = False, nl: bool = True) -> None:
-    """``click.echo`` to the current stdout or stderr.
-
-    Without an explicit ``file``, click caches a wrapper for each stream it
-    has seen, keyed weakly by the stream but holding it strongly, so every
-    redirected stream and its output would stay alive for good.
-    """
-    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+    stream = sys.stderr if err else sys.stdout
+    stream.write(message + "\n" if nl else message)
+    stream.flush()
 
 
 def _warn(finding: Finding) -> None:
@@ -119,61 +125,24 @@ def _read_catalog(path: str) -> Catalog:
     return Catalog(metadata=body.metadata, controls=body.controls, uri=path)
 
 
-def _show_help(ctx: click.Context, _param: click.Parameter, value: bool) -> None:
-    if value and not ctx.resilient_parsing:
-        _echo(ctx.get_help())
-        ctx.exit()
-
-
-class _Command(click.Command):
-    """A command whose ``--help`` prints through ``_echo`` like every other output."""
-
-    def get_help_option(self, ctx: click.Context) -> click.Option | None:
-        option = super().get_help_option(ctx)
-        if option is not None:
-            option.callback = _show_help
-        return option
-
-
-class _Group(click.Group, _Command):
-    command_class = _Command
-
-
-@click.group(cls=_Group)
-def cli() -> None:
-    """Author, resolve, and publish layered security guidance."""
-
-
-@cli.command("resolve")
-@click.argument("profile_uri")
-@_STORE_OPTION
-@click.option("-o", "--output", type=click.Path(dir_okay=False), help="Write to a file instead of stdout.")
-@click.option("--format", "fmt", type=click.Choice(["yaml", "json"]), default="yaml")
-@click.option("--lenient", is_flag=True, help="Downgrade removal-matched-nothing to a warning.")
-def resolve_cmd(profile_uri: str, store_dir: str, output: str | None, fmt: str,
-                lenient: bool) -> None:
+def resolve_cmd(args: argparse.Namespace) -> int:
     """Resolve a profile (by store-relative uri) into a catalog."""
-    store = SourceStore(store_dir)
-    resolved = resolve_chain(store, profile_uri, lenient=lenient)
+    store = SourceStore(args.store_dir)
+    resolved = resolve_chain(store, args.profile_uri, lenient=args.lenient)
     for finding in resolved.warnings:
         _warn(finding)
     envelope = DocumentEnvelope("catalog", resolved.catalog)
-    _write_output(serialize_document(envelope, fmt), output)
+    _write_output(serialize_document(envelope, args.fmt), args.output)
+    return EXIT_OK
 
 
-@cli.command("validate")
-@click.argument("files", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--store", "store_dir", envvar="GUIDANCE_STORE", default=None,
-              type=click.Path(exists=True, file_okay=False),
-              help="Store used to resolve profile imports for full validation.")
-@click.pass_context
-def validate_cmd(ctx: click.Context, files: tuple[str, ...], store_dir: str | None) -> None:
+def validate_cmd(args: argparse.Namespace) -> int:
     """Validate catalog and profile files; findings go to stderr."""
-    store = SourceStore(store_dir) if store_dir is not None else None
+    store = SourceStore(args.store_dir) if args.store_dir is not None else None
     memo: dict = {}  # shared by every file, so each upstream profile resolves once
     total_errors = 0
     upstream_exit = EXIT_OK  # the most severe exit code an import failure gives
-    for file in files:
+    for file in args.files:
         findings: list[Finding] = []
         try:
             envelope = _parse_file(file)
@@ -201,9 +170,8 @@ def validate_cmd(ctx: click.Context, files: tuple[str, ...], store_dir: str | No
         total_errors += sum(1 for f in findings if f.severity == ERROR)
     _echo(f"{total_errors} errors")
     if upstream_exit:
-        ctx.exit(upstream_exit)
-    if total_errors:
-        ctx.exit(EXIT_VALIDATION)
+        return upstream_exit
+    return EXIT_VALIDATION if total_errors else EXIT_OK
 
 
 def _diff_text(changeset: ChangeSet) -> str:
@@ -234,41 +202,31 @@ def _diff_text(changeset: ChangeSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-@cli.command("diff")
-@click.argument("catalog_a", type=click.Path(exists=True, dir_okay=False))
-@click.argument("catalog_b", type=click.Path(exists=True, dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-def diff_cmd(catalog_a: str, catalog_b: str, fmt: str) -> None:
+def diff_cmd(args: argparse.Namespace) -> int:
     """Show the structural delta between two catalogs."""
-    changeset = diff(_read_catalog(catalog_a), _read_catalog(catalog_b))
-    if fmt == "json":
+    changeset = diff(_read_catalog(args.catalog_a), _read_catalog(args.catalog_b))
+    if args.fmt == "json":
         plain = {"entries": [entry_plain(e) for e in changeset.entries]}
         _echo(json.dumps(plain, indent=2, ensure_ascii=False))
     else:
         _echo(_diff_text(changeset), nl=False)
+    return EXIT_OK
 
 
-@cli.command("render")
-@click.argument("catalog_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--output", type=click.Path(dir_okay=False))
-@click.option("--provenance", is_flag=True, help="Annotate each part with its origin layer.")
-def render_cmd(catalog_file: str, output: str | None, provenance: bool) -> None:
+def render_cmd(args: argparse.Namespace) -> int:
     """Render a resolved catalog as Markdown."""
-    resolved = wrap_catalog(_read_catalog(catalog_file))
-    options = RenderOptions(include_provenance=provenance)
-    _write_output(render_markdown(resolved, options).encode("utf-8"), output)
+    resolved = wrap_catalog(_read_catalog(args.catalog_file))
+    options = RenderOptions(include_provenance=args.provenance)
+    _write_output(render_markdown(resolved, options).encode("utf-8"), args.output)
+    return EXIT_OK
 
 
-@cli.command("graph")
-@_STORE_OPTION
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.pass_context
-def graph_cmd(ctx: click.Context, store_dir: str, fmt: str) -> None:
+def graph_cmd(args: argparse.Namespace) -> int:
     """Show the import graph of a store."""
-    graph = build_graph(SourceStore(store_dir))
+    graph = build_graph(SourceStore(args.store_dir))
     for error in graph.unreadable.values():
         raise error  # the first document that does not parse fails the command
-    if fmt == "json":
+    if args.fmt == "json":
         plain = {
             "nodes": list(graph.nodes),
             "edges": [list(edge) for edge in graph.edges],
@@ -287,22 +245,13 @@ def graph_cmd(ctx: click.Context, store_dir: str, fmt: str) -> None:
         for finding in graph.findings:
             lines.append(f"{finding.severity}: {finding.path}: {finding.message}")
         _echo("\n".join(lines))
-    if has_errors(graph.findings):
-        ctx.exit(EXIT_VALIDATION)
+    return EXIT_VALIDATION if has_errors(graph.findings) else EXIT_OK
 
 
-@cli.command("propagate")
-@_STORE_OPTION
-@click.option("--changed", "changed_uri", required=True,
-              help="Store-relative uri of the edited document.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--lenient", is_flag=True)
-@click.pass_context
-def propagate_cmd(ctx: click.Context, store_dir: str, changed_uri: str, fmt: str,
-                  lenient: bool) -> None:
+def propagate_cmd(args: argparse.Namespace) -> int:
     """Re-resolve and persist every profile downstream of a changed document."""
-    results = propagate(SourceStore(store_dir), changed_uri, lenient=lenient)
-    if fmt == "json":
+    results = propagate(SourceStore(args.store_dir), args.changed_uri, lenient=args.lenient)
+    if args.fmt == "json":
         plain = []
         for result in results:
             item: dict = {"profile-uri": result.profile_uri, "output-uri": result.output_uri}
@@ -315,7 +264,7 @@ def propagate_cmd(ctx: click.Context, store_dir: str, changed_uri: str, fmt: str
         _echo(json.dumps(plain, indent=2, ensure_ascii=False))
     else:
         if not results:
-            _echo("nothing depends on " + changed_uri)
+            _echo("nothing depends on " + args.changed_uri)
         for result in results:
             if result.error is not None:
                 _echo(f"failed {result.profile_uri}: {result.error}")
@@ -330,24 +279,142 @@ def propagate_cmd(ctx: click.Context, store_dir: str, changed_uri: str, fmt: str
             _echo(f"re-resolved {result.profile_uri} -> {result.output_uri} ({status})")
             if result.changes is not None and not result.changes.is_empty:
                 _echo("  " + _diff_text(result.changes).rstrip("\n").replace("\n", "\n  "))
-    if any(result.error is not None for result in results):
-        ctx.exit(EXIT_RESOLUTION)
+    return EXIT_RESOLUTION if any(result.error is not None for result in results) else EXIT_OK
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help layout, with the usage line opening ``Usage:``."""
+
+    def add_usage(self, usage, actions, groups, prefix=None) -> None:
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that raises where argparse would exit, and prints help through ``_echo``.
+
+    Long options are never abbreviated, so ``--len`` stays unknown.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, formatter_class=_Formatter, **kwargs)
+
+    def print_help(self, file=None) -> None:
+        _echo(self.format_help(), nl=False)
+
+    def exit(self, status: int = 0, message: str | None = None) -> NoReturn:
+        raise _HelpShown()  # only --help exits: error() raises first
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(message)
+
+
+def _build_parser() -> tuple[_Parser, dict]:
+    """The ``guidance`` parser, and the parse function of each command by name."""
+    parser = _Parser(prog="guidance",
+                     description="Author, resolve, and publish layered security guidance.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND")
+
+    def command(name: str, run, *, store: str | None = None, store_required: bool = True,
+                fmt: tuple[str, ...] = ()) -> _Parser:
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        if store is not None:
+            sub.add_argument("--store", dest="store_dir", metavar="DIRECTORY",
+                             help=f"{store} Defaults to $GUIDANCE_STORE.")
+            sub.set_defaults(store_required=store_required)
+        if fmt:
+            sub.add_argument("--format", dest="fmt", choices=fmt, default=fmt[0],
+                             help=f"Output format (default: {fmt[0]}).")
+        return sub
+
+    store = "Directory holding the guidance documents."
+    resolve = command("resolve", resolve_cmd, store=store, fmt=("yaml", "json"))
+    resolve.add_argument("profile_uri", metavar="PROFILE_URI")
+    resolve.add_argument("-o", "--output", metavar="FILE", help="Write to a file instead of stdout.")
+    resolve.add_argument("--lenient", action="store_true",
+                         help="Downgrade removal-matched-nothing to a warning.")
+
+    validate = command("validate", validate_cmd, store_required=False,
+                       store="Store used to resolve profile imports for full validation.")
+    validate.add_argument("files", nargs="+", metavar="FILES")
+
+    compare = command("diff", diff_cmd, fmt=("text", "json"))
+    compare.add_argument("catalog_a", metavar="CATALOG_A")
+    compare.add_argument("catalog_b", metavar="CATALOG_B")
+
+    render = command("render", render_cmd)
+    render.add_argument("catalog_file", metavar="CATALOG_FILE")
+    render.add_argument("-o", "--output", metavar="FILE", help="Write to a file instead of stdout.")
+    render.add_argument("--provenance", action="store_true",
+                        help="Annotate each part with its origin layer.")
+
+    command("graph", graph_cmd, store=store, fmt=("text", "json"))
+
+    changes = command("propagate", propagate_cmd, store=store, fmt=("text", "json"))
+    changes.add_argument("--changed", dest="changed_uri", metavar="URI", required=True,
+                         help="Store-relative uri of the edited document.")
+    changes.add_argument("--lenient", action="store_true",
+                         help="Downgrade removal-matched-nothing to a warning.")
+    parses = {name: sub.parse_args for name, sub in commands.choices.items()}
+    # FILES may sit on both sides of an option only in the intermixed parse.
+    # It formats the usage line on every call unless the parser has one.
+    validate.usage = validate.format_usage().removeprefix("Usage: ").rstrip()
+    parses["validate"] = validate.parse_intermixed_args
+    return parser, parses
+
+
+_PARSER, _PARSES = _build_parser()
+
+# The positional arguments that name a file to read.
+_FILE_ARGUMENTS = ("files", "catalog_a", "catalog_b", "catalog_file")
+
+
+def _parse(args: list[str]) -> argparse.Namespace:
+    """The arguments of one invocation, checked: the one place the CLI validates them.
+
+    Options may come between positional arguments. The store is ``--store``,
+    or else a non-empty ``GUIDANCE_STORE``, and must be an existing
+    directory; each file argument must exist and not be a directory; ``-o``
+    must not be a directory.
+    """
+    parse = _PARSES.get(args[0]) if args else None
+    if parse is None:
+        _PARSER.parse_args(args[:1])  # shows help, or fails on an unknown name
+        raise _UsageError("the following arguments are required: COMMAND")
+    namespace = parse(args[1:])
+    if "store_dir" in namespace:
+        if namespace.store_dir is None:
+            namespace.store_dir = os.environ.get("GUIDANCE_STORE") or None
+        store = namespace.store_dir
+        if store is None:
+            if namespace.store_required:
+                raise _UsageError("the following arguments are required: --store")
+        elif not os.path.isdir(store):
+            problem = "is not a directory" if os.path.exists(store) else "does not exist"
+            raise _UsageError(f"argument --store: {store!r} {problem}")
+    for dest in _FILE_ARGUMENTS:
+        paths = getattr(namespace, dest, ())
+        for path in [paths] if isinstance(paths, str) else paths:
+            if not os.path.exists(path):
+                raise _UsageError(f"argument {dest.upper()}: {path!r} does not exist")
+            if os.path.isdir(path):
+                raise _UsageError(f"argument {dest.upper()}: {path!r} is a directory")
+    output = getattr(namespace, "output", None)
+    if output and os.path.isdir(output):
+        raise _UsageError(f"argument -o/--output: {output!r} is a directory")
+    return namespace
 
 
 def main(args: list[str] | None = None) -> int:
     """Run one CLI invocation; returns the exit code instead of raising."""
     try:
-        result = cli.main(args=args, standalone_mode=False)
-        if isinstance(result, int):
-            return result  # click returns ctx.exit codes when not standalone
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.UsageError as exc:
-        _echo(f"usage error: {exc.format_message()}", err=True)
+        namespace = _parse(sys.argv[1:] if args is None else args)
+        return namespace.run(namespace)
+    except _HelpShown:
+        return EXIT_OK
+    except _UsageError as exc:
+        _echo(f"usage error: {exc}", err=True)
         return EXIT_USAGE
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_IO
     except GuidanceError as exc:
         label, code = _failure(exc)
         _echo(f"{label}: {_describe(exc)}", err=True)
@@ -358,7 +425,6 @@ def main(args: list[str] | None = None) -> int:
     except Exception as exc:  # never crash on malformed input
         _echo(f"internal error: {exc}", err=True)
         return EXIT_IO
-    return EXIT_OK
 
 
 def entrypoint() -> None:

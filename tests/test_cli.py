@@ -4,13 +4,14 @@ import gc
 import io
 import json
 import shutil
+import subprocess
 import sys
 import weakref
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES_DIR
+from conftest import FIXTURES_DIR, REPO_ROOT
 from layered_guidance import resolver
 from layered_guidance.cli import main
 from layered_guidance.model import find_control
@@ -609,3 +610,97 @@ class TestFailureModes:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+
+STORE = str(FIXTURES_DIR)
+CATALOG = str(FIXTURES_DIR / "csf-id-am.yaml")
+MISSING = str(FIXTURES_DIR / "missing.yaml")
+
+# Each invocation, and a string its usage message must name: the offending
+# argument, option or value.
+USAGE_ERRORS = {
+    "no arguments": ([], "COMMAND"),
+    "unknown command": (["frobnicate"], "frobnicate"),
+    "missing argument": (["resolve"], "PROFILE_URI"),
+    "no store": (["resolve", "x"], "--store"),
+    "unknown choice": (["resolve", "am-profile.yaml", "--store", STORE, "--format", "xml"], "xml"),
+    "unknown option": (["resolve", "am-profile.yaml", "--store", STORE, "--bogus"], "--bogus"),
+    "unknown option first": (["--bogus"], "--bogus"),
+    "abbreviated option": (["resolve", "am-profile.yaml", "--store", STORE, "--len"], "--len"),
+    "store is a file": (["resolve", "am-profile.yaml", "--store", CATALOG], "--store"),
+    "store is missing": (["graph", "--store", MISSING], "--store"),
+    "render a missing file": (["render", MISSING], MISSING),
+    "render a directory": (["render", STORE], STORE),
+    "render into a directory": (["render", CATALOG, "-o", STORE], "--output"),
+    "resolve into a directory": (["resolve", "am-profile.yaml", "--store", STORE, "-o", STORE],
+                                 "--output"),
+    "validate no file": (["validate"], "FILES"),
+    "validate a missing file": (["validate", CATALOG, MISSING], MISSING),
+    "diff a missing file": (["diff", MISSING, CATALOG], MISSING),
+    "diff one file": (["diff", CATALOG], "CATALOG_B"),
+    "propagate unchanged": (["propagate", "--store", STORE], "--changed"),
+    "option without value": (["propagate", "--store", STORE, "--changed"], "--changed"),
+    "extra argument": (["graph", "--store", STORE, "extra"], "extra"),
+    "version": (["--version"], "--version"),
+}
+
+# Each command and every option its help must name; the top level names its commands.
+HELP = {
+    (): ["--help", "resolve", "validate", "diff", "render", "graph", "propagate"],
+    ("resolve",): ["--store", "-o", "--output", "--format", "--lenient", "--help"],
+    ("validate",): ["--store", "--help"],
+    ("diff",): ["--format", "--help"],
+    ("render",): ["-o", "--output", "--provenance", "--help"],
+    ("graph",): ["--store", "--format", "--help"],
+    ("propagate",): ["--store", "--changed", "--format", "--lenient", "--help"],
+}
+
+
+class TestUsage:
+    """Every usage error exits 4 with ``usage error:`` on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize("args, named", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_usage_error(self, args, named, monkeypatch, capsys):
+        monkeypatch.delenv("GUIDANCE_STORE", raising=False)
+        assert main(args) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert named in err
+
+    def test_options_between_files_keep_every_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(
+            b"catalog:\n  metadata:\n    title: a\n    version: b\n"
+            b"  controls:\n    - id: c1\n    - id: c1\n"
+        )
+        assert main(["validate", CATALOG, "--store", STORE, str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "1 errors\n"
+        assert err.startswith(f"error: {bad}: ") and "duplicate control id" in err
+
+    @pytest.mark.parametrize("command, options", HELP.items(),
+                             ids=[" ".join(command) or "guidance" for command in HELP])
+    def test_help(self, command, options, capsys):
+        assert main([*command, "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith("Usage:")
+        for option in options:
+            assert option in out, option
+
+    def test_store_option_wins_over_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("GUIDANCE_STORE", MISSING)
+        assert main(["graph", "--store", STORE]) == 0
+        assert "am-profile.yaml" in capsys.readouterr().out
+
+    def test_the_cli_imports_no_click(self):
+        code = "import sys, layered_guidance.cli; sys.exit('click' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT / "src").returncode == 0
+
+    def test_empty_environment_store_is_unset(self, monkeypatch, capsys):
+        monkeypatch.setenv("GUIDANCE_STORE", "")
+        assert main(["resolve", "am-profile.yaml"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ") and "--store" in err
