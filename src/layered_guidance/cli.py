@@ -7,9 +7,10 @@ invocations on identical stores produce byte-identical output. Exit codes:
 
 A usage error is an unknown command or option, a missing or invalid
 argument, a store that is not an existing directory, a file argument that
-does not exist or is a directory, or an ``-o`` that is a directory. It
-writes nothing to stdout and one line ``usage error: <message>`` to
-stderr, where the message names the offending argument, option or value.
+does not exist or is a directory, or an ``-o`` that is empty or a
+directory. It writes nothing to stdout and one line
+``usage error: <message>`` to stderr, where the message names the
+offending argument, option or value.
 ``--help`` prints help to stdout and exits 0.
 """
 
@@ -47,7 +48,6 @@ from .model import (
     ERROR,
     Finding,
     has_errors,
-    profile_structure_findings,
     validate_catalog,
 )
 from .render import RenderOptions, render_markdown
@@ -101,7 +101,7 @@ def _failure(exc: GuidanceError) -> tuple[str, int]:
 
 
 def _write_output(data: bytes, output: str | None) -> None:
-    if output:
+    if output is not None:
         Path(output).write_bytes(data)
     else:
         sys.stdout.buffer.write(data)
@@ -164,7 +164,7 @@ def validate_cmd(args: argparse.Namespace) -> int:
                 else:
                     findings = validate_profile(envelope.body, sources)
             else:
-                findings = profile_structure_findings(envelope.body)
+                findings = list(envelope.body.structure_findings)
         for finding in findings:
             _echo(f"{finding.severity}: {file}: {finding.path}: {finding.message}", err=True)
         total_errors += sum(1 for f in findings if f.severity == ERROR)
@@ -375,7 +375,7 @@ def _parse(args: list[str]) -> argparse.Namespace:
     Options may come between positional arguments. The store is ``--store``,
     or else a non-empty ``GUIDANCE_STORE``, and must be an existing
     directory; each file argument must exist and not be a directory; ``-o``
-    must not be a directory.
+    must name a file and not a directory.
     """
     parse = _PARSES.get(args[0]) if args else None
     if parse is None:
@@ -400,7 +400,9 @@ def _parse(args: list[str]) -> argparse.Namespace:
             if os.path.isdir(path):
                 raise _UsageError(f"argument {dest.upper()}: {path!r} is a directory")
     output = getattr(namespace, "output", None)
-    if output and os.path.isdir(output):
+    if output == "":
+        raise _UsageError("argument -o/--output: expected a file name, got ''")
+    if output is not None and os.path.isdir(output):
         raise _UsageError(f"argument -o/--output: {output!r} is a directory")
     return namespace
 

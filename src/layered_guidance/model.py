@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 IDENTIFIER_RE = re.compile(r"[a-z][a-z0-9._-]*", re.IGNORECASE)
 
@@ -177,6 +178,11 @@ class Profile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "imports", tuple(self.imports))
         object.__setattr__(self, "alterations", tuple(self.alterations))
+
+    @cached_property
+    def structure_findings(self) -> tuple[Finding, ...]:
+        """``profile_structure_findings`` of this object, computed on first use only."""
+        return tuple(profile_structure_findings(self))
 
 
 @dataclass(frozen=True)

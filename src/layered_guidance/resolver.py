@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import posixpath
 import threading
-from collections.abc import Callable, Container, Iterable, Mapping, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from stat import S_ISLNK, S_ISREG
@@ -52,7 +52,6 @@ from .model import (
     WARNING,
     has_errors,
     iter_controls,
-    profile_structure_findings,
 )
 from .serialize import format_of, parse_document
 
@@ -168,7 +167,7 @@ def _alter(control: Control, alteration: Alteration, report: _Report) -> Control
     for index, part in enumerate(parts):
         if part.name == STATEMENT_PART and index != 0:
             report.fail(StatementNotFirst(control.id), path, "statement must be first")
-    return replace(control, parts=tuple(parts))
+    return Control(control.id, control.classifier, tuple(parts), control.children)
 
 
 def _select(catalog: Catalog, directive: ImportDirective, report: _Report,
@@ -225,7 +224,9 @@ def _restrict(controls: Iterable[Control], ids: Container[str]) -> list[Control]
 
     def kept(control: Control) -> Control:
         children = tuple(kept(child) for child in control.children if child.id in ids)
-        return control if children == control.children else replace(control, children=children)
+        if children == control.children:
+            return control
+        return Control(control.id, control.classifier, control.parts, children)
 
     def walk(controls: Iterable[Control], parent_kept: bool) -> None:
         for control in controls:
@@ -239,13 +240,74 @@ def _restrict(controls: Iterable[Control], ids: Container[str]) -> list[Control]
     return forest
 
 
-def _swap_in(control: Control, altered: Mapping[str, Control]) -> Control:
-    """``control`` with every altered control in its subtree swapped in."""
-    children = tuple(_swap_in(child, altered) for child in control.children)
-    control = altered.get(control.id, control)
-    if all(new is old for new, old in zip(children, control.children)):
-        return control
-    return replace(control, children=children)
+def _take_whole(source: ResolvedCatalog, stamp: ProvenanceEntry, selected: dict[str, Control],
+                parents: dict[str, str | None],
+                provenance: dict[tuple[str, str], ProvenanceEntry]) -> bool:
+    """Select all of ``source`` as it stands, in one walk; False if an id repeats.
+
+    Fills the empty ``selected`` and ``parents`` with each control of the
+    source's forest and its parent's id, and stamps each part as the
+    selecting path does. On a repeated id, which only a catalog built in
+    memory without validation can hold, the three maps are emptied again,
+    so the selecting path can report the repeat.
+    """
+    prior = source.provenance.get
+
+    def walk(controls: Sequence[Control], parent: str | None) -> bool:
+        for control in controls:
+            cid = control.id
+            if cid in selected:
+                return False
+            selected[cid] = control
+            parents[cid] = parent
+            for part in control.parts:
+                key = (cid, part.name)
+                provenance[key] = prior(key) or stamp
+            if control.children and not walk(control.children, cid):
+                return False
+        return True
+
+    if walk(source.catalog.controls, None):
+        return True
+    selected.clear()
+    parents.clear()
+    provenance.clear()
+    return False
+
+
+def _with_parents(controls: Iterable[Control],
+                  parent: str | None = None) -> Iterator[tuple[Control, str | None]]:
+    """Each control of a forest and its parent's id, depth first in document order."""
+    for control in controls:
+        yield control, parent
+        yield from _with_parents(control.children, control.id)
+
+
+def _swap_in(forest: Sequence[Control], altered: Mapping[str, Control],
+             parents: Mapping[str, str | None]) -> tuple[Control, ...]:
+    """``forest`` with each altered control swapped in; only their ancestors are rebuilt.
+
+    ``parents`` maps the id of each control in ``forest`` to its parent's,
+    None for a root. An alteration changes parts only, so a control with no
+    altered descendant keeps its children as they are.
+    """
+    above: set[str] = set()  # the ids of the controls with an altered descendant
+    for cid in altered:
+        parent = parents[cid]
+        while parent is not None and parent not in above:
+            above.add(parent)
+            parent = parents[parent]
+    touched = above.union(altered)
+
+    def swapped(control: Control) -> Control:
+        control = altered.get(control.id, control)
+        if control.id not in above:
+            return control
+        return Control(control.id, control.classifier, control.parts,
+                       tuple([swapped(child) if child.id in touched else child
+                              for child in control.children]))
+
+    return tuple([swapped(root) if root.id in touched else root for root in forest])
 
 
 def resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile, *,
@@ -280,17 +342,19 @@ def validate_profile(profile: Profile,
 
 def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
              report: _Report) -> ResolvedCatalog | None:
-    """Select, alter and stamp provenance in one pass over the selected forest.
+    """Select, alter and stamp provenance; only the altered controls' paths are rebuilt.
 
     Each source becomes a layer and is paired and named here, as ``resolve``
     says, and a part of a plain catalog is stamped only when it is selected,
     with the one ``ProvenanceEntry`` made for that source.
     The imports of one source select the union of the ids each selects;
     ``_restrict`` builds that source's forest in its document order, where
-    the first of them stands. Only a raising report gets the resolved
-    catalog back.
+    the first of them stands. A source whose one import includes all and
+    excludes nothing, and which is the first to select anything, gives its
+    forest as it is (``_take_whole``). Only a raising report gets the
+    resolved catalog back.
     """
-    structural = profile_structure_findings(profile)
+    structural = profile.structure_findings
     if report.findings is not None:
         report.findings.extend(structural)
     elif has_errors(structural):
@@ -315,24 +379,33 @@ def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
     depth = max((rs.depth for rs in paired), default=0) + 1
     provenance: dict[tuple[str, str], ProvenanceEntry] = {}
     selected: dict[str, Control] = {}
+    parents: dict[str, str | None] = {}  # control id -> its parent's id in the selection
     origins: dict[str, str] = {}  # control id -> the name of its source, for messages
+    whole = ""  # the name of the source taken whole, the origin of the ids not in origins
     forest: list[Control] = []
     imports_of: dict[int, list[int]] = {}  # each source, by identity -> indexes of its imports
     for index, source in enumerate(paired):
         imports_of.setdefault(id(source), []).append(index)
     for indexes in imports_of.values():
         source = paired[indexes[0]]
+        directive = profile.imports[indexes[0]]
+        source_uri = source.catalog.uri or directive.source
+        stamp = ProvenanceEntry(source_uri, 0)  # for each part of a plain catalog
+        if (not selected and len(indexes) == 1 and directive.include_all
+                and not directive.exclude
+                and _take_whole(source, stamp, selected, parents, provenance)):
+            whole = source_uri
+            forest.extend(source.catalog.controls)
+            continue
         paths: dict[str, str] = {}  # control id -> the first of these imports that selects it
         for index in indexes:
             path = f"imports/{index}"
             for cid in _select(source.catalog, profile.imports[index], report, path):
                 paths.setdefault(cid, path)
-        source_uri = source.catalog.uri or profile.imports[indexes[0]].source
-        stamp = ProvenanceEntry(source_uri, 0)  # for each part of a plain catalog
         for root in _restrict(source.catalog.controls, paths):
-            for control in iter_controls([root]):
+            for control, parent in _with_parents([root]):
                 if control.id in selected:
-                    first = origins[control.id]
+                    first = origins.get(control.id, whole)
                     report.fail(
                         DuplicateControlId(control.id,
                                            f"supplied by both {first!r} and {source_uri!r}"),
@@ -341,6 +414,7 @@ def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
                     )
                     continue
                 selected[control.id] = control
+                parents[control.id] = parent
                 origins[control.id] = source_uri
                 for part in control.parts:
                     key = (control.id, part.name)
@@ -372,19 +446,26 @@ def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
     if report.findings is not None:
         return None
     lineage = (*dict.fromkeys(uri for source in paired for uri in source.lineage), profile_uri)
-    controls = tuple(_swap_in(root, altered) for root in forest) if altered else forest
+    controls = _swap_in(forest, altered, parents) if altered else forest
     catalog = Catalog(metadata=profile.metadata, controls=controls, uri=profile.uri)
     return ResolvedCatalog(catalog=catalog, provenance=provenance, lineage=lineage, depth=depth,
                            warnings=tuple(report.warnings or ()))
 
 
-def _fingerprint(path: Path) -> tuple[int, int] | None:
-    """The modification time and size of the regular file at ``path``; None for anything else."""
+def _fingerprint(path: Path) -> tuple[int, int, int, int] | None:
+    """The regular file at ``path`` as its modification and change times, size and inode.
+
+    None for anything else. The change time moves on each write and each
+    ``utime``, so a same-size rewrite whose modification time was put back
+    (``cp -p``, ``rsync -t``) is seen.
+    """
     try:
         stat = os.stat(path)
     except OSError:
         return None
-    return (stat.st_mtime_ns, stat.st_size) if S_ISREG(stat.st_mode) else None
+    if not S_ISREG(stat.st_mode):
+        return None
+    return (stat.st_mtime_ns, stat.st_ctime_ns, stat.st_size, stat.st_ino)
 
 
 def _has_link(root: str, relative: str) -> bool:
@@ -417,11 +498,11 @@ class SourceStore:
     """A directory of guidance documents addressed by relative path.
 
     Every spelling of a path names one document, cached under its normalized
-    path, its ``uri``, and parsed again once the file's modification time or
-    size changes or ``evict`` drops it. A parse that fails is cached the same
-    way: until then each load raises an equal error, of the same class,
-    message and ``source``, without reading the file. Concurrent loads of
-    the same uri parse at most once.
+    path, its ``uri``, and parsed again once the file's modification or
+    change time, size or inode changes or ``evict`` drops it. A parse that
+    fails is cached the same way: until then each load raises an equal
+    error, of the same class, message and ``source``, without reading the
+    file. Concurrent loads of the same uri parse at most once.
 
     A normalized uri names the file at that path below the root's real
     path. A uri that leaves the root, or whose path passes a symbolic link
@@ -433,7 +514,7 @@ class SourceStore:
         self.root = Path(root)
         self._real_root = self.root.resolve()
         # normalized uri -> (path, fingerprint, envelope or parse error)
-        self._cache: dict[str, tuple[Path, tuple[int, int], DocumentEnvelope | GuidanceError]] = {}
+        self._cache: dict[str, tuple[Path, tuple[int, ...], DocumentEnvelope | GuidanceError]] = {}
         self._lock = threading.Lock()
         self.load_count = 0  # loads that actually parsed the file
 
@@ -465,12 +546,10 @@ class SourceStore:
                 if fingerprint is None:
                     raise NotFound(uri)
                 try:
-                    envelope = parse_document(path.read_bytes(), format_of(path))
+                    envelope = parse_document(path.read_bytes(), format_of(path), key)
                 except GuidanceError as exc:
                     cached = self._cache[key] = (path, fingerprint, exc.with_traceback(None))
                 else:
-                    body = replace(envelope.body, uri=key)
-                    envelope = DocumentEnvelope(kind=envelope.kind, body=body)
                     cached = self._cache[key] = (path, fingerprint, envelope)
                     self.load_count += 1
             result = cached[2]

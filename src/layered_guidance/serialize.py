@@ -60,7 +60,6 @@ from .model import (
     Profile,
     RemoveDirective,
     has_errors,
-    profile_structure_findings,
     validate_catalog,
 )
 
@@ -387,11 +386,11 @@ def _build_control(value: Any, path: str) -> Control:
     )
 
 
-def _build_catalog(value: Any, path: str) -> Catalog:
+def _build_catalog(value: Any, path: str, uri: str) -> Catalog:
     mapping = _expect_mapping(value, path, _CATALOG_KEYS)
     controls = _build_list(mapping, "controls", path, _build_control)
     return Catalog(metadata=_build_metadata(mapping["metadata"], f"{path}/metadata"),
-                   controls=controls)
+                   controls=controls, uri=uri)
 
 
 def _build_import(value: Any, path: str) -> ImportDirective:
@@ -446,7 +445,7 @@ def _build_alteration(value: Any, path: str) -> Alteration:
     )
 
 
-def _build_profile(value: Any, path: str) -> Profile:
+def _build_profile(value: Any, path: str, uri: str) -> Profile:
     mapping = _expect_mapping(value, path, _PROFILE_KEYS)
     imports = _build_list(mapping, "imports", path, _build_import)
     alterations = _build_list(mapping, "alterations", path, _build_alteration)
@@ -454,6 +453,7 @@ def _build_profile(value: Any, path: str) -> Profile:
         metadata=_build_metadata(mapping["metadata"], f"{path}/metadata"),
         imports=imports,
         alterations=alterations,
+        uri=uri,
     )
 
 
@@ -462,11 +462,12 @@ def format_of(path: str | PurePath) -> str:
     return JSON if PurePath(path).suffix == ".json" else YAML
 
 
-def parse_document(text: bytes | str, format: str = AUTO) -> DocumentEnvelope:
-    """Parse and validate one document; returns its envelope.
+def parse_document(text: bytes | str, format: str = AUTO, uri: str = "") -> DocumentEnvelope:
+    """Parse and validate one document; returns its envelope, whose body has ``uri``.
 
     ``format`` is ``yaml``, ``json``, or ``auto`` (sniffed: a leading ``{``
-    means JSON).
+    means JSON). A profile keeps the structural findings checked here, so
+    resolving it does not check them again.
     """
     if isinstance(text, bytes):
         try:
@@ -494,11 +495,11 @@ def parse_document(text: bytes | str, format: str = AUTO) -> DocumentEnvelope:
 
     body: Catalog | Profile
     if kind == "catalog":
-        body = _build_catalog(raw[kind], "catalog")
+        body = _build_catalog(raw[kind], "catalog", uri)
         findings = validate_catalog(body)
     else:
-        body = _build_profile(raw[kind], "profile")
-        findings = profile_structure_findings(body)
+        body = _build_profile(raw[kind], "profile", uri)
+        findings = body.structure_findings
     if has_errors(findings):
         raise ValidationError(findings)
     return DocumentEnvelope(kind=kind, body=body)

@@ -8,13 +8,21 @@ share no code path with the functions under test.
 from __future__ import annotations
 
 import posixpath
-from collections.abc import Sequence
+from collections.abc import Container, Iterable, Mapping, Sequence
 from dataclasses import replace
 from pathlib import Path
 
 from layered_guidance import serialize
 from layered_guidance.changes import ChangeSet, diff
-from layered_guidance.errors import InvalidUri, NotFound
+from layered_guidance.errors import (
+    DuplicateControlId,
+    GuidanceError,
+    InvalidUri,
+    NotFound,
+    ResolutionError,
+    UnknownControlId,
+    ValidationError,
+)
 from layered_guidance.model import (
     ERROR,
     STATEMENT_PART,
@@ -26,8 +34,20 @@ from layered_guidance.model import (
     ImportDirective,
     Profile,
     ValidationReport,
+    has_errors,
     iter_controls,
     profile_structure_findings,
+)
+from layered_guidance.resolver import (
+    ProvenanceEntry,
+    ResolvedCatalog,
+    _alter,
+    _layer,
+    _Report,
+    _select,
+    normalize_uri,
+    resolve,
+    validate_profile,
 )
 
 EntryTuple = tuple[str, str | None, str | None, str | None, str | None]
@@ -335,6 +355,150 @@ def simulate_profile_findings(profile: Profile,
             if part.name == STATEMENT_PART and index != 0:
                 findings.append(Finding(ERROR, path, "statement must be first"))
     return findings
+
+
+# ---------------------------------------------------------------------------
+# The resolver as it was before include-all imports took their source whole:
+# every import selects and restricts, every selected control is stamped on
+# one walk, and the swap-in walks the whole forest. The resolver must give
+# the same catalogs, provenance, lineage, depth, warnings and findings.
+
+
+def _reference_restrict(controls: Iterable[Control], ids: Container[str]) -> list[Control]:
+    forest: list[Control] = []
+
+    def kept(control: Control) -> Control:
+        children = tuple(kept(child) for child in control.children if child.id in ids)
+        return control if children == control.children else replace(control, children=children)
+
+    def walk(controls: Iterable[Control], parent_kept: bool) -> None:
+        for control in controls:
+            inside = control.id in ids
+            if inside and not parent_kept:
+                forest.append(kept(control))
+            if control.children:
+                walk(control.children, inside)
+
+    walk(controls, False)
+    return forest
+
+
+def _reference_swap_in(control: Control, altered: Mapping[str, Control]) -> Control:
+    children = tuple(_reference_swap_in(child, altered) for child in control.children)
+    control = altered.get(control.id, control)
+    if all(new is old for new, old in zip(children, control.children)):
+        return control
+    return replace(control, children=children)
+
+
+def reference_resolve(sources: Sequence, profile: Profile,
+                      report: _Report) -> ResolvedCatalog | None:
+    """Select, alter and stamp provenance in one pass over the selected forest."""
+    structural = profile_structure_findings(profile)
+    if report.findings is not None:
+        report.findings.extend(structural)
+    elif has_errors(structural):
+        raise ValidationError(structural)
+
+    sources = [_layer(source) for source in sources]
+    by_uri = {normalize_uri(rs.catalog.uri): rs for rs in sources if rs.catalog.uri}
+    paired = [by_uri.get(normalize_uri(directive.source)) for directive in profile.imports]
+    named = {normalize_uri(directive.source) for directive in profile.imports}
+    spare = [rs for rs in sources
+             if not rs.catalog.uri or normalize_uri(rs.catalog.uri) not in named]
+    unpaired = [index for index, source in enumerate(paired) if source is None]
+    if unpaired and len(unpaired) != len(spare):
+        for index in unpaired:
+            message = f"no source supplied for import {profile.imports[index].source!r}"
+            report.fail(ResolutionError(message), f"imports/{index}", message)
+        return None
+    for index, source in zip(unpaired, spare):
+        paired[index] = source
+
+    profile_uri = profile.uri or "<profile>"
+    depth = max((rs.depth for rs in paired), default=0) + 1
+    provenance: dict[tuple[str, str], ProvenanceEntry] = {}
+    selected: dict[str, Control] = {}
+    origins: dict[str, str] = {}
+    forest: list[Control] = []
+    imports_of: dict[int, list[int]] = {}
+    for index, source in enumerate(paired):
+        imports_of.setdefault(id(source), []).append(index)
+    for indexes in imports_of.values():
+        source = paired[indexes[0]]
+        paths: dict[str, str] = {}
+        for index in indexes:
+            path = f"imports/{index}"
+            for cid in _select(source.catalog, profile.imports[index], report, path):
+                paths.setdefault(cid, path)
+        source_uri = source.catalog.uri or profile.imports[indexes[0]].source
+        stamp = ProvenanceEntry(source_uri, 0)
+        for root in _reference_restrict(source.catalog.controls, paths):
+            for control in iter_controls([root]):
+                if control.id in selected:
+                    first = origins[control.id]
+                    report.fail(
+                        DuplicateControlId(control.id,
+                                           f"supplied by both {first!r} and {source_uri!r}"),
+                        paths[control.id],
+                        f"duplicate control id {control.id!r} in selection",
+                    )
+                    continue
+                selected[control.id] = control
+                origins[control.id] = source_uri
+                for part in control.parts:
+                    key = (control.id, part.name)
+                    provenance[key] = source.provenance.get(key) or stamp
+            forest.append(root)
+
+    altered: dict[str, Control] = {}
+    for alteration in profile.alterations:
+        cid = alteration.control_id
+        target = selected.get(cid)
+        if target is None:
+            report.fail(UnknownControlId(cid, f"profile {profile.uri or 'in memory'}"),
+                        f"alterations/{cid}", f"unknown control id {cid!r}")
+            continue
+        result = _alter(target, alteration, report)
+        altered[cid] = result
+        kept = {part.name for part in result.parts}
+        for part in target.parts:
+            if part.name not in kept:
+                provenance.pop((cid, part.name), None)
+        for add in alteration.adds:
+            for part in add.parts:
+                provenance[(cid, part.name)] = ProvenanceEntry(profile_uri, depth)
+
+    if report.findings is not None:
+        return None
+    lineage = (*dict.fromkeys(uri for source in paired for uri in source.lineage), profile_uri)
+    controls = (tuple(_reference_swap_in(root, altered) for root in forest) if altered
+                else forest)
+    catalog = Catalog(metadata=profile.metadata, controls=controls, uri=profile.uri)
+    return ResolvedCatalog(catalog=catalog, provenance=provenance, lineage=lineage, depth=depth,
+                           warnings=tuple(report.warnings or ()))
+
+
+def _resolution_record(call) -> tuple:
+    """A resolution's catalog, uri, provenance as a dict, lineage, depth and warnings;
+    or the class, message and fields of the error it raised."""
+    try:
+        result = call()
+    except GuidanceError as error:
+        return type(error), str(error), vars(error)
+    return (result.catalog, result.catalog.uri, dict(result.provenance), result.lineage,
+            result.depth, result.warnings)
+
+
+def check_against_reference(sources: Sequence, profile: Profile) -> None:
+    """``resolve``, strict and lenient, and ``validate_profile`` agree with the reference."""
+    for lenient in (False, True):
+        report = _Report(lenient=lenient, warnings=[])
+        assert _resolution_record(lambda: resolve(sources, profile, lenient=lenient)) \
+            == _resolution_record(lambda: reference_resolve(sources, profile, report))
+    findings: ValidationReport = []
+    reference_resolve(sources, profile, _Report(findings))
+    assert validate_profile(profile, sources) == findings
 
 
 # ---------------------------------------------------------------------------

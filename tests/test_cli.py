@@ -634,6 +634,9 @@ USAGE_ERRORS = {
     "render into a directory": (["render", CATALOG, "-o", STORE], "--output"),
     "resolve into a directory": (["resolve", "am-profile.yaml", "--store", STORE, "-o", STORE],
                                  "--output"),
+    "render into an empty name": (["render", CATALOG, "-o", ""], "--output"),
+    "resolve into an empty name": (["resolve", "am-profile.yaml", "--store", STORE, "--output", ""],
+                                   "--output"),
     "validate no file": (["validate"], "FILES"),
     "validate a missing file": (["validate", CATALOG, MISSING], MISSING),
     "diff a missing file": (["diff", MISSING, CATALOG], MISSING),

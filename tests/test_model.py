@@ -30,7 +30,7 @@ from layered_guidance.model import (
     validate_catalog,
 )
 from layered_guidance.resolver import resolve, resolve_chain, SourceStore, validate_profile
-from oracles import selection_outline, simulate_profile_findings
+from oracles import check_against_reference, selection_outline, simulate_profile_findings
 
 
 def _catalog(*controls: Control) -> Catalog:
@@ -364,6 +364,13 @@ def test_validate_profile_predicts_resolution_outcome(case):
         result = resolve(sources, profile)
         # part-name uniqueness and statement ordering survive resolution
         assert not has_errors(validate_catalog(result.catalog))
+
+
+@given(resolution_cases())
+@settings(max_examples=200, deadline=None)
+def test_resolution_agrees_with_the_reference_resolver(case):
+    sources, profile = case
+    check_against_reference(sources, profile)
 
 
 def _outline(controls, parent=None) -> list[tuple[str, str | None]]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import tempfile
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path, PurePath
 
@@ -30,11 +31,13 @@ from layered_guidance.errors import (
 )
 from layered_guidance.fixtures import load_fixture
 from layered_guidance.model import (
+    ERROR,
     AddDirective,
     Alteration,
     Catalog,
     Control,
     DocumentEnvelope,
+    Finding,
     ImportDirective,
     Metadata,
     Part,
@@ -49,7 +52,9 @@ from layered_guidance.resolver import (
     SourceStore,
     apply_alteration,
     detect_cycles,
+    import_sources,
     resolve,
+    resolve_acyclic,
     resolve_chain,
 )
 from layered_guidance.serialize import parse_document, serialize_document
@@ -256,6 +261,24 @@ class TestResolve:
         assert str(raised.value) == (
             "duplicate control id: 'c1' (supplied by both 'a.yaml' and 'b.yaml')"
         )
+
+    def test_an_id_repeated_within_one_source_imported_whole_is_reported(self):
+        """A catalog built in memory may repeat an id; taking it whole must not hide that."""
+        source = Catalog(Metadata("A", "1"), (
+            Control("c1", parts=(Part("statement", "first"),)),
+            Control("c2", children=(Control("c1", parts=(Part("statement", "again"),)),)),
+        ), uri="a.yaml")
+        profile = Profile(Metadata("P", "1"), imports=(ImportDirective("a.yaml"),),
+                          alterations=(Alteration("c2", adds=(AddDirective((Part("x", "y"),)),)),))
+        with pytest.raises(DuplicateControlId) as raised:
+            resolve([source], profile)
+        assert str(raised.value) == (
+            "duplicate control id: 'c1' (supplied by both 'a.yaml' and 'a.yaml')"
+        )
+        assert resolver.validate_profile(profile, [source]) == [
+            Finding(ERROR, "imports/0", "duplicate control id 'c1' in selection"),
+        ]
+        oracles.check_against_reference([source], profile)
 
     def test_an_import_naming_no_source_pairs_with_the_unnamed_source(self):
         named = Catalog(Metadata("A", "1"), (Control("a1"),), uri="a.yaml")
@@ -539,6 +562,27 @@ class TestSourceStore:
         assert store.load("csf-id-am.yaml").body.metadata.version == "1.10"
         assert store.load_count == 2
 
+    def test_a_same_size_rewrite_with_its_mtime_put_back_is_parsed_again(self, fixture_store):
+        """As ``cp -p`` or ``rsync -t`` leave a file: only its change time moves on."""
+        store = SourceStore(fixture_store)
+        assert store.load("csf-id-am.yaml").body.metadata.version == "1.1"
+        path = fixture_store / "csf-id-am.yaml"
+        before = os.stat(path)
+        edited = path.read_bytes().replace(b'version: "1.1"', b'version: "1.2"')
+        deadline = time.monotonic() + 10
+        while True:  # until the change time has moved on, whatever the clock's granularity
+            path.write_bytes(edited)
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            after = os.stat(path)
+            if after.st_ctime_ns != before.st_ctime_ns or time.monotonic() > deadline:
+                break
+            time.sleep(0.005)
+        assert after.st_ctime_ns != before.st_ctime_ns
+        assert (after.st_mtime_ns, after.st_size, after.st_ino) == (
+            before.st_mtime_ns, before.st_size, before.st_ino)
+        assert store.load("csf-id-am.yaml").body.metadata.version == "1.2"
+        assert store.load_count == 2
+
     def test_a_failed_parse_is_raised_again_until_the_file_changes(self, fixture_store,
                                                                    monkeypatch):
         path = fixture_store / "dup.yaml"
@@ -687,3 +731,69 @@ def test_staged_equals_chained_on_random_chains(chain):
         blob = serialize_document(DocumentEnvelope("catalog", intermediate.catalog), "yaml")
         staged = resolve([parse_document(blob).body], store.load("p2.yaml").body)
         assert staged.catalog == chained.catalog
+
+
+def _control_tree(cid: str, *children: Control) -> Control:
+    return Control(cid, parts=(Part("statement", f"{cid} statement"),), children=children)
+
+
+class TestReferenceResolver:
+    """The resolver agrees with ``oracles.reference_resolve``, which selects every import."""
+
+    @given(strategies.layered_chains())
+    @settings(max_examples=100, deadline=None)
+    def test_layered_chains(self, chain):
+        """As drawn, and with each top-level control nested as the last child of the one before."""
+        base, p1, p2, _ = chain
+        p1, p2 = replace(p1, uri="p1.yaml"), replace(p2, uri="p2.yaml")
+        nested = base.controls[-1]
+        for top in base.controls[-2::-1]:
+            nested = replace(top, children=(*top.children, nested))
+        for controls in (base.controls, (nested,)):
+            source = replace(base, controls=controls, uri="base.yaml")
+            oracles.check_against_reference([source], p1)
+            oracles.check_against_reference([resolve([source], p1)], p2)
+
+    def test_an_altered_control_rebuilds_its_ancestors_and_nothing_else(self):
+        leaf, sibling = _control_tree("c-1-1-1"), _control_tree("c-1-1-2")
+        middle, uncle = _control_tree("c-1-1", leaf, sibling), _control_tree("c-1-2")
+        top, other = _control_tree("c-1", middle, uncle), _control_tree("c-2")
+        source = Catalog(Metadata("S", "1"), (top, other), uri="s.yaml")
+        profile = Profile(Metadata("P", "1"), imports=(ImportDirective("s.yaml"),), alterations=(
+            Alteration("c-1-1-1", adds=(AddDirective((Part("note", "n"),)),)),))
+        oracles.check_against_reference([source], profile)
+        [new_top, new_other] = resolve([source], profile).catalog.controls
+        [new_middle, new_uncle] = new_top.children
+        [new_leaf, new_sibling] = new_middle.children
+        assert [p.name for p in new_leaf.parts] == ["statement", "note"]
+        assert (new_other, new_uncle, new_sibling) == (other, uncle, sibling)
+        assert new_other is other and new_uncle is uncle and new_sibling is sibling
+
+    @given(strategies.edited_stores())
+    @settings(max_examples=40, deadline=None)
+    def test_edited_stores(self, case):
+        """Each profile of the store, before and after its edit, against its resolved sources."""
+        target, _, edited = case["edit"]
+        for files in (case["files"], {**case["files"], target: edited}):
+            with tempfile.TemporaryDirectory() as tmp:
+                root = Path(tmp)
+                for uri, data in files.items():
+                    (root / uri).parent.mkdir(exist_ok=True)
+                    (root / uri).write_bytes(data)
+                store, memo = SourceStore(root), {}
+                for uri in case["imports"]:
+                    try:
+                        profile = store.load(uri).body
+                        sources = [resolve_acyclic(store, source, memo=memo)
+                                   for source in import_sources(store.load(uri))]
+                    except GuidanceError:  # an edit that breaks a document
+                        continue
+                    oracles.check_against_reference(sources, profile)
+
+    def test_fixture_chain(self, fixture_store):
+        store, memo = SourceStore(fixture_store), {}
+        for uri in ("ot-profile.yaml", "am-profile.yaml"):
+            envelope = store.load(uri)
+            sources = [resolve_acyclic(store, source, memo=memo)
+                       for source in import_sources(envelope)]
+            oracles.check_against_reference(sources, envelope.body)

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import REPO_ROOT
 from layered_guidance import resolver
+from layered_guidance.resolver import SourceStore, resolve_chain
 
 
 @pytest.fixture(scope="module")
@@ -32,3 +33,17 @@ def test_a_missing_name_is_reported(spans, monkeypatch):
     monkeypatch.delattr(resolver, "detect_cycles")
     with pytest.raises(spans.TraceError, match="detect_cycles"):
         spans.Tracer("layered_guidance")
+
+
+def test_strict_resolution_calls_apply_alteration_for_each_alteration(fixture_store,
+                                                                        monkeypatch):
+    """The span ``resolver.apply_alteration`` wraps the module binding: every call goes through it."""
+    calls = []
+    original = resolver.apply_alteration
+    monkeypatch.setattr(resolver, "apply_alteration",
+                        lambda *args, **kwargs: calls.append(args[1]) or original(*args, **kwargs))
+    store = SourceStore(fixture_store)
+    resolve_chain(store, "am-profile.yaml")
+    applied = [alteration for uri in ("ot-profile.yaml", "am-profile.yaml")
+               for alteration in store.load(uri).body.alterations]
+    assert applied and calls == applied
