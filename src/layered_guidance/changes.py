@@ -25,9 +25,8 @@ from .resolver import (
     RESOLVED_DIR,
     ResolvedCatalog,
     SourceStore,
-    detect_cycles,
     import_sources,
-    resolve_acyclic,
+    resolve_in_store,
     topological_order,
 )
 from .serialize import catalog_blocks, emit_control, parse_document, serialize_document
@@ -344,13 +343,13 @@ def propagate(store: SourceStore, changed_uri: str, *,
 
     Each fresh resolution is diffed against the previously persisted one
     (``initial`` marks a first resolution) and, when the bytes differ,
-    persisted atomically with the mode the umask gives a new file. A failing
-    profile is reported in place with the error ``resolve_chain`` gives, and
-    so is one whose output path another profile shares; the rest still run.
-    Where a load can fail, each profile's closure is first walked with
-    ``detect_cycles``, as ``resolve_chain`` does. An import cycle upstream of
-    a re-resolved profile raises ``CycleDetected``; one elsewhere does not
-    matter. A ``changed_uri`` that does not parse raises.
+    persisted atomically with the mode the umask gives a new file. Each
+    profile resolves through ``resolve_in_store`` with one memo for the run,
+    so a failing profile is reported in place with the error
+    ``resolve_chain`` gives, and so is one whose output path another profile
+    shares; the rest still run. An import cycle upstream of a re-resolved
+    profile raises ``CycleDetected``; one elsewhere does not matter. A
+    ``changed_uri`` that does not parse raises.
     """
     if not store.exists(changed_uri):
         raise NotFound(changed_uri)
@@ -365,7 +364,6 @@ def propagate(store: SourceStore, changed_uri: str, *,
     # existing file is an edge, so the walk meets any cycle resolution could.
     order = topological_order([uri for uri in graph.nodes if uri in affected],
                               sources.__getitem__)
-    broken = bool(graph.findings or graph.unreadable)  # a missing or unparsable document
     outputs = {uri: resolution_output_uri(uri) for uri in graph.profiles}
     writers: dict[str, list[str]] = {}
     for uri, output_uri in outputs.items():
@@ -385,9 +383,7 @@ def propagate(store: SourceStore, changed_uri: str, *,
             results.append(PropagationResult(uri, output_uri, error=error))
             continue
         try:
-            if broken:
-                detect_cycles(store, uri)
-            resolved = resolve_acyclic(store, uri, lenient=lenient, memo=memo)
+            resolved = resolve_in_store(store, uri, lenient=lenient, memo=memo)
             data = serialize_document(DocumentEnvelope("catalog", resolved.catalog), "yaml",
                                       memo=emitted)
             path = store.root / output_uri

@@ -53,10 +53,9 @@ from .model import (
 from .render import RenderOptions, render_markdown
 from .resolver import (
     SourceStore,
-    detect_cycles,
     import_sources,
-    resolve_acyclic,
     resolve_chain,
+    resolve_in_store,
     validate_profile,
     wrap_catalog,
 )
@@ -155,8 +154,7 @@ def validate_cmd(args: argparse.Namespace) -> int:
                 sources = []
                 for index, source in enumerate(import_sources(envelope)):
                     try:
-                        detect_cycles(store, source)
-                        sources.append(resolve_acyclic(store, source, memo=memo))
+                        sources.append(resolve_in_store(store, source, memo=memo))
                     except GuidanceError as exc:  # reported for this file; the rest still run
                         findings = [Finding(ERROR, f"imports/{index}", _describe(exc))]
                         upstream_exit = max(upstream_exit, _failure(exc)[1])

@@ -1,7 +1,7 @@
 """Profile resolution: import selection, alterations, chaining, cycle detection.
 
 ``resolve`` maps source catalogs plus a profile to a resolved catalog.
-``resolve_chain`` recursively resolves a profile whose imports may name
+``resolve_in_store`` resolves a store document whose imports may name
 other profiles, so guidance layers compose: each layer inherits, extends,
 and selectively replaces the layer below it.
 
@@ -332,7 +332,7 @@ def validate_profile(profile: Profile,
     This is ``resolve`` with a report that collects findings instead of
     raising, so an error-free report means strict resolution succeeds, and
     each error finding is a failure strict resolution would raise. Sources
-    are the layers ``resolve`` takes, such as those ``resolve_acyclic``
+    are the layers ``resolve`` takes, such as those ``resolve_in_store``
     gives, and pair with imports and are named as ``resolve`` says.
     """
     findings: ValidationReport = []
@@ -629,49 +629,53 @@ def import_sources(envelope: DocumentEnvelope) -> list[str]:
     return [normalize_uri(directive.source) for directive in envelope.body.imports]
 
 
-def detect_cycles(store: SourceStore, root_uri: str) -> list[str]:
+def detect_cycles(store: SourceStore, root_uri: str, skip: Container[str] = (),
+                  loaded: dict[str, DocumentEnvelope] | None = None) -> list[str]:
     """Topological order (dependencies first) of the import closure of one document.
 
-    Raises ``CycleDetected`` with a witnessing uri path on cyclic imports.
+    The walk does not enter the uris in ``skip``, and puts each document it
+    loads into ``loaded``. Raises ``CycleDetected`` with a witnessing uri
+    path on cyclic imports.
     """
-    return topological_order([normalize_uri(root_uri)],
-                             lambda uri: import_sources(store.load(uri)))
+    loaded = {} if loaded is None else loaded
+
+    def sources_of(uri: str) -> list[str]:
+        envelope = loaded[uri] = store.load(uri)
+        return [source for source in import_sources(envelope) if source not in skip]
+
+    return topological_order([normalize_uri(root_uri)], sources_of)
 
 
-def resolve_chain(store: SourceStore, profile_uri: str, *, lenient: bool = False,
-                  memo: dict[str, ResolvedCatalog] | None = None) -> ResolvedCatalog:
-    """Recursively resolve a profile whose imports may name other profiles.
-
-    ``memo`` maps uris to their resolutions; passing the same dict to
-    several calls over one store resolves each document at most once.
-    Failures are never memoised.
-    """
-    profile_uri = normalize_uri(profile_uri)
-    detect_cycles(store, profile_uri)
-    envelope = store.load(profile_uri)
-    if envelope.kind != "profile":
-        raise ResolutionError(f"{profile_uri!r} is a catalog, not a profile")
-    return resolve_acyclic(store, profile_uri, lenient=lenient,
-                           memo={} if memo is None else memo)
+def resolve_chain(store: SourceStore, profile_uri: str, *,
+                  lenient: bool = False) -> ResolvedCatalog:
+    """Resolve a store profile whose imports may name other profiles; a catalog is an error."""
+    resolved = resolve_in_store(store, profile_uri, lenient=lenient, memo={})
+    if resolved.depth == 0:
+        raise ResolutionError(f"{resolved.catalog.uri!r} is a catalog, not a profile")
+    return resolved
 
 
-def resolve_acyclic(store: SourceStore, uri: str, *, lenient: bool = False,
-                    memo: dict[str, ResolvedCatalog]) -> ResolvedCatalog:
-    """``resolve_chain`` without its cycle check; a catalog is a depth-0 layer of itself.
+def resolve_in_store(store: SourceStore, uri: str, *, lenient: bool = False,
+                     memo: dict[str, ResolvedCatalog]) -> ResolvedCatalog:
+    """The document at ``uri`` resolved; a catalog is a depth-0 layer of itself.
+
+    ``detect_cycles`` first walks the import closure, skipping the uris
+    ``memo`` holds, so a cycle or a document that does not load fails before
+    anything resolves. Each walked document then resolves once, as the walk
+    loaded it, dependencies first, and fails as its first failing import
+    does. ``memo``, kept for one store and one ``lenient``, maps uris to
+    their resolutions; failures are never memoised.
 
     A catalog's layer carries no provenance: a profile that selects its parts
     stamps them with the catalog's uri, as ``resolve`` does for any plain
-    source. The caller must already know that no import cycle is reachable
-    from ``uri``: on one, this recurses without end.
+    source.
     """
-    if uri in memo:
-        return memo[uri]
-    envelope = store.load(uri)
-    if envelope.kind == "catalog":
-        result = _layer(envelope.body)
-    else:
-        sources = [resolve_acyclic(store, source, lenient=lenient, memo=memo)
-                   for source in import_sources(envelope)]
-        result = resolve(sources, envelope.body, lenient=lenient)
-    memo[uri] = result
-    return result
+    uri = normalize_uri(uri)
+    if uri not in memo:
+        loaded: dict[str, DocumentEnvelope] = {}
+        for walked in detect_cycles(store, uri, memo, loaded):
+            envelope = loaded[walked]
+            memo[walked] = _layer(envelope.body) if envelope.kind == "catalog" else resolve(
+                [memo[source] for source in import_sources(envelope)], envelope.body,
+                lenient=lenient)
+    return memo[uri]

@@ -41,10 +41,13 @@ from layered_guidance.model import (
 from layered_guidance.resolver import (
     ProvenanceEntry,
     ResolvedCatalog,
+    SourceStore,
     _alter,
     _layer,
     _Report,
     _select,
+    detect_cycles,
+    import_sources,
     normalize_uri,
     resolve,
     validate_profile,
@@ -479,23 +482,48 @@ def reference_resolve(sources: Sequence, profile: Profile,
                            warnings=tuple(report.warnings or ()))
 
 
-def _resolution_record(call) -> tuple:
+def resolution_record(call) -> tuple:
     """A resolution's catalog, uri, provenance as a dict, lineage, depth and warnings;
-    or the class, message and fields of the error it raised."""
+    or the class, message, ``source`` and fields of the error it raised."""
     try:
         result = call()
     except GuidanceError as error:
-        return type(error), str(error), vars(error)
+        return type(error), str(error), error.source, vars(error)
     return (result.catalog, result.catalog.uri, dict(result.provenance), result.lineage,
             result.depth, result.warnings)
+
+
+def reference_resolve_in_store(store: SourceStore, uri: str, *,
+                               lenient: bool = False) -> ResolvedCatalog:
+    """A store document resolved by walking its whole closure, then recursing, with a fresh memo.
+
+    ``detect_cycles`` walks the whole import closure first. Then each import
+    resolves recursively, in import order, so a failure is raised from the
+    first import that fails. This is the route ``resolve_in_store`` replaced.
+    """
+    uri = normalize_uri(uri)
+    detect_cycles(store, uri)
+    memo: dict[str, ResolvedCatalog] = {}
+
+    def resolve_acyclic(uri: str) -> ResolvedCatalog:
+        if uri not in memo:
+            envelope = store.load(uri)
+            if envelope.kind == "catalog":
+                memo[uri] = _layer(envelope.body)
+            else:
+                sources = [resolve_acyclic(source) for source in import_sources(envelope)]
+                memo[uri] = resolve(sources, envelope.body, lenient=lenient)
+        return memo[uri]
+
+    return resolve_acyclic(uri)
 
 
 def check_against_reference(sources: Sequence, profile: Profile) -> None:
     """``resolve``, strict and lenient, and ``validate_profile`` agree with the reference."""
     for lenient in (False, True):
         report = _Report(lenient=lenient, warnings=[])
-        assert _resolution_record(lambda: resolve(sources, profile, lenient=lenient)) \
-            == _resolution_record(lambda: reference_resolve(sources, profile, report))
+        assert resolution_record(lambda: resolve(sources, profile, lenient=lenient)) \
+            == resolution_record(lambda: reference_resolve(sources, profile, report))
     findings: ValidationReport = []
     reference_resolve(sources, profile, _Report(findings))
     assert validate_profile(profile, sources) == findings

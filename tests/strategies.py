@@ -49,23 +49,25 @@ def part_lists(draw, max_parts: int = 3) -> tuple[Part, ...]:
 
 @st.composite
 def catalogs(draw, min_controls: int = 0, max_controls: int = 6) -> Catalog:
+    """Catalogs of up to three levels: top-level controls, their children and grandchildren."""
     ids = draw(
         st.lists(identifiers, unique=True, min_size=min_controls, max_size=max_controls)
     )
     pool = list(ids)
+
+    def control(level: int) -> Control:
+        cid = pool.pop()
+        children: list[Control] = []
+        if level < 3:
+            for _ in range(draw(st.integers(0, min(2, len(pool))))):
+                if pool:  # a child's own children may have used up the ids
+                    children.append(control(level + 1))
+        return Control(cid, classifier=draw(st.none() | classifiers),
+                       parts=draw(part_lists()), children=tuple(children))
+
     controls: list[Control] = []
     while pool:
-        cid = pool.pop()
-        child_count = draw(st.integers(0, min(2, len(pool))))
-        children = tuple(
-            Control(pool.pop(), classifier=draw(st.none() | classifiers),
-                    parts=draw(part_lists()))
-            for _ in range(child_count)
-        )
-        controls.append(
-            Control(cid, classifier=draw(st.none() | classifiers),
-                    parts=draw(part_lists()), children=children)
-        )
+        controls.append(control(1))
     return Catalog(metadata=draw(metadata_records()), controls=tuple(controls))
 
 
@@ -414,6 +416,13 @@ def catalog_text(name: str, control_id: str) -> bytes:
             f"          prose: {name} statement v0\n"
             f"    - id: {control_id}-shared\n      parts:\n        - name: statement\n"
             f"          prose: {name} shared v0\n").encode()
+
+
+def profile_importing(*sources: str) -> bytes:
+    """A profile titled ``P`` that imports ``sources`` whole, in order, and alters nothing."""
+    lines = [b"profile:\n  metadata:\n    title: P\n    version: \"1\"\n  imports:\n"]
+    lines += [f"    - source: {source}\n".encode() for source in sources]
+    return b"".join(lines)
 
 
 def profile_text(name: str, source: str, control_id: str) -> bytes:

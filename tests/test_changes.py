@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies
+from strategies import profile_importing
 from oracles import (
     brute_force_diff,
     changes_by_full_parse,
@@ -42,12 +43,6 @@ from layered_guidance.serialize import parse_document, serialize_document
 
 DUPLICATE_TITLE = b"catalog:\n  metadata:\n    title: a\n    title: b\n    version: \"1\"\n"
 DUPLICATE_TITLE_MESSAGE = "duplicate key 'title' (line 4, column 5)"
-
-
-def _profile(*sources: str) -> bytes:
-    lines = [b"profile:\n  metadata:\n    title: P\n    version: \"1\"\n  imports:\n"]
-    lines += [f"    - source: {source}\n".encode() for source in sources]
-    return b"".join(lines)
 
 
 def _respell_am_import(store: Path, spelling: str) -> None:
@@ -177,7 +172,8 @@ class TestBuildGraph:
 
     def test_an_imported_build_output_joins_and_no_other_is_read(self, fixture_store):
         propagate(SourceStore(fixture_store), "csf-id-am.yaml")
-        (fixture_store / "uses-output.yaml").write_bytes(_profile("resolved/ot-profile.yaml"))
+        (fixture_store / "uses-output.yaml").write_bytes(
+            profile_importing("resolved/ot-profile.yaml"))
         store = SourceStore(fixture_store)
         graph = build_graph(store)
         assert graph.nodes[-1] == "resolved/ot-profile.yaml"
@@ -305,20 +301,20 @@ class TestPropagate:
             assert result.resolved is None
             assert "id.zz-9" in str(result.error)
 
-    def test_the_walk_replaces_per_profile_cycle_checks(self, fixture_store, monkeypatch):
-        """Both bindings are watched: ``propagate`` calls ``changes.detect_cycles``."""
-        checked = []
+    def test_the_walks_visit_each_document_at_most_once(self, fixture_store, monkeypatch):
+        """Each profile's walk skips the resolutions memoised before it: no per-profile re-walk."""
+        walked = []
         original = resolver.detect_cycles
 
-        def counting_detect_cycles(store, uri):
-            checked.append(uri)
-            return original(store, uri)
+        def recording_detect_cycles(*args, **kwargs):
+            order = original(*args, **kwargs)
+            walked.extend(order)
+            return order
 
-        for module in (resolver, changes_module):
-            monkeypatch.setattr(module, "detect_cycles", counting_detect_cycles)
+        monkeypatch.setattr(resolver, "detect_cycles", recording_detect_cycles)
         results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
         assert [r.error for r in results] == [None, None]
-        assert checked == []
+        assert Counter(walked) == Counter(["csf-id-am.yaml", "ot-profile.yaml", "am-profile.yaml"])
 
     def test_cycle_through_an_import_outside_the_store_graph(self, tmp_path):
         """An import spelled ``./g.yaml`` is the edge to ``g.yaml``, so the walk sees the cycle."""
@@ -360,7 +356,8 @@ class TestPropagate:
 
     def test_an_unreadable_document_fails_only_its_dependents(self, fixture_store):
         (fixture_store / "dup.yaml").write_bytes(DUPLICATE_TITLE)
-        (fixture_store / "uses-dup.yaml").write_bytes(_profile("csf-id-am.yaml", "dup.yaml"))
+        (fixture_store / "uses-dup.yaml").write_bytes(
+            profile_importing("csf-id-am.yaml", "dup.yaml"))
         results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
         by_uri = {r.profile_uri: r for r in results}
         assert set(by_uri) == {"ot-profile.yaml", "am-profile.yaml", "uses-dup.yaml"}
@@ -390,7 +387,7 @@ class TestPropagate:
         fixed = b"catalog:\n  metadata:\n    title: fixed\n    version: \"1\"\n"
         importers = ["uses-dup-1.yaml", "uses-dup-2.yaml", "uses-dup-3.yaml"]
         for uri in importers:
-            (fixture_store / uri).write_bytes(_profile("csf-id-am.yaml", "dup.yaml"))
+            (fixture_store / uri).write_bytes(profile_importing("csf-id-am.yaml", "dup.yaml"))
         dup_parses = []
         original = resolver.parse_document
 
@@ -412,9 +409,9 @@ class TestPropagate:
         assert [results[uri] for uri in importers] == [None] * 3
 
     def test_cycle_through_an_imported_build_output(self, tmp_path):
-        (tmp_path / "p.yaml").write_bytes(_profile("resolved/q.yaml"))
+        (tmp_path / "p.yaml").write_bytes(profile_importing("resolved/q.yaml"))
         (tmp_path / "resolved").mkdir()
-        (tmp_path / "resolved" / "q.yaml").write_bytes(_profile("p.yaml"))
+        (tmp_path / "resolved" / "q.yaml").write_bytes(profile_importing("p.yaml"))
         expected = ("p.yaml", "resolved/q.yaml", "p.yaml")
         with pytest.raises(CycleDetected) as caught:
             propagate(SourceStore(tmp_path), "p.yaml")
@@ -426,13 +423,13 @@ class TestPropagate:
     def test_an_imported_build_output_is_never_rewritten(self, fixture_store):
         (fixture_store / "resolved").mkdir()
         output = fixture_store / "resolved" / "q.yaml"
-        output.write_bytes(_profile("csf-id-am.yaml"))
-        (fixture_store / "p.yaml").write_bytes(_profile("resolved/q.yaml"))
+        output.write_bytes(profile_importing("csf-id-am.yaml"))
+        (fixture_store / "p.yaml").write_bytes(profile_importing("resolved/q.yaml"))
         results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
         assert [(r.profile_uri, r.error) for r in results] == [
             ("ot-profile.yaml", None), ("am-profile.yaml", None), ("p.yaml", None),
         ]
-        assert output.read_bytes() == _profile("csf-id-am.yaml")
+        assert output.read_bytes() == profile_importing("csf-id-am.yaml")
 
     def test_persisted_resolution_is_canonical(self, fixture_store):
         self._populate(fixture_store)
@@ -488,7 +485,8 @@ class TestPropagateOutputs:
 
     def _uses_output(self, fixture_store) -> None:
         propagate(SourceStore(fixture_store), "csf-id-am.yaml")
-        (fixture_store / "uses-output.yaml").write_bytes(_profile("resolved/ot-profile.yaml"))
+        (fixture_store / "uses-output.yaml").write_bytes(
+            profile_importing("resolved/ot-profile.yaml"))
         propagate(SourceStore(fixture_store), "ot-profile.yaml")
 
     def test_an_importer_of_a_build_output_is_re_resolved_after_its_writer(self, fixture_store):
@@ -556,7 +554,8 @@ class TestPropagateOutputs:
         path.write_bytes(path.read_bytes().replace(b"control-id: id.am-3", b"control-id: id.zz-9"))
         if later is not None:
             (fixture_store / "later.yaml").write_bytes(later)
-        (fixture_store / "prec.yaml").write_bytes(_profile("ot-profile.yaml", "later.yaml"))
+        (fixture_store / "prec.yaml").write_bytes(
+            profile_importing("ot-profile.yaml", "later.yaml"))
         expected = _outcome(lambda: resolve_chain(SourceStore(fixture_store), "prec.yaml"))
         results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
         by_uri = {r.profile_uri: r.error for r in results}

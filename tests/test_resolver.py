@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from conftest import FIXTURES_DIR
+from strategies import profile_importing
 from layered_guidance import resolver
 from layered_guidance.errors import (
     CycleDetected,
@@ -54,8 +55,8 @@ from layered_guidance.resolver import (
     detect_cycles,
     import_sources,
     resolve,
-    resolve_acyclic,
     resolve_chain,
+    resolve_in_store,
 )
 from layered_guidance.serialize import parse_document, serialize_document
 
@@ -447,11 +448,24 @@ class TestResolveChain:
         monkeypatch.setattr(resolver, "resolve", counting_resolve)
         store = SourceStore(fixture_store)
         memo = {}
-        intermediate = resolve_chain(store, "ot-profile.yaml", memo=memo)
-        chained = resolve_chain(store, "am-profile.yaml", memo=memo)
+        intermediate = resolve_in_store(store, "ot-profile.yaml", memo=memo)
+        chained = resolve_in_store(store, "am-profile.yaml", memo=memo)
         assert resolved_uris == ["ot-profile.yaml", "am-profile.yaml"]
         assert memo["ot-profile.yaml"] is intermediate
         assert chained == expected
+
+    def test_each_walked_document_is_loaded_once(self, fixture_store, monkeypatch):
+        """The resolution takes the documents the cycle walk loaded; it loads none again."""
+        loaded = []
+        original = SourceStore.load
+
+        def counting_load(store, uri):
+            loaded.append(uri)
+            return original(store, uri)
+
+        monkeypatch.setattr(SourceStore, "load", counting_load)
+        resolve_chain(SourceStore(fixture_store), "am-profile.yaml")
+        assert sorted(loaded) == ["am-profile.yaml", "csf-id-am.yaml", "ot-profile.yaml"]
 
     def test_failures_are_not_memoised(self, fixture_store):
         path = fixture_store / "ot-profile.yaml"
@@ -460,7 +474,7 @@ class TestResolveChain:
         memo = {}
         for _ in range(2):
             with pytest.raises(UnknownControlId, match="id.zz-9"):
-                resolve_chain(store, "am-profile.yaml", memo=memo)
+                resolve_in_store(store, "am-profile.yaml", memo=memo)
             assert "ot-profile.yaml" not in memo and "am-profile.yaml" not in memo
 
     @given(strategies.layered_chains())
@@ -784,16 +798,52 @@ class TestReferenceResolver:
                 for uri in case["imports"]:
                     try:
                         profile = store.load(uri).body
-                        sources = [resolve_acyclic(store, source, memo=memo)
+                        sources = [resolve_in_store(store, source, memo=memo)
                                    for source in import_sources(store.load(uri))]
                     except GuidanceError:  # an edit that breaks a document
                         continue
                     oracles.check_against_reference(sources, profile)
 
+    @given(strategies.edited_stores(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_shared_memo_agrees_with_the_unmemoised_route(self, case, data):
+        """Every document, in a drawn order with one memo, as the reference resolves it alone.
+
+        Before and after the edit. Beside the drawn store sit two profiles
+        that fail to resolve, an importer of one, an importer of both, an
+        importer of one and of a missing document, and an importer of one
+        and of a two-profile cycle.
+        """
+        target, _, edited = case["edit"]
+        sources = st.sampled_from(sorted(case["files"]))
+        extra = {"fail.yaml": strategies.profile_text("fail", data.draw(sources), "zz-9"),
+                 "fail-2.yaml": strategies.profile_text("fail-2", data.draw(sources), "zz-8"),
+                 "over-fail.yaml": profile_importing("fail.yaml"),
+                 "two-fail.yaml": profile_importing("fail-2.yaml", "fail.yaml"),
+                 "fail-then-missing.yaml": profile_importing("fail.yaml", "missing.yaml"),
+                 "fail-then-cycle.yaml": profile_importing("fail.yaml", "cyc-a.yaml"),
+                 "cyc-a.yaml": profile_importing("cyc-b.yaml"),
+                 "cyc-b.yaml": profile_importing("cyc-a.yaml")}
+        lenient = data.draw(st.booleans())
+        for files in (case["files"], {**case["files"], target: edited}):
+            files = {**files, **extra}
+            order = data.draw(st.permutations(sorted(files) + ["missing.yaml"]))
+            with tempfile.TemporaryDirectory() as tmp:
+                root = Path(tmp)
+                for uri, text in files.items():
+                    (root / uri).parent.mkdir(exist_ok=True)
+                    (root / uri).write_bytes(text)
+                store, reference_store, memo = SourceStore(root), SourceStore(root), {}
+                for uri in order:
+                    assert oracles.resolution_record(
+                        lambda: resolve_in_store(store, uri, lenient=lenient, memo=memo)) \
+                        == oracles.resolution_record(lambda: oracles.reference_resolve_in_store(
+                            reference_store, uri, lenient=lenient)), uri
+
     def test_fixture_chain(self, fixture_store):
         store, memo = SourceStore(fixture_store), {}
         for uri in ("ot-profile.yaml", "am-profile.yaml"):
             envelope = store.load(uri)
-            sources = [resolve_acyclic(store, source, memo=memo)
+            sources = [resolve_in_store(store, source, memo=memo)
                        for source in import_sources(envelope)]
             oracles.check_against_reference(sources, envelope.body)

@@ -12,7 +12,8 @@ import importlib.util
 import pytest
 
 from conftest import REPO_ROOT
-from layered_guidance import resolver
+from strategies import profile_importing
+from layered_guidance import changes, cli, resolver
 from layered_guidance.resolver import SourceStore, resolve_chain
 
 
@@ -47,3 +48,29 @@ def test_strict_resolution_calls_apply_alteration_for_each_alteration(fixture_st
     applied = [alteration for uri in ("ot-profile.yaml", "am-profile.yaml")
                for alteration in store.load(uri).body.alterations]
     assert applied and calls == applied
+
+
+@pytest.mark.parametrize("command", [
+    ["resolve", "miss.yaml"],
+    ["validate", "{store}/miss.yaml"],
+    ["propagate", "--changed", "csf-id-am.yaml"],
+])
+def test_every_cycle_walk_goes_through_the_resolver_binding(fixture_store, monkeypatch,
+                                                            capsys, command):
+    """The span ``resolver.detect_cycles`` sees the walks of all three commands, on a broken store.
+
+    No other module holds a binding of its own that would hide a walk.
+    """
+    (fixture_store / "miss.yaml").write_bytes(profile_importing("csf-id-am.yaml", "missing.yaml"))
+    calls = []
+    original = resolver.detect_cycles
+
+    def counting_detect_cycles(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(resolver, "detect_cycles", counting_detect_cycles)
+    args = [arg.format(store=fixture_store) for arg in command]
+    cli.main([*args, "--store", str(fixture_store)])
+    assert calls
+    assert not hasattr(cli, "detect_cycles") and not hasattr(changes, "detect_cycles")
