@@ -3,6 +3,9 @@
 A catalog is a hierarchy of controls, each carrying ordered prose parts.
 A profile imports controls from source documents and alters their parts.
 All types are immutable after construction and safe to share across tasks.
+The types built per document node write their normalised fields straight
+into ``__dict__`` in their own ``__init__``, which ``dataclasses.replace``
+calls too; ``dataclass`` still generates eq, hash and repr.
 
 Validation is data, not control flow: ``validate_catalog`` and
 ``profile_structure_findings`` return findings instead of raising, and
@@ -27,7 +30,7 @@ ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Part:
     """A named prose block inside a control.
 
@@ -39,11 +42,14 @@ class Part:
     prose: str
     classifier: str | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "name", self.name.lower())
+    def __init__(self, name: str, prose: str, classifier: str | None = None) -> None:
+        fields = self.__dict__
+        fields["name"] = name.lower()
+        fields["prose"] = prose
+        fields["classifier"] = classifier
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Control:
     """One security outcome with ordered parts and child controls."""
 
@@ -52,10 +58,13 @@ class Control:
     parts: tuple[Part, ...] = ()
     children: tuple[Control, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "id", self.id.lower())
-        object.__setattr__(self, "parts", tuple(self.parts))
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, id: str, classifier: str | None = None, parts: tuple[Part, ...] = (),
+                 children: tuple[Control, ...] = ()) -> None:
+        fields = self.__dict__
+        fields["id"] = id.lower()
+        fields["classifier"] = classifier
+        fields["parts"] = tuple(parts)
+        fields["children"] = tuple(children)
 
     def part(self, name: str) -> Part | None:
         lowered = name.lower()
@@ -87,16 +96,17 @@ class Catalog:
         object.__setattr__(self, "controls", tuple(self.controls))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RemoveDirective:
     """Deletes every part matched by exactly one selector."""
 
     by_name: str | None = None
     by_class: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.by_name is not None:
-            object.__setattr__(self, "by_name", self.by_name.lower())
+    def __init__(self, by_name: str | None = None, by_class: str | None = None) -> None:
+        fields = self.__dict__
+        fields["by_name"] = None if by_name is None else by_name.lower()
+        fields["by_class"] = by_class
 
     def matches(self, part: Part) -> bool:
         if self.by_name is not None:
@@ -113,18 +123,20 @@ class RemoveDirective:
         return "by-name", ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AddDirective:
     """Appends parts to a control; only the ``ending`` position is supported."""
 
     parts: tuple[Part, ...]
     position: str = "ending"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, parts: tuple[Part, ...], position: str = "ending") -> None:
+        fields = self.__dict__
+        fields["parts"] = tuple(parts)
+        fields["position"] = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Alteration:
     """Removes, then adds, parts on one target control."""
 
@@ -132,13 +144,15 @@ class Alteration:
     removes: tuple[RemoveDirective, ...] = ()
     adds: tuple[AddDirective, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "control_id", self.control_id.lower())
-        object.__setattr__(self, "removes", tuple(self.removes))
-        object.__setattr__(self, "adds", tuple(self.adds))
+    def __init__(self, control_id: str, removes: tuple[RemoveDirective, ...] = (),
+                 adds: tuple[AddDirective, ...] = ()) -> None:
+        fields = self.__dict__
+        fields["control_id"] = control_id.lower()
+        fields["removes"] = tuple(removes)
+        fields["adds"] = tuple(adds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ImportDirective:
     """Selects controls from one source document.
 
@@ -151,10 +165,13 @@ class ImportDirective:
     include: str | tuple[str, ...] = INCLUDE_ALL
     exclude: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.include, str):
-            object.__setattr__(self, "include", tuple(i.lower() for i in self.include))
-        object.__setattr__(self, "exclude", tuple(e.lower() for e in self.exclude))
+    def __init__(self, source: str, include: str | tuple[str, ...] = INCLUDE_ALL,
+                 exclude: tuple[str, ...] = ()) -> None:
+        fields = self.__dict__
+        fields["source"] = source
+        fields["include"] = include if isinstance(include, str) else tuple(
+            [i.lower() for i in include])
+        fields["exclude"] = tuple([e.lower() for e in exclude])
 
     @property
     def include_all(self) -> bool:
@@ -207,8 +224,18 @@ def has_errors(report: Iterable[Finding]) -> bool:
     return any(f.severity == ERROR for f in report)
 
 
-def _valid_identifier(value: str) -> bool:
-    return bool(IDENTIFIER_RE.fullmatch(value))
+def _valid_identifier(value: str, valid: set[str]) -> bool:
+    """Whether ``value`` is a valid identifier; ``valid`` holds those already matched.
+
+    A report passes one ``valid`` set to every check, so each distinct
+    identifier is matched once; part names and classes repeat across controls.
+    """
+    if value in valid:
+        return True
+    if IDENTIFIER_RE.fullmatch(value) is None:
+        return False
+    valid.add(value)
+    return True
 
 
 def iter_controls(controls: Iterable[Control]) -> Iterator[Control]:
@@ -227,51 +254,67 @@ def find_control(catalog: Catalog, control_id: str) -> Control | None:
     return None
 
 
-def _part_problems(part: Part) -> list[str]:
+# A report formats a node's path only for a finding there: a control's
+# location is kept as ``(parent's location, id)`` until one is reported.
+
+
+def _control_path(location: tuple) -> str:
+    """The path of the control at ``location``: ``controls/<id>/children/<id>...``."""
+    ids = []
+    while location is not None:
+        location, control_id = location
+        ids.append(control_id)
+    return "controls/" + "/children/".join(reversed(ids))
+
+
+def _part_problems(part: Part, valid: set[str]) -> list[str]:
     """Messages for each invariant ``part`` breaks on its own."""
     problems = []
-    if not part.name:
+    name, classifier, prose = part.name, part.classifier, part.prose
+    if not name:
         problems.append("part name is empty")
-    elif not _valid_identifier(part.name):
-        problems.append(f"part name {part.name!r} is not a valid identifier")
-    if part.classifier is not None and not _valid_identifier(part.classifier):
-        problems.append(f"part class {part.classifier!r} is not a valid identifier")
-    if not part.prose.strip():
+    elif not _valid_identifier(name, valid):
+        problems.append(f"part name {name!r} is not a valid identifier")
+    if classifier is not None and not _valid_identifier(classifier, valid):
+        problems.append(f"part class {classifier!r} is not a valid identifier")
+    if not prose or prose.isspace():  # what ``strip`` empties, without copying the prose
         problems.append("part prose is empty")
     return problems
 
 
-def _validate_control(control: Control, path: str, seen_ids: dict[str, str],
-                      findings: ValidationReport) -> None:
-    if not control.id:
-        findings.append(Finding(ERROR, path, "control id is empty"))
-    elif not _valid_identifier(control.id):
-        findings.append(Finding(ERROR, path, f"control id {control.id!r} is not a valid identifier"))
-    if control.id in seen_ids:
-        findings.append(
-            Finding(ERROR, path, f"duplicate control id {control.id!r} (also at {seen_ids[control.id]})")
-        )
+def _validate_control(control: Control, parent: tuple | None, seen_ids: dict[str, tuple],
+                      valid: set[str], findings: ValidationReport) -> None:
+    control_id, classifier = control.id, control.classifier
+    here = (parent, control_id)
+    if not control_id:
+        findings.append(Finding(ERROR, _control_path(here), "control id is empty"))
+    elif not _valid_identifier(control_id, valid):
+        findings.append(Finding(ERROR, _control_path(here),
+                                f"control id {control_id!r} is not a valid identifier"))
+    first = seen_ids.get(control_id)
+    if first is None:
+        seen_ids[control_id] = here
     else:
-        seen_ids[control.id] = path
-    if control.classifier is not None and not _valid_identifier(control.classifier):
-        findings.append(
-            Finding(ERROR, path, f"control class {control.classifier!r} is not a valid identifier")
-        )
+        findings.append(Finding(ERROR, _control_path(here), f"duplicate control id {control_id!r} "
+                                                            f"(also at {_control_path(first)})"))
+    if classifier is not None and not _valid_identifier(classifier, valid):
+        findings.append(Finding(ERROR, _control_path(here),
+                                f"control class {classifier!r} is not a valid identifier"))
 
     part_names: set[str] = set()
     for index, part in enumerate(control.parts):
-        problems = _part_problems(part)
+        problems = _part_problems(part, valid)
         if part.name in part_names:
             problems.append(f"duplicate part name {part.name!r}")
         part_names.add(part.name)
         if part.name == STATEMENT_PART and index != 0:
             problems.append("statement must be first")
-        if problems:  # a part's path is formatted only when it has findings
-            part_path = f"{path}/parts/{index}"
+        if problems:
+            part_path = f"{_control_path(here)}/parts/{index}"
             findings.extend(Finding(ERROR, part_path, message) for message in problems)
 
     for child in control.children:
-        _validate_control(child, f"{path}/children/{child.id}", seen_ids, findings)
+        _validate_control(child, here, seen_ids, valid, findings)
 
 
 def validate_catalog(catalog: Catalog) -> ValidationReport:
@@ -281,9 +324,10 @@ def validate_catalog(catalog: Catalog) -> ValidationReport:
         findings.append(Finding(WARNING, "metadata/title", "title is empty"))
     if not catalog.metadata.version.strip():
         findings.append(Finding(WARNING, "metadata/version", "version is empty"))
-    seen_ids: dict[str, str] = {}
+    seen_ids: dict[str, tuple] = {}
+    valid: set[str] = set()
     for control in catalog.controls:
-        _validate_control(control, f"controls/{control.id}", seen_ids, findings)
+        _validate_control(control, None, seen_ids, valid, findings)
     return findings
 
 
@@ -297,58 +341,60 @@ def profile_structure_findings(profile: Profile) -> ValidationReport:
     if not profile.imports:
         findings.append(Finding(ERROR, "imports", "profile must import at least one source"))
 
+    valid: set[str] = set()
     for index, imp in enumerate(profile.imports):
-        path = f"imports/{index}"
+        problems = []
         if not imp.source:
-            findings.append(Finding(ERROR, path, "import source is empty"))
+            problems.append("import source is empty")
         if isinstance(imp.include, str) and not imp.include_all:
-            findings.append(Finding(
-                ERROR, path, f"include must be \"all\" or a list of control ids, got {imp.include!r}"
-            ))
+            problems.append(f"include must be \"all\" or a list of control ids, got {imp.include!r}")
         for cid in imp.include_ids:
-            if not _valid_identifier(cid):
-                findings.append(Finding(ERROR, path, f"include id {cid!r} is not a valid identifier"))
+            if not _valid_identifier(cid, valid):
+                problems.append(f"include id {cid!r} is not a valid identifier")
         overlap = sorted(set(imp.include_ids) & set(imp.exclude))
         if overlap:
-            findings.append(
-                Finding(ERROR, path, f"include and exclude overlap: {', '.join(overlap)}")
-            )
+            problems.append(f"include and exclude overlap: {', '.join(overlap)}")
         for cid in imp.exclude:
-            if not _valid_identifier(cid):
-                findings.append(Finding(ERROR, path, f"exclude id {cid!r} is not a valid identifier"))
+            if not _valid_identifier(cid, valid):
+                problems.append(f"exclude id {cid!r} is not a valid identifier")
+        if problems:
+            path = f"imports/{index}"
+            findings.extend(Finding(ERROR, path, message) for message in problems)
 
     seen_targets: set[str] = set()
     for alteration in profile.alterations:
-        path = f"alterations/{alteration.control_id}"
-        if not _valid_identifier(alteration.control_id):
-            findings.append(
-                Finding(ERROR, path, f"control-id {alteration.control_id!r} is not a valid identifier")
-            )
-        if alteration.control_id in seen_targets:
-            findings.append(
-                Finding(ERROR, path, f"duplicate alteration for control {alteration.control_id!r}")
-            )
-        seen_targets.add(alteration.control_id)
+        control_id = alteration.control_id
+        problems = []
+        if not _valid_identifier(control_id, valid):
+            problems.append(f"control-id {control_id!r} is not a valid identifier")
+        if control_id in seen_targets:
+            problems.append(f"duplicate alteration for control {control_id!r}")
+        seen_targets.add(control_id)
         if not alteration.removes and not alteration.adds:
-            findings.append(Finding(ERROR, path, "alteration has no removes and no adds"))
+            problems.append("alteration has no removes and no adds")
+        if problems:
+            path = f"alterations/{control_id}"
+            findings.extend(Finding(ERROR, path, message) for message in problems)
         for rindex, remove in enumerate(alteration.removes):
-            rpath = f"{path}/removes/{rindex}"
-            populated = sum(1 for sel in (remove.by_name, remove.by_class) if sel is not None)
-            if populated != 1:
-                findings.append(Finding(ERROR, rpath, "exactly one selector must be populated"))
+            if (remove.by_name is None) == (remove.by_class is None):
+                findings.append(Finding(ERROR, f"alterations/{control_id}/removes/{rindex}",
+                                        "exactly one selector must be populated"))
         for aindex, add in enumerate(alteration.adds):
-            apath = f"{path}/adds/{aindex}"
+            problems = []
             if not add.parts:
-                findings.append(Finding(ERROR, apath, "add directive has no parts"))
+                problems.append("add directive has no parts")
             if add.position != "ending":
-                findings.append(Finding(ERROR, apath, f"unsupported position {add.position!r}"))
+                problems.append(f"unsupported position {add.position!r}")
+            if problems:
+                path = f"alterations/{control_id}/adds/{aindex}"
+                findings.extend(Finding(ERROR, path, message) for message in problems)
             names: set[str] = set()
             for pindex, part in enumerate(add.parts):
-                problems = _part_problems(part)
+                problems = _part_problems(part, valid)
                 if part.name in names:
                     problems.append(f"duplicate part name {part.name!r}")
                 names.add(part.name)
                 if problems:
-                    ppath = f"{apath}/parts/{pindex}"
-                    findings.extend(Finding(ERROR, ppath, message) for message in problems)
+                    path = f"alterations/{control_id}/adds/{aindex}/parts/{pindex}"
+                    findings.extend(Finding(ERROR, path, message) for message in problems)
     return findings

@@ -21,8 +21,11 @@ the only source of loader errors, so their wording, marks and exit code
 are the same on both paths.
 
 Building the model checks each mapping's keys against its type's
-required and allowed key sets, and formats a value's path (such as
-``catalog/controls/0/parts/1/prose``) only to report a failure there.
+required and allowed key sets. Each builder is handed its node's path
+unformatted, and a value's path (such as
+``catalog/controls/0/parts/1/prose``) is formatted only to report a
+failure there. Validation does the same: ``validate_catalog`` and
+``profile_structure_findings`` format a path only for a finding.
 
 Serialization is canonical so output is byte-stable and diff-friendly:
 UTF-8, LF endings, 2-space indent, block style only, fixed key order per
@@ -49,6 +52,7 @@ from yaml.nodes import ScalarNode
 
 from .errors import DocumentSyntaxError, SchemaError, ValidationError
 from .model import (
+    INCLUDE_ALL,
     AddDirective,
     Alteration,
     Catalog,
@@ -192,13 +196,11 @@ def _read_block(text: str) -> Any:
             else:
                 value = content
         if top.__class__ is dict:
-            split = content.find(": ")
-            if split < 0:
-                if content[-1:] != ":":
+            key, separator, value = content.partition(": ")
+            if not separator:
+                if key[-1:] != ":":
                     return _DECLINED
-                key, value = content[:-1], None
-            else:
-                key, value = content[:split], content[split + 2:]
+                key, value = key[:-1], None
             if len(key) > 256 or key in top:  # far below the 1024 a simple key may span
                 return _DECLINED
             if key not in plain_strs:
@@ -208,8 +210,11 @@ def _read_block(text: str) -> Any:
             if value is None:
                 pending = key
                 continue
-        # ``value`` is the scalar after the key or dash at ``column``
-        if value[:1] == '"':
+        # ``value`` is the scalar after the key or dash at ``column``; a
+        # scalar already accepted as plain is neither quoted, folded nor ``[]``
+        if value in plain_strs:
+            pass
+        elif value[:1] == '"':
             if "\\" in value:
                 if _QUOTED_RE.fullmatch(value) is None:
                     return _DECLINED
@@ -229,10 +234,10 @@ def _read_block(text: str) -> Any:
                 return _DECLINED  # no body, or a blank, more-indented or trailing-space line
         elif value == "[]":
             value = []
-        elif value not in plain_strs:
-            if not _is_plain_str(value, loader):
-                return _DECLINED
+        elif _is_plain_str(value, loader):
             plain_strs.add(value)
+        else:
+            return _DECLINED
         if key is None:
             top.append(value)
         else:
@@ -308,153 +313,172 @@ _ADD_KEYS = _keys({"parts"}, {"position"})
 _ALTERATION_KEYS = _keys({"control-id"}, {"removes", "adds"})
 _PROFILE_KEYS = _keys({"metadata", "imports"}, {"alterations"})
 
+# Each builder takes its node's path unformatted, as ``at``: a str, or
+# ``(parent's at, key, index)`` for a list item. ``_path`` formats it only
+# to report a failure, which is the one place a ``SchemaError`` is raised.
 
-def _expect_mapping(value: Any, path: str, keys: tuple[frozenset, frozenset]) -> dict:
+
+def _path(at: Any, key: str | None = None) -> str:
+    """The slash path ``at`` names, followed by ``key`` when given."""
+    if at.__class__ is tuple:
+        parent, list_key, index = at
+        at = f"{_path(parent)}/{list_key}/{index}"
+    return at if key is None else f"{at}/{key}"
+
+
+def _expect_mapping(value: Any, at: Any, keys: tuple[frozenset, frozenset]) -> dict:
     """``value`` as a mapping with only allowed keys and every required one.
 
     The first unknown key in document order is reported before the first
     missing key in sorted order.
     """
-    if not isinstance(value, dict):
-        raise SchemaError(f"expected a mapping, got {type(value).__name__}", path)
+    if value.__class__ is not dict and not isinstance(value, dict):
+        raise SchemaError(f"expected a mapping, got {type(value).__name__}", _path(at))
     required, allowed = keys
     present = value.keys()
     if not present <= allowed:
         unknown = next(key for key in value if key not in allowed)
-        raise SchemaError(f"unknown key {unknown!r}", path)
+        raise SchemaError(f"unknown key {unknown!r}", _path(at))
     if not required <= present:
-        raise SchemaError(f"missing required key {min(required - present)!r}", path)
+        raise SchemaError(f"missing required key {min(required - present)!r}", _path(at))
     return value
 
 
-# The checks below take the path of the enclosing node and the key or index
-# of the value, and format the value's path only to report a failure.
+# The builders test ``value.__class__`` against the exact type the loaders
+# produce, and call these checks, which accept a subclass too, only when
+# that test fails.
 
 
-def _expect_str(value: Any, path: str, key: str | int) -> str:
+def _expect_str(value: Any, at: Any, key: str | None = None) -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"expected a string, got {type(value).__name__}", f"{path}/{key}")
+        raise SchemaError(f"expected a string, got {type(value).__name__}", _path(at, key))
     return value
 
 
-def _expect_list(value: Any, path: str, key: str) -> list:
+def _expect_list(value: Any, at: Any, key: str) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"expected a list, got {type(value).__name__}", f"{path}/{key}")
+        raise SchemaError(f"expected a list, got {type(value).__name__}", _path(at, key))
     return value
 
 
-def _build_list(mapping: dict, key: str, path: str, build: Callable[[Any, str], Any]) -> tuple:
-    """``build`` applied to each item of the optional list ``mapping[key]``."""
-    items = _expect_list(mapping.get(key, []), path, key)
-    return tuple(build(item, f"{path}/{key}/{index}") for index, item in enumerate(items))
+def _optional_str(mapping: dict, key: str, at: Any) -> str | None:
+    """The string ``mapping[key]``, or None when ``key`` is absent."""
+    value = mapping.get(key)
+    if value.__class__ is not str and key in mapping:
+        _expect_str(value, at, key)
+    return value
 
 
-def _str_list(value: Any, path: str, key: str) -> tuple[str, ...]:
-    items = _expect_list(value, path, key)
-    items_path = f"{path}/{key}"
-    return tuple(_expect_str(item, items_path, index) for index, item in enumerate(items))
+def _build_list(mapping: dict, key: str, at: Any, build: Callable[[Any, Any], Any]) -> tuple:
+    """``build`` applied to each item of the optional list ``mapping[key]``.
+
+    An item's path goes to ``build`` as ``(at, key, index)``, formatted only
+    if that item fails.
+    """
+    items = mapping.get(key)
+    if items.__class__ is not list:
+        if key not in mapping:
+            return ()
+        items = _expect_list(items, at, key)
+    built = []  # a loop: most lists hold one item, and a comprehension costs a call of its own
+    for index, item in enumerate(items):
+        built.append(build(item, (at, key, index)))
+    return tuple(built)
 
 
-def _build_metadata(value: Any, path: str) -> Metadata:
-    mapping = _expect_mapping(value, path, _METADATA_KEYS)
-    return Metadata(
-        title=_expect_str(mapping["title"], path, "title"),
-        version=_expect_str(mapping["version"], path, "version"),
-    )
+def _str_list(value: Any, at: Any, key: str) -> list[str]:
+    items = value if value.__class__ is list else _expect_list(value, at, key)
+    for index, item in enumerate(items):
+        if item.__class__ is not str:
+            _expect_str(item, (at, key, index))
+    return items
 
 
-def _build_part(value: Any, path: str) -> Part:
-    mapping = _expect_mapping(value, path, _PART_KEYS)
-    classifier = _expect_str(mapping["class"], path, "class") if "class" in mapping else None
-    return Part(
-        name=_expect_str(mapping["name"], path, "name"),
-        prose=_expect_str(mapping["prose"], path, "prose"),
-        classifier=classifier,
-    )
+def _build_metadata(value: Any, at: Any) -> Metadata:
+    mapping = _expect_mapping(value, at, _METADATA_KEYS)
+    return Metadata(_expect_str(mapping["title"], at, "title"),
+                    _expect_str(mapping["version"], at, "version"))
 
 
-def _build_control(value: Any, path: str) -> Control:
-    mapping = _expect_mapping(value, path, _CONTROL_KEYS)
-    classifier = _expect_str(mapping["class"], path, "class") if "class" in mapping else None
-    parts = _build_list(mapping, "parts", path, _build_part)
-    children = _build_list(mapping, "children", path, _build_control)
-    return Control(
-        id=_expect_str(mapping["id"], path, "id"),
-        classifier=classifier,
-        parts=parts,
-        children=children,
-    )
+def _build_part(value: Any, at: Any) -> Part:
+    mapping = _expect_mapping(value, at, _PART_KEYS)
+    classifier = _optional_str(mapping, "class", at)
+    name, prose = mapping["name"], mapping["prose"]
+    if name.__class__ is not str:
+        _expect_str(name, at, "name")
+    if prose.__class__ is not str:
+        _expect_str(prose, at, "prose")
+    return Part(name, prose, classifier)
 
 
-def _build_catalog(value: Any, path: str, uri: str) -> Catalog:
-    mapping = _expect_mapping(value, path, _CATALOG_KEYS)
-    controls = _build_list(mapping, "controls", path, _build_control)
-    return Catalog(metadata=_build_metadata(mapping["metadata"], f"{path}/metadata"),
-                   controls=controls, uri=uri)
+def _build_control(value: Any, at: Any) -> Control:
+    mapping = _expect_mapping(value, at, _CONTROL_KEYS)
+    classifier = _optional_str(mapping, "class", at)
+    parts = _build_list(mapping, "parts", at, _build_part)
+    children = _build_list(mapping, "children", at, _build_control)
+    control_id = mapping["id"]
+    if control_id.__class__ is not str:
+        _expect_str(control_id, at, "id")
+    return Control(control_id, classifier, parts, children)
 
 
-def _build_import(value: Any, path: str) -> ImportDirective:
-    mapping = _expect_mapping(value, path, _IMPORT_KEYS)
-    include: str | tuple[str, ...] = "all"
+def _build_catalog(value: Any, at: str, uri: str) -> Catalog:
+    mapping = _expect_mapping(value, at, _CATALOG_KEYS)
+    controls = _build_list(mapping, "controls", at, _build_control)
+    return Catalog(_build_metadata(mapping["metadata"], _path(at, "metadata")), controls, uri)
+
+
+def _build_import(value: Any, at: Any) -> ImportDirective:
+    mapping = _expect_mapping(value, at, _IMPORT_KEYS)
+    include: str | list[str] = INCLUDE_ALL
     if "include" in mapping:
         raw = mapping["include"]
         if isinstance(raw, str):
-            if raw != "all":
-                raise SchemaError(
-                    f"include must be \"all\" or a list of control ids, got {raw!r}",
-                    f"{path}/include",
-                )
+            if raw != INCLUDE_ALL:
+                raise SchemaError(f"include must be \"all\" or a list of control ids, got {raw!r}",
+                                  _path(at, "include"))
         else:
-            include = _str_list(raw, path, "include")
-    exclude = _str_list(mapping.get("exclude", []), path, "exclude")
-    return ImportDirective(
-        source=_expect_str(mapping["source"], path, "source"),
-        include=include,
-        exclude=exclude,
-    )
+            include = _str_list(raw, at, "include")
+    exclude = _str_list(mapping["exclude"], at, "exclude") if "exclude" in mapping else ()
+    return ImportDirective(_expect_str(mapping["source"], at, "source"), include, exclude)
 
 
-def _build_remove(value: Any, path: str) -> RemoveDirective:
-    mapping = _expect_mapping(value, path, _REMOVE_KEYS)
+def _build_remove(value: Any, at: Any) -> RemoveDirective:
+    mapping = _expect_mapping(value, at, _REMOVE_KEYS)
     if len(mapping) != 1:
-        raise SchemaError("exactly one of by-name/by-class must be given", path)
-    if "by-name" in mapping:
-        return RemoveDirective(by_name=_expect_str(mapping["by-name"], path, "by-name"))
-    return RemoveDirective(by_class=_expect_str(mapping["by-class"], path, "by-class"))
+        raise SchemaError("exactly one of by-name/by-class must be given", _path(at))
+    by_name = _optional_str(mapping, "by-name", at)
+    if by_name is not None:
+        return RemoveDirective(by_name)
+    return RemoveDirective(None, _optional_str(mapping, "by-class", at))
 
 
-def _build_add(value: Any, path: str) -> AddDirective:
-    mapping = _expect_mapping(value, path, _ADD_KEYS)
-    position = "ending"
-    if "position" in mapping:
-        position = _expect_str(mapping["position"], path, "position")
-        if position != "ending":
-            raise SchemaError(f"unsupported position {position!r}", f"{path}/position")
-    parts = _build_list(mapping, "parts", path, _build_part)
-    return AddDirective(parts=parts, position=position)
+def _build_add(value: Any, at: Any) -> AddDirective:
+    mapping = _expect_mapping(value, at, _ADD_KEYS)
+    position = _optional_str(mapping, "position", at)
+    if position is None:
+        position = "ending"
+    elif position != "ending":
+        raise SchemaError(f"unsupported position {position!r}", _path(at, "position"))
+    return AddDirective(_build_list(mapping, "parts", at, _build_part), position)
 
 
-def _build_alteration(value: Any, path: str) -> Alteration:
-    mapping = _expect_mapping(value, path, _ALTERATION_KEYS)
-    removes = _build_list(mapping, "removes", path, _build_remove)
-    adds = _build_list(mapping, "adds", path, _build_add)
-    return Alteration(
-        control_id=_expect_str(mapping["control-id"], path, "control-id"),
-        removes=removes,
-        adds=adds,
-    )
+def _build_alteration(value: Any, at: Any) -> Alteration:
+    mapping = _expect_mapping(value, at, _ALTERATION_KEYS)
+    removes = _build_list(mapping, "removes", at, _build_remove)
+    adds = _build_list(mapping, "adds", at, _build_add)
+    control_id = mapping["control-id"]
+    if control_id.__class__ is not str:
+        _expect_str(control_id, at, "control-id")
+    return Alteration(control_id, removes, adds)
 
 
-def _build_profile(value: Any, path: str, uri: str) -> Profile:
-    mapping = _expect_mapping(value, path, _PROFILE_KEYS)
-    imports = _build_list(mapping, "imports", path, _build_import)
-    alterations = _build_list(mapping, "alterations", path, _build_alteration)
-    return Profile(
-        metadata=_build_metadata(mapping["metadata"], f"{path}/metadata"),
-        imports=imports,
-        alterations=alterations,
-        uri=uri,
-    )
+def _build_profile(value: Any, at: str, uri: str) -> Profile:
+    mapping = _expect_mapping(value, at, _PROFILE_KEYS)
+    imports = _build_list(mapping, "imports", at, _build_import)
+    alterations = _build_list(mapping, "alterations", at, _build_alteration)
+    return Profile(_build_metadata(mapping["metadata"], _path(at, "metadata")), imports,
+                   alterations, uri)
 
 
 def format_of(path: str | PurePath) -> str:

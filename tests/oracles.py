@@ -8,9 +8,10 @@ share no code path with the functions under test.
 from __future__ import annotations
 
 import posixpath
-from collections.abc import Container, Iterable, Mapping, Sequence
+from collections.abc import Callable, Container, Iterable, Mapping, Sequence
 from dataclasses import replace
 from pathlib import Path
+from typing import Any
 
 from layered_guidance import serialize
 from layered_guidance.changes import ChangeSet, diff
@@ -20,6 +21,7 @@ from layered_guidance.errors import (
     InvalidUri,
     NotFound,
     ResolutionError,
+    SchemaError,
     UnknownControlId,
     ValidationError,
 )
@@ -27,12 +29,17 @@ from layered_guidance.model import (
     ERROR,
     STATEMENT_PART,
     WARNING,
+    AddDirective,
+    Alteration,
     Catalog,
     Control,
     DocumentEnvelope,
     Finding,
     ImportDirective,
+    Metadata,
+    Part,
     Profile,
+    RemoveDirective,
     ValidationReport,
     has_errors,
     iter_controls,
@@ -667,3 +674,180 @@ def store_documents(root: Path) -> list[str]:
             if path.suffix in (".yaml", ".yml", ".json"))
     return sorted(uri for uri in uris
                   if not uri.startswith("resolved/") and store_exists(root, uri))
+
+
+# ---------------------------------------------------------------------------
+# The tree-to-model builder that formatted every node's path as it went,
+# kept as it was in ``serialize``: the builder there must give an equal model,
+# or a ``SchemaError`` with the same message and path, for every tree.
+
+
+def _keys(required: set[str], optional: set[str] = frozenset()) -> tuple[frozenset, frozenset]:
+    """A mapping type's required keys and every key it allows."""
+    return frozenset(required), frozenset(required | optional)
+
+
+_METADATA_KEYS = _keys({"title", "version"})
+_PART_KEYS = _keys({"name", "prose"}, {"class"})
+_CONTROL_KEYS = _keys({"id"}, {"class", "parts", "children"})
+_CATALOG_KEYS = _keys({"metadata"}, {"controls"})
+_IMPORT_KEYS = _keys({"source"}, {"include", "exclude"})
+_REMOVE_KEYS = _keys(set(), {"by-name", "by-class"})
+_ADD_KEYS = _keys({"parts"}, {"position"})
+_ALTERATION_KEYS = _keys({"control-id"}, {"removes", "adds"})
+_PROFILE_KEYS = _keys({"metadata", "imports"}, {"alterations"})
+
+
+def _expect_mapping(value: Any, path: str, keys: tuple[frozenset, frozenset]) -> dict:
+    """``value`` as a mapping with only allowed keys and every required one.
+
+    The first unknown key in document order is reported before the first
+    missing key in sorted order.
+    """
+    if not isinstance(value, dict):
+        raise SchemaError(f"expected a mapping, got {type(value).__name__}", path)
+    required, allowed = keys
+    present = value.keys()
+    if not present <= allowed:
+        unknown = next(key for key in value if key not in allowed)
+        raise SchemaError(f"unknown key {unknown!r}", path)
+    if not required <= present:
+        raise SchemaError(f"missing required key {min(required - present)!r}", path)
+    return value
+
+
+# The checks below take the path of the enclosing node and the key or index
+# of the value, and format the value's path only to report a failure.
+
+
+def _expect_str(value: Any, path: str, key: str | int) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"expected a string, got {type(value).__name__}", f"{path}/{key}")
+    return value
+
+
+def _expect_list(value: Any, path: str, key: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"expected a list, got {type(value).__name__}", f"{path}/{key}")
+    return value
+
+
+def _build_list(mapping: dict, key: str, path: str, build: Callable[[Any, str], Any]) -> tuple:
+    """``build`` applied to each item of the optional list ``mapping[key]``."""
+    items = _expect_list(mapping.get(key, []), path, key)
+    return tuple(build(item, f"{path}/{key}/{index}") for index, item in enumerate(items))
+
+
+def _str_list(value: Any, path: str, key: str) -> tuple[str, ...]:
+    items = _expect_list(value, path, key)
+    items_path = f"{path}/{key}"
+    return tuple(_expect_str(item, items_path, index) for index, item in enumerate(items))
+
+
+def _build_metadata(value: Any, path: str) -> Metadata:
+    mapping = _expect_mapping(value, path, _METADATA_KEYS)
+    return Metadata(
+        title=_expect_str(mapping["title"], path, "title"),
+        version=_expect_str(mapping["version"], path, "version"),
+    )
+
+
+def _build_part(value: Any, path: str) -> Part:
+    mapping = _expect_mapping(value, path, _PART_KEYS)
+    classifier = _expect_str(mapping["class"], path, "class") if "class" in mapping else None
+    return Part(
+        name=_expect_str(mapping["name"], path, "name"),
+        prose=_expect_str(mapping["prose"], path, "prose"),
+        classifier=classifier,
+    )
+
+
+def _build_control(value: Any, path: str) -> Control:
+    mapping = _expect_mapping(value, path, _CONTROL_KEYS)
+    classifier = _expect_str(mapping["class"], path, "class") if "class" in mapping else None
+    parts = _build_list(mapping, "parts", path, _build_part)
+    children = _build_list(mapping, "children", path, _build_control)
+    return Control(
+        id=_expect_str(mapping["id"], path, "id"),
+        classifier=classifier,
+        parts=parts,
+        children=children,
+    )
+
+
+def _build_catalog(value: Any, path: str, uri: str) -> Catalog:
+    mapping = _expect_mapping(value, path, _CATALOG_KEYS)
+    controls = _build_list(mapping, "controls", path, _build_control)
+    return Catalog(metadata=_build_metadata(mapping["metadata"], f"{path}/metadata"),
+                   controls=controls, uri=uri)
+
+
+def _build_import(value: Any, path: str) -> ImportDirective:
+    mapping = _expect_mapping(value, path, _IMPORT_KEYS)
+    include: str | tuple[str, ...] = "all"
+    if "include" in mapping:
+        raw = mapping["include"]
+        if isinstance(raw, str):
+            if raw != "all":
+                raise SchemaError(
+                    f"include must be \"all\" or a list of control ids, got {raw!r}",
+                    f"{path}/include",
+                )
+        else:
+            include = _str_list(raw, path, "include")
+    exclude = _str_list(mapping.get("exclude", []), path, "exclude")
+    return ImportDirective(
+        source=_expect_str(mapping["source"], path, "source"),
+        include=include,
+        exclude=exclude,
+    )
+
+
+def _build_remove(value: Any, path: str) -> RemoveDirective:
+    mapping = _expect_mapping(value, path, _REMOVE_KEYS)
+    if len(mapping) != 1:
+        raise SchemaError("exactly one of by-name/by-class must be given", path)
+    if "by-name" in mapping:
+        return RemoveDirective(by_name=_expect_str(mapping["by-name"], path, "by-name"))
+    return RemoveDirective(by_class=_expect_str(mapping["by-class"], path, "by-class"))
+
+
+def _build_add(value: Any, path: str) -> AddDirective:
+    mapping = _expect_mapping(value, path, _ADD_KEYS)
+    position = "ending"
+    if "position" in mapping:
+        position = _expect_str(mapping["position"], path, "position")
+        if position != "ending":
+            raise SchemaError(f"unsupported position {position!r}", f"{path}/position")
+    parts = _build_list(mapping, "parts", path, _build_part)
+    return AddDirective(parts=parts, position=position)
+
+
+def _build_alteration(value: Any, path: str) -> Alteration:
+    mapping = _expect_mapping(value, path, _ALTERATION_KEYS)
+    removes = _build_list(mapping, "removes", path, _build_remove)
+    adds = _build_list(mapping, "adds", path, _build_add)
+    return Alteration(
+        control_id=_expect_str(mapping["control-id"], path, "control-id"),
+        removes=removes,
+        adds=adds,
+    )
+
+
+def _build_profile(value: Any, path: str, uri: str) -> Profile:
+    mapping = _expect_mapping(value, path, _PROFILE_KEYS)
+    imports = _build_list(mapping, "imports", path, _build_import)
+    alterations = _build_list(mapping, "alterations", path, _build_alteration)
+    return Profile(
+        metadata=_build_metadata(mapping["metadata"], f"{path}/metadata"),
+        imports=imports,
+        alterations=alterations,
+        uri=uri,
+    )
+
+
+def reference_build(tree: Any, kind: str, uri: str = "") -> Catalog | Profile:
+    """The model of a document's ``catalog:`` or ``profile:`` value ``tree``, or a ``SchemaError``."""
+    if kind == "catalog":
+        return _build_catalog(tree, "catalog", uri)
+    return _build_profile(tree, "profile", uri)

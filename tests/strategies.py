@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import re
 
 from hypothesis import strategies as st
@@ -111,6 +112,87 @@ def documents(draw) -> DocumentEnvelope:
     if draw(st.booleans()):
         return DocumentEnvelope("catalog", draw(catalogs()))
     return DocumentEnvelope("profile", draw(profiles()))
+
+
+# ---------------------------------------------------------------------------
+# Schema faults in a document's plain tree, for the model builder.
+
+# Values of each type a loader can produce; a fault picks one whose type differs.
+_ANY_VALUES = (None, 0, 1.5, True, "text", [], ["x"], {}, {"k": "v"})
+# Keys of every document type, so an added key is sometimes allowed where it lands.
+_KEY_POOL = ("zz-unknown", "id", "name", "prose", "class", "parts", "children", "source",
+             "include", "exclude", "by-name", "by-class", "position", "control-id", "removes",
+             "adds", "title", "version", "metadata", "imports", "alterations", "controls")
+_FAULTS = ("wrong-type", "wrong-types", "unknown-key", "drop-key", "non-str-id")
+
+
+def _slots(tree) -> list[tuple]:
+    """``(container, key)`` of every value below ``tree``, in document order."""
+    slots: list[tuple] = []
+
+    def walk(node) -> None:
+        pairs = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in pairs:
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    if isinstance(tree, (dict, list)):
+        walk(tree)
+    return slots
+
+
+@st.composite
+def mangled_trees(draw) -> tuple[str, object]:
+    """A ``documents()`` body in ``document_plain`` form, with none to three schema faults.
+
+    A fault puts a value of another type at a node or at every value of
+    one mapping, adds a key (unknown or not) at a random place in a
+    mapping, drops a key, or puts a non-str item into an ``include`` or
+    ``exclude`` list. Returns the kind and the ``catalog:`` or ``profile:``
+    value.
+    """
+    envelope = draw(documents())
+    tree = serialize.document_plain(envelope)[envelope.kind]
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(_FAULTS))
+        slots = _slots(tree)
+        mappings = [tree] if isinstance(tree, dict) else []
+        mappings += [c[k] for c, k in slots if isinstance(c[k], dict)]
+        imports = [c[k] for c, k in slots
+                   if isinstance(c[k], dict) and "source" in c[k] and isinstance(c, list)]
+        if fault == "non-str-id" and imports:
+            directive = draw(st.sampled_from(imports))
+            ids = draw(st.lists(identifiers, max_size=3))
+            ids.insert(draw(st.integers(0, len(ids))),
+                       copy.deepcopy(draw(st.sampled_from([0, None, ["a"], {}]))))
+            directive[draw(st.sampled_from(["include", "exclude"]))] = ids
+        elif fault == "unknown-key" and mappings:
+            mapping = draw(st.sampled_from(mappings))
+            key = draw(st.sampled_from([k for k in _KEY_POOL if k not in mapping]))
+            items = list(mapping.items())
+            value = copy.deepcopy(draw(st.sampled_from(_ANY_VALUES)))
+            items.insert(draw(st.integers(0, len(items))), (key, value))
+            mapping.clear()
+            mapping.update(items)
+        elif fault == "wrong-types" and any(mappings):
+            mapping = draw(st.sampled_from([m for m in mappings if m]))
+            for key, current in mapping.items():
+                mapping[key] = copy.deepcopy(draw(st.sampled_from(
+                    [v for v in _ANY_VALUES if type(v) is not type(current)])))
+        elif fault == "drop-key" and any(mappings):
+            mapping = draw(st.sampled_from([m for m in mappings if m]))
+            del mapping[draw(st.sampled_from(list(mapping)))]
+        else:
+            slot = draw(st.sampled_from([None, *slots]))
+            current = tree if slot is None else slot[0][slot[1]]
+            value = copy.deepcopy(draw(st.sampled_from(
+                [v for v in _ANY_VALUES if type(v) is not type(current)])))
+            if slot is None:
+                tree = value
+            else:
+                slot[0][slot[1]] = value
+    return envelope.kind, tree
 
 
 # ---------------------------------------------------------------------------

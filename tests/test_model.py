@@ -1,6 +1,9 @@
 from __future__ import annotations
 
-from dataclasses import replace
+import copy
+import inspect
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -421,3 +424,168 @@ def test_a_source_imported_twice_resolves_in_either_order(tmp_path, first, secon
     resolved = resolve_chain(SourceStore(tmp_path), "twice.yaml").catalog
     source = load_fixture("csf-id-am").body
     assert resolved.controls == (find_control(source, "id.am"),)
+
+
+# ---------------------------------------------------------------------------
+# Constructor invariants: every type stays a frozen dataclass whose
+# constructor normalises its fields, whatever code builds it.
+
+def _invariant_cases() -> dict[str, tuple]:
+    """Per type: an instance, one field to assign, its repr and its constructor's parameters."""
+    part = Part("Guidance", "Some prose", "OT-specific")
+    add = AddDirective([Part("G", "y")])
+    return {
+        "Part": (
+            part, "name",
+            "Part(name='guidance', prose='Some prose', classifier='OT-specific')",
+            "(name: 'str', prose: 'str', classifier: 'str | None' = None)",
+        ),
+        "Control": (
+            Control("ID.AM-3", "Outcome", [Part("Statement", "x")], [Control("ID.AM-3a")]), "id",
+            "Control(id='id.am-3', classifier='Outcome', parts=(Part(name='statement', prose='x', "
+            "classifier=None),), children=(Control(id='id.am-3a', classifier=None, parts=(), "
+            "children=()),))",
+            "(id: 'str', classifier: 'str | None' = None, parts: 'tuple[Part, ...]' = (), "
+            "children: 'tuple[Control, ...]' = ())",
+        ),
+        "RemoveDirective": (
+            RemoveDirective(by_name="OT-Specific"), "by_name",
+            "RemoveDirective(by_name='ot-specific', by_class=None)",
+            "(by_name: 'str | None' = None, by_class: 'str | None' = None)",
+        ),
+        "AddDirective": (
+            add, "parts",
+            "AddDirective(parts=(Part(name='g', prose='y', classifier=None),), position='ending')",
+            "(parts: 'tuple[Part, ...]', position: 'str' = 'ending')",
+        ),
+        "Alteration": (
+            Alteration("ID.AM-3", [RemoveDirective(by_name="X")], [add]), "control_id",
+            "Alteration(control_id='id.am-3', removes=(RemoveDirective(by_name='x', "
+            "by_class=None),), adds=(AddDirective(parts=(Part(name='g', prose='y', "
+            "classifier=None),), position='ending'),))",
+            "(control_id: 'str', removes: 'tuple[RemoveDirective, ...]' = (), "
+            "adds: 'tuple[AddDirective, ...]' = ())",
+        ),
+        "ImportDirective": (
+            ImportDirective("base.yaml", ["ID.AM-1", "id.am-2"], ["ID.AM-3"]), "include",
+            "ImportDirective(source='base.yaml', include=('id.am-1', 'id.am-2'), "
+            "exclude=('id.am-3',))",
+            "(source: 'str', include: 'str | tuple[str, ...]' = 'all', "
+            "exclude: 'tuple[str, ...]' = ())",
+        ),
+        "Catalog": (
+            Catalog(Metadata("T", "1"), [Control("C1")], uri="c.yaml"), "controls",
+            "Catalog(metadata=Metadata(title='T', version='1'), controls=(Control(id='c1', "
+            "classifier=None, parts=(), children=()),), uri='c.yaml')",
+            "(metadata: 'Metadata', controls: 'tuple[Control, ...]' = (), uri: 'str' = '')",
+        ),
+        "Profile": (
+            Profile(Metadata("P", "1"), [ImportDirective("c.yaml")], [], uri="p.yaml"), "imports",
+            "Profile(metadata=Metadata(title='P', version='1'), imports=(ImportDirective("
+            "source='c.yaml', include='all', exclude=()),), alterations=(), uri='p.yaml')",
+            "(metadata: 'Metadata', imports: 'tuple[ImportDirective, ...]' = (), "
+            "alterations: 'tuple[Alteration, ...]' = (), uri: 'str' = '')",
+        ),
+    }
+
+
+_INVARIANT_CASES = _invariant_cases()
+
+
+@pytest.fixture(params=sorted(_INVARIANT_CASES))
+def invariant_case(request):
+    return _INVARIANT_CASES[request.param]
+
+
+class TestConstructorInvariants:
+    def test_assignment_and_deletion_raise(self, invariant_case):
+        instance, field_name, _, _ = invariant_case
+        with pytest.raises(FrozenInstanceError):
+            setattr(instance, field_name, getattr(instance, field_name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(instance, field_name)
+
+    def test_repr_and_signature_are_unchanged(self, invariant_case):
+        instance, _, expected_repr, expected_signature = invariant_case
+        assert repr(instance) == expected_repr
+        signature = inspect.signature(type(instance))
+        assert str(signature.replace(return_annotation=signature.empty)) == expected_signature
+
+    def test_fields_and_replace_round_trip(self, invariant_case):
+        instance = invariant_case[0]
+        values = {f.name: getattr(instance, f.name) for f in fields(instance)}
+        assert list(values) == list(inspect.signature(type(instance)).parameters)
+        rebuilt = type(instance)(**values)
+        assert rebuilt == instance and hash(rebuilt) == hash(instance)
+        assert replace(instance) == instance
+
+    def test_pickle_and_deepcopy_give_equal_objects(self, invariant_case):
+        instance = invariant_case[0]
+        for copied in (pickle.loads(pickle.dumps(instance)), copy.deepcopy(instance)):
+            assert copied == instance and hash(copied) == hash(instance)
+            assert repr(copied) == repr(instance)
+            with pytest.raises(FrozenInstanceError):
+                setattr(copied, invariant_case[1], None)
+
+    def test_identifiers_are_lowercased_by_the_constructor_and_by_replace(self):
+        part = Part("Guidance", "p")
+        assert part.name == "guidance" and replace(part, name="OT-Specific").name == "ot-specific"
+        control = Control("ID.AM-3")
+        assert control.id == "id.am-3" and replace(control, id="ID.AM-4").id == "id.am-4"
+        remove = RemoveDirective(by_name="OT-Specific")
+        assert remove.by_name == "ot-specific"
+        assert replace(remove, by_name="Guidance").by_name == "guidance"
+        assert RemoveDirective(by_class="OT-Guidance").by_class == "OT-Guidance"
+        alteration = Alteration("ID.AM-3")
+        assert alteration.control_id == "id.am-3"
+        assert replace(alteration, control_id="ID.AM-9").control_id == "id.am-9"
+        directive = ImportDirective("Base.yaml", ["ID.AM-1"], ["ID.AM-2"])
+        assert (directive.source, directive.include, directive.exclude) == (
+            "Base.yaml", ("id.am-1",), ("id.am-2",))
+        changed = replace(directive, include=["ID.AM-5"], exclude=("ID.AM-6",))
+        assert (changed.include, changed.exclude) == (("id.am-5",), ("id.am-6",))
+        assert ImportDirective("b.yaml", "ALL").include == "ALL"  # a string stays as given
+        assert Part("p", "Prose", "OT-Specific").classifier == "OT-Specific"
+
+    def test_sequences_become_tuples(self):
+        part = Part("g", "x")
+        control = Control("c", None, [part], iter([Control("d")]))
+        assert control.parts == (part,) and type(control.parts) is tuple
+        assert control.children == (Control("d"),) and type(control.children) is tuple
+        assert type(replace(control, parts=[part]).parts) is tuple
+        assert type(AddDirective([part]).parts) is tuple
+        alteration = Alteration("c", [RemoveDirective(by_name="g")], [AddDirective([part])])
+        assert type(alteration.removes) is tuple and type(alteration.adds) is tuple
+        directive = ImportDirective("s", iter(["A"]), iter(["B"]))
+        assert (directive.include, directive.exclude) == (("a",), ("b",))
+        catalog = Catalog(Metadata("T", "1"), [control])
+        assert type(catalog.controls) is tuple
+        profile = Profile(Metadata("P", "1"), [directive], [alteration])
+        assert type(profile.imports) is tuple and type(profile.alterations) is tuple
+
+    def test_equality_and_hash_ignore_only_the_uri(self):
+        catalog = Catalog(Metadata("T", "1"), [Control("c")], uri="a.yaml")
+        moved = replace(catalog, uri="b.yaml")
+        assert moved == catalog and hash(moved) == hash(catalog) and moved.uri == "b.yaml"
+        assert replace(catalog, controls=()) != catalog
+        profile = Profile(Metadata("P", "1"), [ImportDirective("a.yaml")], uri="p.yaml")
+        assert replace(profile, uri="q.yaml") == profile
+        assert hash(replace(profile, uri="q.yaml")) == hash(profile)
+        assert replace(profile, imports=()) != profile
+        assert Part("G", "x") == Part("g", "x") and hash(Part("G", "x")) == hash(Part("g", "x"))
+        assert Part("g", "x") != Part("g", "x", "c")
+        assert Control("C", parts=[Part("g", "x")]) == Control("c", parts=(Part("g", "x"),))
+        assert ImportDirective("s", ["A"]) == ImportDirective("s", ("a",))
+        assert ImportDirective("s", "all") != ImportDirective("s", ())
+
+    def test_profile_structure_findings_are_computed_once(self, monkeypatch):
+        import layered_guidance.model as model_module
+        calls = []
+        original = model_module.profile_structure_findings
+        monkeypatch.setattr(model_module, "profile_structure_findings",
+                            lambda profile: calls.append(profile) or original(profile))
+        profile = Profile(Metadata("P", ""), [ImportDirective("s.yaml")])
+        first = profile.structure_findings
+        assert first == (Finding(WARNING, "metadata/version", "version is empty"),)
+        assert profile.structure_findings is first and calls == [profile]
+        assert pickle.loads(pickle.dumps(profile)).structure_findings == first

@@ -391,6 +391,23 @@ class TestSchemaErrors:
         assert excinfo.value.path == path
         assert str(excinfo.value).startswith(f"{path}: expected a ")
 
+    @given(strategies.mangled_trees())
+    @settings(max_examples=400, deadline=None)
+    def test_the_builder_agrees_with_the_reference_builder(self, mangled):
+        """The same model, or a ``SchemaError`` with the same message and path."""
+        kind, tree = mangled
+        build = serialize._build_catalog if kind == "catalog" else serialize._build_profile
+        outcomes = []
+        for builder in (lambda: build(tree, kind, "doc.yaml"),
+                        lambda: oracles.reference_build(tree, kind, "doc.yaml")):
+            try:
+                model = builder()
+            except Exception as error:  # noqa: BLE001 -- the kind of failure is compared too
+                outcomes.append((type(error), str(error), getattr(error, "path", None)))
+            else:
+                outcomes.append((model, repr(model)))
+        assert outcomes[0] == outcomes[1]
+
 
 # Words, separators and characters that decide between a fold, a plain and a quoted scalar.
 _SCALAR_PIECES = ["word", "a", "Title", "x" * 30, " ", " ", " ", "  ", "\u2028", "\ufffe",

@@ -10,10 +10,11 @@ from __future__ import annotations
 import importlib.util
 
 import pytest
+import yaml
 
-from conftest import REPO_ROOT
+from conftest import FIXTURES_DIR, REPO_ROOT
 from strategies import profile_importing
-from layered_guidance import changes, cli, resolver
+from layered_guidance import changes, cli, resolver, serialize
 from layered_guidance.resolver import SourceStore, resolve_chain
 
 
@@ -74,3 +75,29 @@ def test_every_cycle_walk_goes_through_the_resolver_binding(fixture_store, monke
     cli.main([*args, "--store", str(fixture_store)])
     assert calls
     assert not hasattr(cli, "detect_cycles") and not hasattr(changes, "detect_cycles")
+
+
+class _CountingYaml:
+    """``yaml`` with ``load`` counted, as the span ``serialize.yaml_load`` replaces it."""
+
+    def __init__(self, calls: list[str]) -> None:
+        self.load = lambda *args, **kwargs: calls.append("yaml.load") or yaml.load(*args, **kwargs)
+
+    def __getattr__(self, name: str):
+        return getattr(yaml, name)
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("csf-id-am.yaml", ["yaml.load", "validate_catalog"]),
+    ("am-profile.yaml", ["yaml.load"]),
+])
+def test_a_canonical_document_is_loaded_and_validated_through_the_traced_bindings(monkeypatch,
+                                                                                name, expected):
+    """The spans ``serialize.yaml_load`` and ``model.validate_catalog`` see one call per parse."""
+    calls: list[str] = []
+    original = serialize.validate_catalog
+    monkeypatch.setattr(serialize, "yaml", _CountingYaml(calls))
+    monkeypatch.setattr(serialize, "validate_catalog",
+                        lambda catalog: calls.append("validate_catalog") or original(catalog))
+    serialize.parse_document((FIXTURES_DIR / name).read_bytes())
+    assert calls == expected
