@@ -8,14 +8,15 @@ previously persisted one under ``<store>/resolved/``. That delta compares
 the previous file with the fresh output's own blocks (``catalog_blocks``),
 then parses and diffs only the controls whose canonical text changed.
 Within one ``propagate`` call, a control's own block shared by several
-outputs (also one rebuilt with other children) is emitted once, and a
-changed control's previous text shared by outputs is parsed and checked once.
+outputs (also one rebuilt with other children) is emitted once, a scalar's
+text (long prose per indent) is decided once, and a changed control's
+previous text shared by outputs is parsed and checked once.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path, PurePosixPath
 
@@ -234,19 +235,30 @@ def resolution_output_uri(profile_uri: str) -> str:
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` in one rename; the file gets the mode the umask allows."""
-    temp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
+    """Replace ``path`` with ``data`` in one rename; the file gets the mode the umask allows.
+
+    On any failure the temp file is removed and ``path`` is left as it was.
+    """
+    directory, name = os.path.split(path)
+    temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}")
     try:
         fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     except (FileNotFoundError, NotADirectoryError):  # no directory yet, or a file in its place
-        path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
         fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(temp, path)
     except BaseException:
-        temp.unlink(missing_ok=True)
+        try:
+            os.unlink(temp)
+        except FileNotFoundError:
+            pass
         raise
 
 
@@ -266,7 +278,7 @@ def _delta(previous: bytes, after: Catalog, *, memo: dict | None = None,
     controls' own fields, and ``diff`` over those controls alone gives the
     delta. Otherwise ``previous`` is parsed whole. The changed blocks are
     parsed in one document; a block ``verified`` maps to its control is not
-    parsed, and one found canonical joins it.
+    parsed, and one found canonical (emitted again through ``memo``) joins it.
     """
     def whole() -> ChangeSet:
         return diff(parse_document(previous, "yaml").body, after)
@@ -318,13 +330,13 @@ def _delta(previous: bytes, after: Catalog, *, memo: dict | None = None,
         if len(parsed) != len(unparsed):
             return whole()
         for new, (own, control, indent) in zip(parsed, unparsed):
-            if new.id != control.id or new.children or emit_control(new, indent) != own:
+            if new.id != control.id or new.children or emit_control(new, indent, memo) != own:
                 return whole()
             verified[own] = new
     # Both sides share every other control and the tree: the changed controls alone differ.
     return diff(Catalog(after.metadata, tuple(verified[own] for own, _, _ in changed)),
-                Catalog(after.metadata, tuple(replace(control, children=())
-                                              for _, control, _ in changed)))
+                Catalog(after.metadata, tuple(Control(c.id, c.classifier, c.parts)
+                                              for _, c, _ in changed)))
 
 
 @dataclass(frozen=True)
@@ -371,7 +383,7 @@ def propagate(store: SourceStore, changed_uri: str, *,
 
     results: list[PropagationResult] = []
     memo: dict[str, ResolvedCatalog] = {}
-    emitted: dict = {}  # each own block emitted in this run, for serialize_document
+    emitted: dict = {}  # each own block and scalar text emitted in this run (catalog_blocks)
     verified: dict[str, Control] = {}  # previous own blocks found canonical in this run
     for uri in order:
         if uri not in affected or uri not in outputs:

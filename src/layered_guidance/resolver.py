@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import posixpath
 import threading
-from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from stat import S_ISLNK, S_ISREG
@@ -213,33 +213,6 @@ def _select(catalog: Catalog, directive: ImportDirective, report: _Report,
     return selected
 
 
-def _restrict(controls: Iterable[Control], ids: Container[str]) -> list[Control]:
-    """The selected forest: what ``controls`` induce on ``ids``, roots in document order.
-
-    A control in ``ids`` keeps its children in ``ids`` and is a root when
-    its parent is not in ``ids``. A control whose children all stay is kept
-    as it is.
-    """
-    forest: list[Control] = []
-
-    def kept(control: Control) -> Control:
-        children = tuple(kept(child) for child in control.children if child.id in ids)
-        if children == control.children:
-            return control
-        return Control(control.id, control.classifier, control.parts, children)
-
-    def walk(controls: Iterable[Control], parent_kept: bool) -> None:
-        for control in controls:
-            inside = control.id in ids
-            if inside and not parent_kept:
-                forest.append(kept(control))
-            if control.children:
-                walk(control.children, inside)
-
-    walk(controls, False)
-    return forest
-
-
 def _take_whole(source: ResolvedCatalog, stamp: ProvenanceEntry, selected: dict[str, Control],
                 parents: dict[str, str | None],
                 provenance: dict[tuple[str, str], ProvenanceEntry]) -> bool:
@@ -273,14 +246,6 @@ def _take_whole(source: ResolvedCatalog, stamp: ProvenanceEntry, selected: dict[
     parents.clear()
     provenance.clear()
     return False
-
-
-def _with_parents(controls: Iterable[Control],
-                  parent: str | None = None) -> Iterator[tuple[Control, str | None]]:
-    """Each control of a forest and its parent's id, depth first in document order."""
-    for control in controls:
-        yield control, parent
-        yield from _with_parents(control.children, control.id)
 
 
 def _swap_in(forest: Sequence[Control], altered: Mapping[str, Control],
@@ -347,11 +312,14 @@ def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
     Each source becomes a layer and is paired and named here, as ``resolve``
     says, and a part of a plain catalog is stamped only when it is selected,
     with the one ``ProvenanceEntry`` made for that source.
-    The imports of one source select the union of the ids each selects;
-    ``_restrict`` builds that source's forest in its document order, where
-    the first of them stands. A source whose one import includes all and
-    excludes nothing, and which is the first to select anything, gives its
-    forest as it is (``_take_whole``). Only a raising report gets the
+    The imports of one source select the union of the ids each selects,
+    and one pre-order walk of its forest takes them where the first stands:
+    selected controls under no selected parent are roots in document order,
+    each recorded with its selected subtree before the next, so a repeated
+    id is reported where it repeats. A control keeps its object unless a
+    child was dropped or rebuilt. A source whose one import includes all
+    and excludes nothing, and which is the first to select anything, gives
+    its forest as it is (``_take_whole``). Only a raising report gets the
     resolved catalog back.
     """
     structural = profile.structure_findings
@@ -402,24 +370,53 @@ def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
             path = f"imports/{index}"
             for cid in _select(source.catalog, profile.imports[index], report, path):
                 paths.setdefault(cid, path)
-        for root in _restrict(source.catalog.controls, paths):
-            for control, parent in _with_parents([root]):
-                if control.id in selected:
-                    first = origins.get(control.id, whole)
-                    report.fail(
-                        DuplicateControlId(control.id,
-                                           f"supplied by both {first!r} and {source_uri!r}"),
-                        paths[control.id],
-                        f"duplicate control id {control.id!r} in selection",
-                    )
-                    continue
-                selected[control.id] = control
-                parents[control.id] = parent
-                origins[control.id] = source_uri
+        prior = source.provenance.get
+
+        def take(control: Control, parent: str | None, below: list[Control]) -> Control:
+            """Record ``control`` and its selected subtree in pre-order; return it pruned.
+
+            Its unselected children go to ``below``, searched for roots after it.
+            """
+            cid = control.id
+            first = cid not in selected
+            if first:
+                selected[cid] = control
+                parents[cid] = parent
+                origins[cid] = source_uri
                 for part in control.parts:
-                    key = (control.id, part.name)
-                    provenance[key] = source.provenance.get(key) or stamp
-            forest.append(root)
+                    key = (cid, part.name)
+                    provenance[key] = prior(key) or stamp
+            else:
+                report.fail(
+                    DuplicateControlId(cid, f"supplied by both {origins.get(cid, whole)!r} "
+                                            f"and {source_uri!r}"),
+                    paths[cid], f"duplicate control id {cid!r} in selection")
+            children = control.children
+            kept = []
+            for child in children:
+                if child.id in paths:
+                    kept.append(take(child, cid, below))
+                else:
+                    below.append(child)
+            kept = tuple(kept)
+            if kept == children:  # nothing dropped below, so every child is kept as it is
+                return control
+            control = Control(cid, control.classifier, control.parts, kept)
+            if first:
+                selected[cid] = control
+            return control
+
+        def search(controls: Sequence[Control]) -> None:
+            """Take each selected control under no selected parent as a root, in document order."""
+            for control in controls:
+                if control.id in paths:
+                    below: list[Control] = []
+                    forest.append(take(control, None, below))
+                    search(below)
+                elif control.children:
+                    search(control.children)
+
+        search(source.catalog.controls)
 
     altered: dict[str, Control] = {}
     for alteration in profile.alterations:

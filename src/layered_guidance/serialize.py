@@ -35,7 +35,9 @@ text permits it when it is words separated by single spaces, with no
 leading or trailing space and no character a fold would alter; the words
 wrap greedily, and a word longer than the width gets a line of its own.
 A catalog's YAML is built as a header plus one own block per control in
-pre-order (``catalog_blocks``), so a caller can compare it block by block.
+pre-order (``catalog_blocks``), so a caller can compare it block by block;
+both are written straight from the model, and a memo keeps each own block
+and each scalar's text (``_scalar_text``, the one scalar rule).
 """
 
 from __future__ import annotations
@@ -642,17 +644,30 @@ def _wrap_re(width: int) -> re.Pattern:
     return re.compile(rf"(.{{1,{width}}}|[^ ]+)(?: |\Z)")
 
 
+def _scalar_text(value: str, indent: int, memo: dict | None = None) -> str:
+    """What follows a key or dash at ``indent``: `` value``, quoted, or ``>-`` and folded lines.
+
+    ``memo`` keeps each text, keyed by a value of up to ``_WRAP_COLUMN``
+    characters alone and by ``(value, indent)`` when the fold width matters.
+    """
+    if memo is not None:
+        key = value if len(value) <= _WRAP_COLUMN else (value, indent)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _scalar_text(value, indent)
+        return text
+    if len(value) > _WRAP_COLUMN and _foldable(value):
+        body_break = "\n" + " " * (indent + 2)
+        body = _wrap_re(max(_WRAP_COLUMN - indent - 2, 20)).findall(value)
+        return " >-" + body_break + body_break.join(body)
+    if _plain_safe(value):
+        return " " + value
+    return " " + _quote(value)
+
+
 def _emit_scalar(head: str, value: str, indent: int, lines: list[str]) -> None:
     """Emit ``<head> <scalar>``, ``head`` holding its indent; folds long prose when safe."""
-    if len(value) > _WRAP_COLUMN and _foldable(value):
-        body_indent = indent + 2
-        body_break = "\n" + " " * body_indent
-        body = _wrap_re(max(_WRAP_COLUMN - body_indent, 20)).findall(value)
-        lines.append(head + " >-" + body_break + body_break.join(body))
-    elif _plain_safe(value):
-        lines.append(f"{head} {value}")
-    else:
-        lines.append(f"{head} {_quote(value)}")
+    lines.append(head + _scalar_text(value, indent))
 
 
 def _emit_mapping(mapping: dict, indent: int, lines: list[str]) -> None:
@@ -692,26 +707,31 @@ def _emit_yaml(plain: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_control(control: Control, indent: int) -> str:
+def emit_control(control: Control, indent: int, memo: dict | None = None) -> str:
     """``control``'s own block: its item at column ``indent``, up to its ``children:`` key.
 
     The block holds the ``- id:`` line, the other fields, the parts and the
     ``children:`` key when there are children, but not the children, and
     ends with a line end; a childless control's block is its whole YAML.
-    The keys come in ``_control_plain``'s order.
+    The keys come in ``_control_plain``'s and ``_part_plain``'s order.
+    Scalar texts are decided through ``memo`` (``_scalar_text``).
     """
     pad = " " * (indent + 2)
-    lines: list[str] = []
-    _emit_scalar(" " * indent + "- id:", control.id, indent + 2, lines)
+    out = [" " * indent, "- id:", _scalar_text(control.id, indent + 2, memo), "\n"]
     if control.classifier is not None:
-        _emit_scalar(pad + "class:", control.classifier, indent + 2, lines)
+        out += (pad, "class:", _scalar_text(control.classifier, indent + 2, memo), "\n")
     if control.parts:
-        lines.append(pad + "parts:")
-        _emit_sequence([_part_plain(p) for p in control.parts], indent + 4, lines)
+        out += (pad, "parts:\n")
+        dash = pad + "  - name:"
+        part_pad = pad + "    "
+        for part in control.parts:
+            out += (dash, _scalar_text(part.name, indent + 6, memo), "\n")
+            if part.classifier is not None:
+                out += (part_pad, "class:", _scalar_text(part.classifier, indent + 6, memo), "\n")
+            out += (part_pad, "prose:", _scalar_text(part.prose, indent + 6, memo), "\n")
     if control.children:
-        lines.append(pad + "children:")
-    lines.append("")  # the line end of the last line
-    return "\n".join(lines)
+        out += (pad, "children:\n")
+    return "".join(out)
 
 
 def catalog_blocks(catalog: Catalog, memo: dict | None = None) -> tuple[str, list[str]]:
@@ -720,36 +740,35 @@ def catalog_blocks(catalog: Catalog, memo: dict | None = None) -> tuple[str, lis
     The header holds every line before the first control: the ``catalog:``
     key, the metadata and the ``controls:`` key. Header and blocks
     concatenate to the text ``serialize_document`` emits, and a control's
-    children follow its block at four more columns. Calls that pass one
-    ``memo`` emit each own block once per indent: a block is keyed by what
-    it is built from, the control's id and class, its parts tuple and
-    whether it has children, so a control rebuilt around the same parts
-    tuple (with other children, say) shares its block, and the blocks of a
-    catalog just serialized with ``memo`` are read back from it.
+    children follow its block at four more columns. ``memo`` (a fresh dict
+    when none is given) keeps each scalar's text as ``_scalar_text`` keys it,
+    and each own block under a 5-tuple of what it is built from: the
+    control's id and class, its parts tuple, whether it has children, and
+    the indent. So a control rebuilt around the same parts tuple (with other
+    children, say) shares its block, and calls that pass one ``memo`` emit
+    each block and decide each scalar text once.
     """
-    lines: list[str] = []
-    _emit_mapping({"catalog": {"metadata": _metadata_plain(catalog.metadata)}}, 0, lines)
+    memo = {} if memo is None else memo
+    metadata = catalog.metadata
+    header = ("catalog:\n  metadata:\n    title:" + _scalar_text(metadata.title, 4, memo)
+              + "\n    version:" + _scalar_text(metadata.version, 4, memo) + "\n")
     if catalog.controls:
-        lines.append("  controls:")
-    lines.append("")
+        header += "  controls:\n"
     blocks: list[str] = []
 
     def walk(controls: tuple[Control, ...], indent: int) -> None:
         for control in controls:
-            if memo is None:
-                blocks.append(emit_control(control, indent))
-            else:
-                parts = control.parts
-                key = (control.id, control.classifier, id(parts), bool(control.children), indent)
-                cached = memo.get(key)
-                if cached is None:  # the parts are kept in the value, so their id stays unique
-                    cached = memo[key] = (parts, emit_control(control, indent))
-                blocks.append(cached[1])
+            parts = control.parts
+            key = (control.id, control.classifier, id(parts), bool(control.children), indent)
+            cached = memo.get(key)
+            if cached is None:  # the parts are kept in the value, so their id stays unique
+                cached = memo[key] = (parts, emit_control(control, indent, memo))
+            blocks.append(cached[1])
             if control.children:
                 walk(control.children, indent + 4)
 
     walk(catalog.controls, 4)
-    return "\n".join(lines), blocks
+    return header, blocks
 
 
 def serialize_document(doc: DocumentEnvelope, format: str = YAML, *,
@@ -757,8 +776,8 @@ def serialize_document(doc: DocumentEnvelope, format: str = YAML, *,
     """Serialize to canonical bytes; re-parsing yields a structurally equal document.
 
     A catalog's YAML is its ``catalog_blocks`` joined; calls that pass one
-    ``memo`` emit each own block once per indent, keyed as ``catalog_blocks``
-    says.
+    ``memo`` emit each own block once per indent and decide each scalar's
+    text once, keyed as ``catalog_blocks`` says.
     """
     if format == YAML and doc.kind == "catalog":
         header, blocks = catalog_blocks(doc.body, memo)  # type: ignore[arg-type]

@@ -615,6 +615,46 @@ def emit_yaml(plain: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ---------------------------------------------------------------------------
+# The own-block emitter as it was before own blocks were written straight
+# from the model: each part goes through its plain dict and the generic
+# mapping, sequence and scalar emitters, and each scalar's text is decided
+# afresh on every occurrence.
+
+
+def _reference_scalar(head: str, value: str, indent: int, lines: list[str]) -> None:
+    if len(value) > serialize._WRAP_COLUMN and serialize._foldable(value):
+        body_indent = indent + 2
+        body_break = "\n" + " " * body_indent
+        body = serialize._wrap_re(max(serialize._WRAP_COLUMN - body_indent, 20)).findall(value)
+        lines.append(head + " >-" + body_break + body_break.join(body))
+    elif serialize._plain_safe(value):
+        lines.append(f"{head} {value}")
+    else:
+        lines.append(f"{head} {serialize._quote(value)}")
+
+
+def reference_emit_control(control: Control, indent: int) -> str:
+    """``control``'s own block at column ``indent``, emitted through plain dicts."""
+    pad = " " * (indent + 2)
+    lines: list[str] = []
+    _reference_scalar(" " * indent + "- id:", control.id, indent + 2, lines)
+    if control.classifier is not None:
+        _reference_scalar(pad + "class:", control.classifier, indent + 2, lines)
+    if control.parts:
+        lines.append(pad + "parts:")
+        dash = " " * (indent + 4) + "- "
+        for part in control.parts:
+            first = len(lines)
+            for key, value in serialize._part_plain(part).items():
+                _reference_scalar(" " * (indent + 6) + f"{key}:", value, indent + 6, lines)
+            lines[first] = dash + lines[first][indent + 6:]
+    if control.children:
+        lines.append(pad + "children:")
+    lines.append("")  # the line end of the last line
+    return "\n".join(lines)
+
+
 def dependents_in_store(imports: dict[str, str], unreadable: set[str], changed: str) -> set[str]:
     """``changed`` and every document that imports it through documents that parse.
 

@@ -536,9 +536,9 @@ class TestPropagateOutputs:
         checked: list[str] = []
         original = changes_module.emit_control
 
-        def recording_emit(control, indent):
+        def recording_emit(control, indent, memo=None):
             checked.append(control.id)
-            return original(control, indent)
+            return original(control, indent, memo)
 
         monkeypatch.setattr(changes_module, "emit_control", recording_emit)
         results = propagate(SourceStore(tmp_path), "base.yaml")
@@ -572,6 +572,68 @@ class TestPropagateOutputs:
         error = self._failing_then(fixture_store, DUPLICATE_TITLE)
         assert isinstance(error, SchemaError)
         assert (error.source, str(error)) == ("later.yaml", DUPLICATE_TITLE_MESSAGE)
+
+
+class TestWriteAtomic:
+    DATA = b"catalog:\n" + b"x" * 1000 + b"\n"
+
+    def _leftovers(self, directory: Path) -> list[str]:
+        return sorted(name for name in os.listdir(directory) if name.startswith(".out.yaml."))
+
+    def test_short_writes_still_write_every_byte(self, tmp_path, monkeypatch):
+        real_write = os.write
+        sizes: list[int] = []
+
+        def short_write(fd, data):
+            written = real_write(fd, bytes(data[:7]))
+            sizes.append(written)
+            return written
+
+        monkeypatch.setattr(os, "write", short_write)
+        path = tmp_path / "out.yaml"
+        changes_module._write_atomic(path, self.DATA)
+        assert path.read_bytes() == self.DATA
+        assert len(sizes) == -(-len(self.DATA) // 7) and set(sizes[:-1]) == {7}
+        assert self._leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_a_failure_leaves_the_previous_output_and_no_temp_file(self, tmp_path, monkeypatch,
+                                                                   failing):
+        path = tmp_path / "out.yaml"
+        path.write_bytes(b"previous\n")
+        closed: list[int] = []
+        real_close = os.close
+
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        def recording_close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        monkeypatch.setattr(os, failing, fail)
+        monkeypatch.setattr(os, "close", recording_close)
+        with pytest.raises(OSError, match="No space left"):
+            changes_module._write_atomic(path, self.DATA)
+        assert path.read_bytes() == b"previous\n"
+        assert self._leftovers(tmp_path) == []
+        assert len(closed) == 1  # the temp file's descriptor, closed before the rename
+
+    def test_a_missing_directory_is_made(self, tmp_path):
+        path = tmp_path / "store" / "resolved" / "out.yaml"
+        changes_module._write_atomic(path, self.DATA)
+        assert path.read_bytes() == self.DATA
+        assert self._leftovers(path.parent) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077, 0o002])
+    def test_the_file_gets_the_mode_the_umask_allows(self, tmp_path, umask):
+        path = tmp_path / "out.yaml"
+        previous = os.umask(umask)
+        try:
+            changes_module._write_atomic(path, self.DATA)
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 class TestChangesSince:

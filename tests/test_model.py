@@ -302,13 +302,41 @@ def _deepened(catalog: Catalog) -> Catalog:
     return replace(catalog, controls=(replace(first, children=(child, *first.children[1:])),))
 
 
+def _with_child(controls: tuple[Control, ...], parent_id: str, child: Control) -> tuple:
+    """``controls`` with ``child`` appended to the children of one control ``parent_id``."""
+    done = False
+
+    def add(control: Control) -> Control:
+        nonlocal done
+        children = tuple(add(c) for c in control.children)
+        if control.id == parent_id and not done:
+            done = True
+            children += (child,)
+        return control if children == control.children else replace(control, children=children)
+
+    return tuple(add(control) for control in controls)
+
+
 @st.composite
-def resolution_cases(draw, second=st.sampled_from(["src.yaml", "other.yaml", None])):
+def resolution_cases(draw, second=st.sampled_from(["src.yaml", "other.yaml", None]),
+                     repeats=st.just(0)):
+    """A source catalog, a profile importing it, and at times a second import or source.
+
+    ``repeats`` draws how many ids the source catalog, built in memory
+    without validation, repeats: each adds a childless control with an
+    existing id under a drawn control, which may be inside the first
+    control of that id (``a -> b -> a``) or anywhere else.
+    """
     catalog = draw(strategies.catalogs(min_controls=1, max_controls=5))
     if draw(st.booleans()):
         catalog = _deepened(catalog)
+    for _ in range(draw(repeats)):
+        existing = [c.id for c in iter_controls(catalog.controls)]
+        repeated = Control(draw(st.sampled_from(existing)), parts=(Part("statement", "again"),))
+        catalog = replace(catalog, controls=_with_child(
+            catalog.controls, draw(st.sampled_from(existing)), repeated))
     catalog = replace(catalog, uri="src.yaml")
-    ids = [c.id for c in iter_controls(catalog.controls)]
+    ids = list(dict.fromkeys(c.id for c in iter_controls(catalog.controls)))
     sources = [catalog]
     imports = [draw(_import_directive("src.yaml", ids))]
     # A second import either re-selects from the same source, which adds
@@ -369,8 +397,8 @@ def test_validate_profile_predicts_resolution_outcome(case):
         assert not has_errors(validate_catalog(result.catalog))
 
 
-@given(resolution_cases())
-@settings(max_examples=200, deadline=None)
+@given(resolution_cases(repeats=st.integers(0, 2)))
+@settings(max_examples=300, deadline=None)
 def test_resolution_agrees_with_the_reference_resolver(case):
     sources, profile = case
     check_against_reference(sources, profile)

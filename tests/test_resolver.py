@@ -281,6 +281,59 @@ class TestResolve:
         ]
         oracles.check_against_reference([source], profile)
 
+    def test_an_id_repeated_inside_its_own_selected_subtree_is_reported(self):
+        """``a -> b -> a``: the outer ``a`` is selected first, so the inner one is the repeat.
+
+        The alteration removes a part only the outer ``a`` has, so it matches
+        nothing if the inner ``a`` were the one selected.
+        """
+        source = Catalog(Metadata("A", "1"), (
+            Control("a", parts=(Part("statement", "outer"), Part("note", "n")), children=(
+                Control("b", children=(Control("a", parts=(Part("statement", "inner"),)),)),)),
+        ), uri="a.yaml")
+        profile = Profile(Metadata("P", "1"), imports=(ImportDirective("a.yaml", include=("a",)),),
+                          alterations=(Alteration("a", removes=(RemoveDirective("note"),)),))
+        assert resolver.validate_profile(profile, [source]) == [
+            Finding(ERROR, "imports/0", "duplicate control id 'a' in selection"),
+        ]
+        with pytest.raises(DuplicateControlId) as raised:
+            resolve([source], profile)
+        assert str(raised.value) == (
+            "duplicate control id: 'a' (supplied by both 'a.yaml' and 'a.yaml')"
+        )
+        oracles.check_against_reference([source], profile)
+
+    def test_a_root_under_a_control_another_import_excludes_keeps_document_order(self):
+        """``a-2-x`` sits under the excluded ``a-2``: a root between ``a`` and ``b``."""
+        inner = Control("a-2-x", parts=(Part("statement", "x"),))
+        top = Control("a", children=(Control("a-1"), Control("a-2", children=(inner,))))
+        later = Control("b", parts=(Part("statement", "b"),))
+        source = Catalog(Metadata("S", "1"), (top, later), uri="src.yaml")
+        imports = (ImportDirective("src.yaml", include=("a", "b"), exclude=("a-2",)),
+                   ImportDirective("src.yaml", include=("a-2-x",)))
+        for order in (imports, imports[::-1]):
+            profile = Profile(Metadata("P", "1"), imports=order)
+            resolved = resolve([source], profile).catalog
+            assert resolved.controls == (replace(top, children=top.children[:1]), inner, later)
+            assert resolved.controls[1] is inner and resolved.controls[2] is later
+            oracles.check_against_reference([source], profile)
+
+    def test_a_selected_control_whose_children_all_stay_is_the_sources_object(self):
+        kept = Control("y-2", children=(Control("y-2-a"),))
+        dropped = Control("y-1", children=(Control("y-1-a"), Control("y-1-b")))
+        whole = Control("x", children=(Control("x-1"),))
+        source = Catalog(Metadata("S", "1"), (whole, Control("y", children=(dropped, kept))),
+                         uri="src.yaml")
+        profile = Profile(Metadata("P", "1"),
+                          imports=(ImportDirective("src.yaml", include=("x", "y"),
+                                                   exclude=("y-1-a",)),))
+        x, y = resolve([source], profile).catalog.controls
+        assert x is whole
+        assert y is not source.controls[1] and y.children[1] is kept
+        assert y.children[0] is not dropped and y.children[0].children == (Control("y-1-b"),)
+        assert y.children[0].children[0] is dropped.children[1]
+        oracles.check_against_reference([source], profile)
+
     def test_an_import_naming_no_source_pairs_with_the_unnamed_source(self):
         named = Catalog(Metadata("A", "1"), (Control("a1"),), uri="a.yaml")
         unnamed = Catalog(Metadata("B", "1"), (Control("b1"),))

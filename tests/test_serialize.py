@@ -296,14 +296,13 @@ class TestEmissionMemo:
         ])]
         expected = [serialize_document(DocumentEnvelope("catalog", c)) for c in catalogs]
         emitted: list[tuple[str, int]] = []  # (control id, indent) of each own block emitted
-        original = serialize._emit_scalar
+        original = serialize.emit_control
 
-        def recording_emit(head: str, value: str, indent: int, lines: list[str]) -> None:
-            if head.endswith("- id:"):
-                emitted.append((value, indent - 2))
-            original(head, value, indent, lines)
+        def recording_emit(control: Control, indent: int, memo: dict | None = None) -> str:
+            emitted.append((control.id, indent))
+            return original(control, indent, memo)
 
-        monkeypatch.setattr(serialize, "_emit_scalar", recording_emit)
+        monkeypatch.setattr(serialize, "emit_control", recording_emit)
         memo: dict = {}
         assert [serialize_document(DocumentEnvelope("catalog", c), memo=memo)
                 for c in catalogs] == expected
@@ -312,6 +311,87 @@ class TestEmissionMemo:
                            ("c-1", 4), ("c-2", 4), ("c-3", 8)]
         assert serialize_document(DocumentEnvelope("catalog", catalogs[0]), "json", memo=memo) \
             == serialize_document(DocumentEnvelope("catalog", catalogs[0]), "json")
+
+
+# Scalars that exercise each branch of the scalar rule: plain, quoted for
+# ``": "``, ``" #"``, a trailing colon, a word YAML reads as another type, a
+# leading indicator, a control or separator character or outer spaces, and
+# long prose that folds or, with a double space or a control character,
+# cannot.
+_TRICKY_SCALARS = [
+    "plain words", "a: b", "a #b", "trailing:", "yes", "No", "null", "~", "y", "-dash",
+    "?q", "[x", "{y", "#c", "&a", "*b", "!t", "|l", ">f", "'s", '"d', "%p", "@a", "`b",
+    ",c", " lead", "trail ", "tab\there", "line\nbreak", "bell\x07", "nel\x85", "ls\u2028x",
+    "bom\ufeffx", "back\\slash", 'quote"mark', "ünïcode wörds", "1.5", "0x1f", "2024-01-01",
+]
+_LONG_WORDS = st.lists(st.sampled_from(["folded", "words", "of", "prose", "a", "x:", "#tag", "ünï",
+                                        "averyveryverylongword" * 3]), min_size=14, max_size=40)
+tricky_scalars = st.one_of(
+    st.sampled_from(_TRICKY_SCALARS),
+    strategies.prose_text,
+    _LONG_WORDS.map(" ".join),
+    _LONG_WORDS.map("  ".join),
+    st.tuples(_LONG_WORDS, st.sampled_from(["\t", "\x07", "\u2028", " ", "\n"])).map(
+        lambda drawn: " ".join(drawn[0]) + drawn[1]),
+)
+
+
+@st.composite
+def tricky_controls(draw) -> Control:
+    names = draw(st.lists(st.sampled_from(["statement", "guidance", "note", "yes", "a-b"]),
+                          unique=True, max_size=3))
+    parts = tuple(Part(name, draw(tricky_scalars), draw(st.none() | tricky_scalars))
+                  for name in names)
+    children = (Control("child"),) if draw(st.booleans()) else ()
+    return Control(draw(st.sampled_from(["c-1", "yes", "x.y", "true"])),
+                   draw(st.none() | tricky_scalars), parts, children)
+
+
+class TestOwnBlocks:
+    @given(tricky_controls(), st.integers(4, 16), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_an_own_block_is_the_reference_emitters(self, control, indent, with_memo):
+        memo: dict | None = {} if with_memo else None
+        expected = oracles.reference_emit_control(control, indent)
+        assert serialize.emit_control(control, indent, memo) == expected
+        assert serialize.emit_control(control, indent, memo) == expected
+
+    @given(st.lists(tricky_controls(), min_size=1, max_size=4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_memo_over_controls_at_several_indents_gives_the_bytes_of_none(self, controls,
+                                                                             data):
+        memo: dict = {}
+        for control in controls + controls:
+            indent = data.draw(st.sampled_from([4, 8, 12, 16]))
+            assert serialize.emit_control(control, indent, memo) \
+                == serialize.emit_control(control, indent)
+
+    def test_long_prose_shared_at_two_indents_keeps_each_indents_fold(self):
+        """Fold widths differ by indent, so a memo keyed by the prose alone gives wrong bytes."""
+        prose = " ".join(["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"] * 4)
+        part = Part("statement", prose)
+        top = Catalog(Metadata("T", "1"), (Control("c-1", parts=(part,)),))
+        nested = Catalog(Metadata("T", "1"), (Control("top", children=(
+            Control("c-2", parts=(Part("statement", prose),)),)),))
+        texts = [serialize_document(DocumentEnvelope("catalog", c)) for c in (top, nested)]
+        folds = [[line.strip() for line in text.decode().split("prose: >-\n")[1].splitlines()]
+                 for text in texts]
+        assert folds[0] != folds[1]  # the two widths wrap differently
+        for order in ([top, nested], [nested, top]):
+            memo: dict = {}
+            assert [serialize_document(DocumentEnvelope("catalog", c), memo=memo)
+                    for c in order] == [texts[0] if c is top else texts[1] for c in order]
+
+    @given(st.lists(strategies.catalogs(), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_one_memo_over_catalogs_at_two_depths_gives_the_bytes_of_none(self, catalogs):
+        """Each catalog with long prose, then the same controls one level deeper."""
+        memo: dict = {}
+        for catalog in map(strategies.with_long_prose, catalogs):
+            for shifted in (catalog, Catalog(catalog.metadata,
+                                             (Control("top", children=catalog.controls),))):
+                envelope = DocumentEnvelope("catalog", shifted)
+                assert serialize_document(envelope, memo=memo) == serialize_document(envelope)
 
 
 class TestCatalogBlocks:
