@@ -58,20 +58,18 @@ class ChangeSet:
         return not self.entries
 
 
-def _flatten(catalog: Catalog) -> tuple[dict[str, tuple[Control, str | None, int]], list[str]]:
-    """Each control by id with its parent's id and sibling index, and the ids in document order."""
+def _flatten(catalog: Catalog) -> dict[str, tuple[Control, str | None, int]]:
+    """Each control by id, in document order, with its parent's id and sibling index."""
     nodes: dict[str, tuple[Control, str | None, int]] = {}
-    order: list[str] = []
 
     def walk(control: Control, parent: str | None, index: int) -> None:
         nodes[control.id] = (control, parent, index)
-        order.append(control.id)
         for child_index, child in enumerate(control.children):
             walk(child, control.id, child_index)
 
     for top_index, control in enumerate(catalog.controls):
         walk(control, None, top_index)
-    return nodes, order
+    return nodes
 
 
 def diff(before: Catalog, after: Catalog) -> ChangeSet:
@@ -82,49 +80,41 @@ def diff(before: Catalog, after: Catalog) -> ChangeSet:
     tree position changed is reported as a remove/add pair; a part counts
     as modified when its prose, classifier, or position changed.
     """
-    keyed: list[tuple[float, float, int, ChangeEntry]] = []
-    seq = 0
-
-    def emit(control_key: float, part_key: float, entry: ChangeEntry) -> None:
-        nonlocal seq
-        keyed.append((control_key, part_key, seq, entry))
-        seq += 1
-
+    keyed: list[tuple[float, float, ChangeEntry]] = []  # sorted stably, so ties keep this order
     for name in ("title", "version"):
         old = getattr(before.metadata, name)
         new = getattr(after.metadata, name)
         if old != new:
-            emit(-1.0, 0.0, ChangeEntry(METADATA_MODIFIED, part_name=name,
-                                        before_prose=old, after_prose=new))
+            keyed.append((-1.0, 0.0, ChangeEntry(METADATA_MODIFIED, part_name=name,
+                                                 before_prose=old, after_prose=new)))
 
-    bnodes, border = _flatten(before)
-    anodes, aorder = _flatten(after)
-    akey = {cid: float(i) for i, cid in enumerate(aorder)}
+    bnodes = _flatten(before)
+    anodes = _flatten(after)
 
     surviving = 0
-    for cid in border:
+    for cid in bnodes:
         if cid in anodes:
             surviving += 1
         else:
-            emit(surviving - 0.5, 0.0, ChangeEntry(CONTROL_REMOVED, control_id=cid))
+            keyed.append((surviving - 0.5, 0.0, ChangeEntry(CONTROL_REMOVED, control_id=cid)))
 
-    for cid in aorder:
+    for key, (cid, (acontrol, aparent, aindex)) in enumerate(anodes.items()):
         if cid not in bnodes:
-            emit(akey[cid], -1.0, ChangeEntry(CONTROL_ADDED, control_id=cid))
+            keyed.append((key, -1.0, ChangeEntry(CONTROL_ADDED, control_id=cid)))
             continue
         bcontrol, bparent, bindex = bnodes[cid]
-        acontrol, aparent, aindex = anodes[cid]
         if (bcontrol.classifier, bparent, bindex) != (acontrol.classifier, aparent, aindex):
-            emit(akey[cid], -2.0, ChangeEntry(CONTROL_REMOVED, control_id=cid))
-            emit(akey[cid], -1.0, ChangeEntry(CONTROL_ADDED, control_id=cid))
+            keyed.append((key, -2.0, ChangeEntry(CONTROL_REMOVED, control_id=cid)))
+            keyed.append((key, -1.0, ChangeEntry(CONTROL_ADDED, control_id=cid)))
             continue
-        _diff_parts(bcontrol, acontrol, akey[cid], emit)
+        _diff_parts(bcontrol, acontrol, key, keyed)
 
-    keyed.sort(key=lambda item: (item[0], item[1], item[2]))
-    return ChangeSet(tuple(entry for _, _, _, entry in keyed))
+    keyed.sort(key=lambda item: (item[0], item[1]))
+    return ChangeSet(tuple(entry for _, _, entry in keyed))
 
 
-def _diff_parts(before: Control, after: Control, control_key: float, emit) -> None:
+def _diff_parts(before: Control, after: Control, control_key: float,
+                keyed: list[tuple[float, float, ChangeEntry]]) -> None:
     if before.parts is after.parts:
         return
     bparts = {p.name: (i, p) for i, p in enumerate(before.parts)}
@@ -135,21 +125,21 @@ def _diff_parts(before: Control, after: Control, control_key: float, emit) -> No
         if part.name in aparts:
             surviving += 1
         else:
-            emit(control_key, surviving - 0.5,
-                 ChangeEntry(PART_REMOVED, control_id=after.id, part_name=part.name,
-                             before_prose=part.prose))
+            keyed.append((control_key, surviving - 0.5,
+                          ChangeEntry(PART_REMOVED, control_id=after.id, part_name=part.name,
+                                      before_prose=part.prose)))
 
     for index, part in enumerate(after.parts):
         if part.name not in bparts:
-            emit(control_key, float(index),
-                 ChangeEntry(PART_ADDED, control_id=after.id, part_name=part.name,
-                             after_prose=part.prose))
+            keyed.append((control_key, index,
+                          ChangeEntry(PART_ADDED, control_id=after.id, part_name=part.name,
+                                      after_prose=part.prose)))
             continue
         bindex, bpart = bparts[part.name]
         if bpart.prose != part.prose or bpart.classifier != part.classifier or bindex != index:
-            emit(control_key, float(index),
-                 ChangeEntry(PART_MODIFIED, control_id=after.id, part_name=part.name,
-                             before_prose=bpart.prose, after_prose=part.prose))
+            keyed.append((control_key, index,
+                          ChangeEntry(PART_MODIFIED, control_id=after.id, part_name=part.name,
+                                      before_prose=bpart.prose, after_prose=part.prose)))
 
 
 def entry_plain(entry: ChangeEntry) -> dict:
@@ -211,8 +201,7 @@ def build_graph(store: SourceStore) -> DependencyGraph:
                 edges.append((uri, source))
             else:
                 findings.append(Finding(ERROR, uri, f"import source {source!r} not found in store"))
-    edges += [(output, uri) for uri in profiles
-              if (output := resolution_output_uri(uri)) in known and output not in listed]
+    edges += [(output, uri) for uri in profiles if (output := resolution_output_uri(uri)) in known]
     return DependencyGraph(nodes=tuple(nodes), edges=tuple(edges), findings=tuple(findings),
                            profiles=tuple(profiles), unreadable=unreadable)
 
@@ -359,9 +348,10 @@ def propagate(store: SourceStore, changed_uri: str, *,
     profile resolves through ``resolve_in_store`` with one memo for the run,
     so a failing profile is reported in place with the error
     ``resolve_chain`` gives, and so is one whose output path another profile
-    shares; the rest still run. An import cycle upstream of a re-resolved
-    profile raises ``CycleDetected``; one elsewhere does not matter. A
-    ``changed_uri`` that does not parse raises.
+    shares or whose previous output does not parse (that error's ``source``
+    is the output's uri); the rest still run. An import cycle upstream of a
+    re-resolved profile raises ``CycleDetected``; one elsewhere does not
+    matter. A ``changed_uri`` that does not parse raises.
     """
     if not store.exists(changed_uri):
         raise NotFound(changed_uri)
@@ -403,8 +393,12 @@ def propagate(store: SourceStore, changed_uri: str, *,
             changes = ChangeSet(())
             if previous != data:
                 if previous is not None:
-                    changes = _delta(previous, resolved.catalog, memo=emitted,
-                                     verified=verified)
+                    try:
+                        changes = _delta(previous, resolved.catalog, memo=emitted,
+                                         verified=verified)
+                    except GuidanceError as error:  # the previous output does not parse
+                        error.source = output_uri
+                        raise
                 _write_atomic(path, data)
                 store.evict(output_uri)  # a same-size rewrite can keep its fingerprint
         except GuidanceError as error:

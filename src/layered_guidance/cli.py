@@ -109,7 +109,7 @@ def _write_output(data: bytes, output: str | None) -> None:
 
 def _parse_file(path: str) -> DocumentEnvelope:
     try:
-        return parse_document(Path(path).read_bytes(), format_of(path))
+        return parse_document(Path(path).read_bytes(), format_of(path), path)
     except GuidanceError as exc:
         if exc.source is None:
             exc.source = path
@@ -120,8 +120,7 @@ def _read_catalog(path: str) -> Catalog:
     envelope = _parse_file(path)
     if envelope.kind != "catalog":
         raise SchemaError("expected a catalog document", path)
-    body = envelope.body
-    return Catalog(metadata=body.metadata, controls=body.controls, uri=path)
+    return envelope.body
 
 
 def resolve_cmd(args: argparse.Namespace) -> int:
@@ -249,12 +248,17 @@ def graph_cmd(args: argparse.Namespace) -> int:
 def propagate_cmd(args: argparse.Namespace) -> int:
     """Re-resolve and persist every profile downstream of a changed document."""
     results = propagate(SourceStore(args.store_dir), args.changed_uri, lenient=args.lenient)
+    for result in results:
+        if result.resolved is not None:
+            for finding in result.resolved.warnings:
+                _echo(f"warning: {result.profile_uri}: {finding.path}: {finding.message}",
+                      err=True)
     if args.fmt == "json":
         plain = []
         for result in results:
             item: dict = {"profile-uri": result.profile_uri, "output-uri": result.output_uri}
             if result.error is not None:
-                item["error"] = str(result.error)
+                item["error"] = _describe(result.error)
             else:
                 item["initial"] = result.initial
                 item["changes"] = [entry_plain(e) for e in result.changes.entries]
@@ -265,7 +269,7 @@ def propagate_cmd(args: argparse.Namespace) -> int:
             _echo("nothing depends on " + args.changed_uri)
         for result in results:
             if result.error is not None:
-                _echo(f"failed {result.profile_uri}: {result.error}")
+                _echo(f"failed {result.profile_uri}: {_describe(result.error)}")
                 continue
             if result.initial:
                 status = "initial resolution"
@@ -275,7 +279,7 @@ def propagate_cmd(args: argparse.Namespace) -> int:
                 count = len(result.changes.entries)
                 status = f"{count} change{'s' if count != 1 else ''}"
             _echo(f"re-resolved {result.profile_uri} -> {result.output_uri} ({status})")
-            if result.changes is not None and not result.changes.is_empty:
+            if not result.changes.is_empty:
                 _echo("  " + _diff_text(result.changes).rstrip("\n").replace("\n", "\n  "))
     return EXIT_RESOLUTION if any(result.error is not None for result in results) else EXIT_OK
 

@@ -317,13 +317,18 @@ def _validate_control(control: Control, parent: tuple | None, seen_ids: dict[str
         _validate_control(child, here, seen_ids, valid, findings)
 
 
+def _metadata_findings(metadata: Metadata) -> ValidationReport:
+    findings: ValidationReport = []
+    if not metadata.title.strip():
+        findings.append(Finding(WARNING, "metadata/title", "title is empty"))
+    if not metadata.version.strip():
+        findings.append(Finding(WARNING, "metadata/version", "version is empty"))
+    return findings
+
+
 def validate_catalog(catalog: Catalog) -> ValidationReport:
     """Check every catalog invariant; an empty report means the catalog is valid."""
-    findings: ValidationReport = []
-    if not catalog.metadata.title.strip():
-        findings.append(Finding(WARNING, "metadata/title", "title is empty"))
-    if not catalog.metadata.version.strip():
-        findings.append(Finding(WARNING, "metadata/version", "version is empty"))
+    findings = _metadata_findings(catalog.metadata)
     seen_ids: dict[str, tuple] = {}
     valid: set[str] = set()
     for control in catalog.controls:
@@ -333,11 +338,7 @@ def validate_catalog(catalog: Catalog) -> ValidationReport:
 
 def profile_structure_findings(profile: Profile) -> ValidationReport:
     """Invariant checks that need no resolved sources (used by the parser too)."""
-    findings: ValidationReport = []
-    if not profile.metadata.title.strip():
-        findings.append(Finding(WARNING, "metadata/title", "title is empty"))
-    if not profile.metadata.version.strip():
-        findings.append(Finding(WARNING, "metadata/version", "version is empty"))
+    findings = _metadata_findings(profile.metadata)
     if not profile.imports:
         findings.append(Finding(ERROR, "imports", "profile must import at least one source"))
 

@@ -270,8 +270,6 @@ def _load_yaml(text: str) -> Any:
         return tree
     try:
         return yaml.load(text, Loader=_StrictLoader)
-    except SchemaError:
-        raise
     except UnicodeEncodeError as exc:  # libyaml encodes str input to UTF-8 itself
         code = ord(exc.object[exc.start])
         raise DocumentSyntaxError(f"unacceptable character #x{code:04x}: {exc.reason}") from exc
@@ -665,11 +663,6 @@ def _scalar_text(value: str, indent: int, memo: dict | None = None) -> str:
     return " " + _quote(value)
 
 
-def _emit_scalar(head: str, value: str, indent: int, lines: list[str]) -> None:
-    """Emit ``<head> <scalar>``, ``head`` holding its indent; folds long prose when safe."""
-    lines.append(head + _scalar_text(value, indent))
-
-
 def _emit_mapping(mapping: dict, indent: int, lines: list[str]) -> None:
     pad = " " * indent
     for key, value in mapping.items():
@@ -683,22 +676,19 @@ def _emit_mapping(mapping: dict, indent: int, lines: list[str]) -> None:
             lines.append(f"{pad}{key}:")
             _emit_sequence(value, indent + 2, lines)
         else:
-            _emit_scalar(f"{pad}{key}:", value, indent, lines)
+            lines.append(f"{pad}{key}:" + _scalar_text(value, indent))
 
 
 def _emit_sequence(items: list, indent: int, lines: list[str]) -> None:
     head = " " * indent + "-"
     dash = head + " "
     for item in items:
-        kind = item.__class__
-        if kind is dict:
+        if item.__class__ is dict:
             first = len(lines)
             _emit_mapping(item, indent + 2, lines)
             lines[first] = dash + lines[first][indent + 2:]
-        elif kind is list:
-            raise TypeError("nested sequences are not part of the document model")
         else:
-            _emit_scalar(head, item, indent, lines)
+            lines.append(head + _scalar_text(item, indent))
 
 
 def _emit_yaml(plain: dict) -> str:

@@ -31,6 +31,7 @@ from layered_guidance.changes import (
 from layered_guidance import resolver
 from layered_guidance.errors import (
     CycleDetected,
+    DocumentSyntaxError,
     GuidanceError,
     NotFound,
     SchemaError,
@@ -300,6 +301,22 @@ class TestPropagate:
         for result in results:
             assert result.resolved is None
             assert "id.zz-9" in str(result.error)
+
+    def test_a_non_utf8_previous_output_fails_its_profile_in_place(self, fixture_store):
+        self._populate(fixture_store)
+        previous = fixture_store / "resolved" / "ot-profile.yaml"
+        previous.write_bytes(b"catalog: \xff\n")
+        catalog = fixture_store / "csf-id-am.yaml"
+        catalog.write_bytes(catalog.read_bytes().replace(b"Physical devices and systems",
+                                                         b"Physical devices, systems"))
+        results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        assert [r.profile_uri for r in results] == ["ot-profile.yaml", "am-profile.yaml"]
+        failed, passed = results
+        assert isinstance(failed.error, DocumentSyntaxError)
+        assert failed.error.source == "resolved/ot-profile.yaml"
+        assert str(failed.error).startswith("syntax error: invalid UTF-8: ")
+        assert previous.read_bytes() == b"catalog: \xff\n"
+        assert passed.error is None and len(passed.changes.entries) == 1
 
     def test_the_walks_visit_each_document_at_most_once(self, fixture_store, monkeypatch):
         """Each profile's walk skips the resolutions memoised before it: no per-profile re-walk."""

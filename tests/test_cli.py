@@ -477,6 +477,57 @@ class TestPropagateCommand:
         ]
         assert capsys.readouterr() == (json.dumps(expected, indent=2) + "\n", "")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_failed_result_names_the_document_that_failed(self, fixture_store, capsys, fmt):
+        (fixture_store / "dup.yaml").write_bytes(TestStoreIdentity.DUPLICATE_TITLE)
+        (fixture_store / "p.yaml").write_bytes(
+            b"profile:\n  metadata:\n    title: P\n    version: \"1\"\n"
+            b"  imports:\n    - source: csf-id-am.yaml\n    - source: dup.yaml\n")
+        error = "dup.yaml: duplicate key 'title' (line 4, column 5)"
+        assert main(["resolve", "p.yaml", "--store", str(fixture_store)]) == 3
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert main(["propagate", "--store", str(fixture_store),
+                     "--changed", "csf-id-am.yaml", "--format", fmt]) == 2
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert [item.get("error") for item in json.loads(out)] == [None, None, error]
+        else:
+            assert out.splitlines()[-1] == f"failed p.yaml: {error}"
+
+    def test_a_failed_result_names_its_unparsable_previous_output(self, fixture_store, capsys):
+        (fixture_store / "resolved").mkdir()
+        (fixture_store / "resolved" / "ot-profile.yaml").write_bytes(b"catalog: \xff\n")
+        assert main(["propagate", "--store", str(fixture_store),
+                     "--changed", "csf-id-am.yaml"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "failed ot-profile.yaml: resolved/ot-profile.yaml: syntax error: invalid UTF-8: "
+            "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte",
+            "re-resolved am-profile.yaml -> resolved/am-profile.yaml (initial resolution)",
+        ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_lenient_warnings_are_printed(self, fixture_store, tmp_path, capsys, fmt):
+        path = fixture_store / "am-profile.yaml"
+        path.write_bytes(path.read_bytes().replace(b"by-name: ot-specific",
+                                                   b"by-name: nothing-here"))
+        warning = "alterations/id.am-3: removal matched nothing (by-name 'nothing-here')"
+        out = tmp_path / "am.yaml"
+        assert main(["resolve", "am-profile.yaml", "--store", str(fixture_store), "--lenient",
+                     "-o", str(out)]) == 0
+        assert capsys.readouterr().err == f"warning: {warning}\n"
+        assert main(["propagate", "--store", str(fixture_store), "--changed", "am-profile.yaml",
+                     "--lenient", "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: am-profile.yaml: {warning}\n"
+        if fmt == "json":
+            assert json.loads(captured.out) == [
+                {"profile-uri": "am-profile.yaml", "output-uri": "resolved/am-profile.yaml",
+                 "initial": True, "changes": []}]
+        else:
+            assert captured.out == (
+                "re-resolved am-profile.yaml -> resolved/am-profile.yaml (initial resolution)\n")
+        assert (fixture_store / "resolved" / "am-profile.yaml").read_bytes() == out.read_bytes()
+
     def test_unrelated_cycle_does_not_stop_propagation(self, fixture_store, capsys):
         for name, source in (("cyc-a", "cyc-b.yaml"), ("cyc-b", "cyc-a.yaml")):
             (fixture_store / f"{name}.yaml").write_bytes(
@@ -586,6 +637,27 @@ class TestFailureModes:
         catalog = parse_document(out.read_bytes()).body
         names = [p.name for p in find_control(catalog, "id.am-3").parts]
         assert names == ["statement", "guidance", "renamed-part", "am-specific"]
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("inc.yaml", lambda text: text.replace("include: all", "include: zzz"),
+         "profile/imports/0/include: include must be \"all\" or a list of control ids, "
+         "got 'zzz'"),
+        ("top.yaml", lambda text: text + "extra: 1\n", "unknown key 'extra'"),
+    ])
+    def test_a_schema_error_exits_3_naming_the_document(self, fixture_store, capsys, name, edit,
+                                                         message):
+        text = (fixture_store / "am-profile.yaml").read_text()
+        (fixture_store / name).write_text(edit(text))
+        assert main(["resolve", name, "--store", str(fixture_store)]) == 3
+        assert capsys.readouterr() == ("", f"error: {name}: {message}\n")
+
+    def test_an_unexpected_exception_is_an_internal_error(self, monkeypatch, capsys):
+        def failing(store):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("layered_guidance.cli.build_graph", failing)
+        assert main(["graph", "--store", str(FIXTURES_DIR)]) == 3
+        assert capsys.readouterr() == ("", "internal error: boom\n")
 
     def test_import_cycle_exits_2_naming_path(self, tmp_path, capsys):
         (tmp_path / "a.yaml").write_bytes(

@@ -214,6 +214,10 @@ _NO_SELECTOR = Profile(
     imports=(ImportDirective("base.yaml"),),
     alterations=(Alteration("c1", removes=(RemoveDirective(),)),),
 )
+_TWO_IMPORTS = Profile(
+    metadata=Metadata("P", "1"),
+    imports=(ImportDirective("base.yaml"), ImportDirective("other.yaml")),
+)
 _AT_START = Profile(
     metadata=Metadata("P", "1"),
     imports=(ImportDirective("base.yaml"),),
@@ -239,6 +243,15 @@ _AT_START = Profile(
     pytest.param(_PROFILE + "  alterations:\n" + _ADD * 2,
                  ERROR, "alterations/c1", "duplicate alteration for control 'c1'",
                  id="duplicate-alteration-target"),
+    pytest.param(_PROFILE + "  alterations:\n" + _ADD.replace("c1", "1bad"),
+                 ERROR, "alterations/1bad", "control-id '1bad' is not a valid identifier",
+                 id="invalid-alteration-target"),
+    pytest.param(lambda: validate_profile(_TWO_IMPORTS, []),
+                 ERROR, "imports/0", "no source supplied for import 'base.yaml'",
+                 id="first-import-without-source"),
+    pytest.param(lambda: validate_profile(_TWO_IMPORTS, []),
+                 ERROR, "imports/1", "no source supplied for import 'other.yaml'",
+                 id="second-import-without-source"),
     pytest.param(_PROFILE + "  alterations:\n" + _EMPTY_ADD,
                  ERROR, "alterations/c1/adds/0", "add directive has no parts", id="add-no-parts"),
     pytest.param(_PROFILE + "  alterations:\n" + _ADD + _PART,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
@@ -61,6 +63,18 @@ class TestRenderMarkdown:
         assert "*Source: am-profile.yaml (layer 2)*" in text
         without = render_markdown(resolved)
         assert "*Source:" not in without
+
+    def test_a_part_without_provenance_gets_no_note(self, fixture_store):
+        resolved = resolve_chain(SourceStore(fixture_store), "am-profile.yaml")
+        provenance = dict(resolved.provenance)
+        del provenance[("id.am-3", "am-specific")]
+        text = render_markdown(replace(resolved, provenance=provenance),
+                               RenderOptions(include_provenance=True))
+        section = text[text.index("### ID.AM-3"):text.index("### ID.AM-4")]
+        assert "Data flow diagrams for AM processes" in section
+        assert "*Source: am-profile.yaml" not in text
+        assert text.count("*Source:") == sum(len(c.parts)
+                                             for c in iter_controls(resolved.catalog.controls)) - 1
 
     def test_prose_appears_verbatim_exactly_once_on_fixture(self, fixture_store):
         resolved = resolve_chain(SourceStore(fixture_store), "am-profile.yaml")

@@ -114,6 +114,11 @@ class TestApplyAlteration:
         )
         assert by_name == by_class
 
+    def test_a_control_that_is_not_the_target_raises(self):
+        alteration = Alteration("c2", adds=(AddDirective((Part("x", "y"),)),))
+        with pytest.raises(ResolutionError, match="alteration targets 'c2', control is 'c1'"):
+            apply_alteration(Control("c1"), alteration)
+
     def test_by_class_removes_every_match(self):
         control = Control("c1", parts=(
             Part("a", "x", "Tech-guidance"),
@@ -700,6 +705,22 @@ class TestSourceStore:
         store = SourceStore(fixture_store)
         assert store.list_documents() == [
             "am-profile.yaml", "csf-id-am.yaml", "ot-profile.yaml",
+        ]
+
+    def test_a_directory_that_cannot_be_scanned_is_skipped(self, fixture_store, monkeypatch):
+        for name in ("sub", "shut"):
+            (fixture_store / name).mkdir()
+            (fixture_store / name / "x.yaml").write_bytes(b"")
+        scandir = os.scandir
+
+        def refusing(path):  # a mode alone does not stop the superuser from reading it
+            if os.path.basename(path) == "shut":
+                raise PermissionError(13, "Permission denied", path)
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", refusing)
+        assert SourceStore(fixture_store).list_documents() == [
+            "am-profile.yaml", "csf-id-am.yaml", "ot-profile.yaml", "sub/x.yaml",
         ]
 
     def test_a_store_without_links_resolves_no_path(self, fixture_store, monkeypatch):

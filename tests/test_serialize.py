@@ -87,6 +87,10 @@ class TestParse:
         with pytest.raises(SchemaError, match="exactly one"):
             parse_document(text)
 
+    def test_unknown_format(self):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            parse_document(b"catalog:\n  metadata: {title: a, version: b}\n", "xml")
+
     def test_unknown_key(self):
         text = b"catalog:\n  metadata:\n    title: a\n    version: b\n  bogus: 1\n"
         with pytest.raises(SchemaError, match="unknown key 'bogus'"):
@@ -457,6 +461,10 @@ class TestSchemaErrors:
         pytest.param("catalog:\n  metadata: {title: a, version: b}\n  controls: {}\n",
                      "catalog/controls", id="controls-list"),
         pytest.param("profile:\n  metadata: {title: a, version: b}\n"
+                     "  imports:\n    - {source: s.yaml}\n  alterations:\n"
+                     "    - {control-id: 1, adds: [{parts: [{name: n, prose: p}]}]}\n",
+                     "profile/alterations/0/control-id", id="alteration-target"),
+        pytest.param("profile:\n  metadata: {title: a, version: b}\n"
                      "  imports:\n    - {source: s.yaml, include: [a, [b]]}\n",
                      "profile/imports/0/include/1", id="include-item"),
         pytest.param("profile:\n  metadata: {title: a, version: b}\n"
@@ -507,11 +515,10 @@ class TestEmitterOracle:
            indent=st.sampled_from([0, 2, 4, 10, 12, 56, 58, 60, 70]))
     @settings(max_examples=500, deadline=None)
     def test_scalars(self, value, anchor, indent):
-        lines: list[str] = []
-        serialize._emit_scalar(" " * indent + anchor, value, indent, lines)
+        text = " " * indent + anchor + serialize._scalar_text(value, indent)
         expected: list[str] = []
         oracles.emit_scalar(anchor, value, indent, expected)
-        assert "\n".join(lines) == "\n".join(expected)
+        assert text == "\n".join(expected)
 
     @pytest.mark.parametrize("value, folds", [
         ("one two " * 11, False),
@@ -523,9 +530,8 @@ class TestEmitterOracle:
     ])
     def test_fold_safety(self, value, folds):
         assert oracles.fold_safe(value) == folds
-        lines: list[str] = []
-        serialize._emit_scalar("prose:", value, 0, lines)
-        assert "\n".join(lines).startswith("prose: >-\n") == folds
+        text = "prose:" + serialize._scalar_text(value, 0)
+        assert text.startswith("prose: >-\n") == folds
 
     @given(strategies.documents())
     @settings(max_examples=200, deadline=None)
@@ -873,6 +879,7 @@ class TestEventPath:
         # other indents, lines and keys
         ("a: b\n  c\n", True),
         ("a:\n- b\n", True),
+        ("a:\n  - b\n  xxc: d\n", True),  # at the sequence's column, but no dash
         ("a:\n   b: c\n", True),
         ("a: b\n\nc: d\n", True),
         ("a: b\n# c\n", True),
