@@ -16,12 +16,13 @@ previous text shared by outputs is parsed and checked once.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 from pathlib import Path, PurePosixPath
+from stat import S_ISREG
 
-from .errors import GuidanceError, NotFound, StoreError
-from .model import Catalog, Control, DocumentEnvelope, ERROR, Finding, iter_controls
+from .errors import GuidanceError, NotFound, SchemaError, StoreError
+from .model import Catalog, Control, DocumentEnvelope, ERROR, Finding, _Record, iter_controls
 from .resolver import (
     RESOLVED_DIR,
     ResolvedCatalog,
@@ -40,18 +41,32 @@ PART_MODIFIED = "part-modified"
 METADATA_MODIFIED = "metadata-modified"
 
 
-@dataclass(frozen=True)
-class ChangeEntry:
+class ChangeEntry(_Record):
+    """One change: a control or part added or removed, a part or metadata field modified."""
+
     kind: str
     control_id: str | None = None
     part_name: str | None = None
     before_prose: str | None = None
     after_prose: str | None = None
 
+    def __init__(self, kind: str, control_id: str | None = None, part_name: str | None = None,
+                 before_prose: str | None = None, after_prose: str | None = None) -> None:
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["control_id"] = control_id
+        fields["part_name"] = part_name
+        fields["before_prose"] = before_prose
+        fields["after_prose"] = after_prose
 
-@dataclass(frozen=True)
-class ChangeSet:
+
+class ChangeSet(_Record):
+    """The changes between two catalogs, in ``diff`` order."""
+
     entries: tuple[ChangeEntry, ...]
+
+    def __init__(self, entries: tuple[ChangeEntry, ...]) -> None:
+        self.__dict__["entries"] = entries
 
     @property
     def is_empty(self) -> bool:
@@ -148,8 +163,17 @@ def entry_plain(entry: ChangeEntry) -> dict:
     return {key: value for key, value in plain.items() if value is not None}
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class _Fresh:
+    """The default of a field made anew for each instance, shown as ``dataclass`` shows one."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FRESH = _Fresh()
+
+
+class DependencyGraph(_Record):
     """Import relationships across a store: edges run importer -> source."""
 
     nodes: tuple[str, ...]
@@ -157,6 +181,16 @@ class DependencyGraph:
     findings: tuple[Finding, ...] = ()
     profiles: tuple[str, ...] = ()  # the listed documents that are profiles
     unreadable: dict[str, GuidanceError] = field(default_factory=dict)  # uri -> parse error
+
+    def __init__(self, nodes: tuple[str, ...], edges: tuple[tuple[str, str], ...],
+                 findings: tuple[Finding, ...] = (), profiles: tuple[str, ...] = (),
+                 unreadable: dict[str, GuidanceError] = _FRESH) -> None:
+        fields = self.__dict__
+        fields["nodes"] = nodes
+        fields["edges"] = edges
+        fields["findings"] = findings
+        fields["profiles"] = profiles
+        fields["unreadable"] = {} if unreadable is _FRESH else unreadable
 
     def importers_of(self, uri: str) -> list[str]:
         return list(self._importers.get(uri, ()))
@@ -251,6 +285,30 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
+def _read_previous(path: Path) -> bytes | None:
+    """The bytes of the regular file at ``path``, or None where ``Path.is_file`` is false.
+
+    The file is opened once without waiting, so a named pipe there is not read.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except FileNotFoundError:
+        return None
+    except OSError:  # a regular file that cannot be opened fails as reading it did
+        if path.is_file():
+            raise
+        return None
+    try:
+        if not S_ISREG(os.fstat(fd).st_mode):
+            return None
+        chunks = []
+        while chunk := os.read(fd, 1 << 20):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
+
+
 def _delta(previous: bytes, after: Catalog, *, memo: dict | None = None,
            verified: dict[str, Control] | None = None) -> ChangeSet:
     """``diff`` from the catalog ``previous`` holds to ``after``, parsing only changed own blocks.
@@ -270,7 +328,10 @@ def _delta(previous: bytes, after: Catalog, *, memo: dict | None = None,
     parsed, and one found canonical (emitted again through ``memo``) joins it.
     """
     def whole() -> ChangeSet:
-        return diff(parse_document(previous, "yaml").body, after)
+        envelope = parse_document(previous, "yaml")
+        if envelope.kind != "catalog":
+            raise SchemaError("expected a catalog document")
+        return diff(envelope.body, after)
 
     header, blocks = catalog_blocks(after, memo)
     try:
@@ -328,14 +389,26 @@ def _delta(previous: bytes, after: Catalog, *, memo: dict | None = None,
                                               for _, c, _ in changed)))
 
 
-@dataclass(frozen=True)
-class PropagationResult:
+class PropagationResult(_Record):
+    """One re-resolved profile: its fresh resolution and delta, or the error that failed it."""
+
     profile_uri: str
     output_uri: str
     resolved: ResolvedCatalog | None = None
     changes: ChangeSet | None = None
     initial: bool = False
     error: GuidanceError | None = None
+
+    def __init__(self, profile_uri: str, output_uri: str, resolved: ResolvedCatalog | None = None,
+                 changes: ChangeSet | None = None, initial: bool = False,
+                 error: GuidanceError | None = None) -> None:
+        fields = self.__dict__
+        fields["profile_uri"] = profile_uri
+        fields["output_uri"] = output_uri
+        fields["resolved"] = resolved
+        fields["changes"] = changes
+        fields["initial"] = initial
+        fields["error"] = error
 
 
 def propagate(store: SourceStore, changed_uri: str, *,
@@ -389,7 +462,7 @@ def propagate(store: SourceStore, changed_uri: str, *,
             data = serialize_document(DocumentEnvelope("catalog", resolved.catalog), "yaml",
                                       memo=emitted)
             path = store.root / output_uri
-            previous = path.read_bytes() if path.is_file() else None
+            previous = _read_previous(path)
             changes = ChangeSet(())
             if previous != data:
                 if previous is not None:

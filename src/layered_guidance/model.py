@@ -3,9 +3,15 @@
 A catalog is a hierarchy of controls, each carrying ordered prose parts.
 A profile imports controls from source documents and alters their parts.
 All types are immutable after construction and safe to share across tasks.
-The types built per document node write their normalised fields straight
-into ``__dict__`` in their own ``__init__``, which ``dataclasses.replace``
-calls too; ``dataclass`` still generates eq, hash and repr.
+
+Every record type in the package subclasses ``_Record``, which gives it
+frozen value semantics from one set of methods: assignment and deletion
+raise ``FrozenInstanceError``, equality and hashing read the compare
+fields, and the repr lists every field, as ``dataclass(frozen=True)``
+would have them. Each type is still a dataclass, so ``dataclasses.fields``
+and ``dataclasses.replace`` work, but ``dataclass`` generates none of its
+methods: each type's own ``__init__`` writes its normalised fields straight
+into ``__dict__``, and ``replace`` calls that ``__init__`` too.
 
 Validation is data, not control flow: ``validate_catalog`` and
 ``profile_structure_findings`` return findings instead of raising, and
@@ -18,8 +24,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import cached_property
+from operator import attrgetter
 
 IDENTIFIER_RE = re.compile(r"[a-z][a-z0-9._-]*", re.IGNORECASE)
 
@@ -30,8 +37,44 @@ ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(frozen=True, init=False)
-class Part:
+class _Record:
+    """A frozen record: value methods written once for every subclass.
+
+    Defining a subclass makes it a dataclass that generates no method, and
+    sets its ``_values`` (the compare fields as one tuple) and
+    ``_repr_names`` (its fields). Each subclass has its own ``__init__``.
+    """
+
+    _values: tuple
+    _repr_names: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        dataclass(init=False, repr=False, eq=False)(cls)
+        names = [f.name for f in fields(cls) if f.compare]
+        compared = attrgetter(*names)  # a tuple only for two names or more
+        cls._values = property(compared if len(names) > 1 else lambda record: (compared(record),))
+        cls._repr_names = tuple([f.name for f in fields(cls) if f.repr])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        values = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._repr_names])
+        return f"{self.__class__.__qualname__}({values})"
+
+
+class Part(_Record):
     """A named prose block inside a control.
 
     Names are stored lowercase; classifiers keep their authored case
@@ -49,8 +92,7 @@ class Part:
         fields["classifier"] = classifier
 
 
-@dataclass(frozen=True, init=False)
-class Control:
+class Control(_Record):
     """One security outcome with ordered parts and child controls."""
 
     id: str
@@ -74,14 +116,19 @@ class Control:
         return None
 
 
-@dataclass(frozen=True)
-class Metadata:
+class Metadata(_Record):
+    """A document's title and version."""
+
     title: str
     version: str
 
+    def __init__(self, title: str, version: str) -> None:
+        fields = self.__dict__
+        fields["title"] = title
+        fields["version"] = version
 
-@dataclass(frozen=True)
-class Catalog:
+
+class Catalog(_Record):
     """A source or resolved collection of controls.
 
     ``uri`` records where the document was loaded from (store-relative
@@ -92,12 +139,15 @@ class Catalog:
     controls: tuple[Control, ...] = ()
     uri: str = field(default="", compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", tuple(self.controls))
+    def __init__(self, metadata: Metadata, controls: tuple[Control, ...] = (),
+                 uri: str = "") -> None:
+        fields = self.__dict__
+        fields["metadata"] = metadata
+        fields["controls"] = tuple(controls)
+        fields["uri"] = uri
 
 
-@dataclass(frozen=True, init=False)
-class RemoveDirective:
+class RemoveDirective(_Record):
     """Deletes every part matched by exactly one selector."""
 
     by_name: str | None = None
@@ -123,8 +173,7 @@ class RemoveDirective:
         return "by-name", ""
 
 
-@dataclass(frozen=True, init=False)
-class AddDirective:
+class AddDirective(_Record):
     """Appends parts to a control; only the ``ending`` position is supported."""
 
     parts: tuple[Part, ...]
@@ -136,8 +185,7 @@ class AddDirective:
         fields["position"] = position
 
 
-@dataclass(frozen=True, init=False)
-class Alteration:
+class Alteration(_Record):
     """Removes, then adds, parts on one target control."""
 
     control_id: str
@@ -152,8 +200,7 @@ class Alteration:
         fields["adds"] = tuple(adds)
 
 
-@dataclass(frozen=True, init=False)
-class ImportDirective:
+class ImportDirective(_Record):
     """Selects controls from one source document.
 
     ``include`` is either the string ``"all"`` or an explicit tuple of
@@ -183,8 +230,7 @@ class ImportDirective:
         return () if isinstance(self.include, str) else self.include
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(_Record):
     """An import-plus-alterations document transforming catalogs."""
 
     metadata: Metadata
@@ -192,9 +238,13 @@ class Profile:
     alterations: tuple[Alteration, ...] = ()
     uri: str = field(default="", compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "imports", tuple(self.imports))
-        object.__setattr__(self, "alterations", tuple(self.alterations))
+    def __init__(self, metadata: Metadata, imports: tuple[ImportDirective, ...] = (),
+                 alterations: tuple[Alteration, ...] = (), uri: str = "") -> None:
+        fields = self.__dict__
+        fields["metadata"] = metadata
+        fields["imports"] = tuple(imports)
+        fields["alterations"] = tuple(alterations)
+        fields["uri"] = uri
 
     @cached_property
     def structure_findings(self) -> tuple[Finding, ...]:
@@ -202,19 +252,30 @@ class Profile:
         return tuple(profile_structure_findings(self))
 
 
-@dataclass(frozen=True)
-class DocumentEnvelope:
+class DocumentEnvelope(_Record):
     """A parsed document: exactly one of a catalog or a profile."""
 
     kind: str  # "catalog" | "profile"
     body: Catalog | Profile
 
+    def __init__(self, kind: str, body: Catalog | Profile) -> None:
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["body"] = body
 
-@dataclass(frozen=True)
-class Finding:
+
+class Finding(_Record):
+    """One problem a check found, at a path inside the document."""
+
     severity: str  # ERROR | WARNING
     path: str
     message: str
+
+    def __init__(self, severity: str, path: str, message: str) -> None:
+        fields = self.__dict__
+        fields["severity"] = severity
+        fields["path"] = path
+        fields["message"] = message
 
 
 ValidationReport = list[Finding]

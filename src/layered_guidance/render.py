@@ -9,22 +9,25 @@ and remaining parts under sub-headings derived from their classifiers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .model import Control, Part, STATEMENT_PART
+from .model import Control, Part, STATEMENT_PART, _Record
 from .resolver import ResolvedCatalog
 
 _CAMEL_SPLIT_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(_Record):
+    """Whether to note each part's source, and the heading level of top-level controls."""
+
     include_provenance: bool = False
     heading_depth: int = 2  # heading level of top-level controls
 
-    def __post_init__(self) -> None:
-        if self.heading_depth < 1:
+    def __init__(self, include_provenance: bool = False, heading_depth: int = 2) -> None:
+        if heading_depth < 1:
             raise ValueError("heading_depth must be >= 1")
+        fields = self.__dict__
+        fields["include_provenance"] = include_provenance
+        fields["heading_depth"] = heading_depth
 
 
 def heading_text(part: Part) -> str:

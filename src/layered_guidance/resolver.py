@@ -21,7 +21,7 @@ import os
 import posixpath
 import threading
 from collections.abc import Callable, Container, Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from stat import S_ISLNK, S_ISREG
 
@@ -50,6 +50,7 @@ from .model import (
     STATEMENT_PART,
     ValidationReport,
     WARNING,
+    _Record,
     has_errors,
     iter_controls,
 )
@@ -67,16 +68,19 @@ def _is_document_name(name: str) -> bool:
     return dot > 0 and name[dot:] in _DOCUMENT_SUFFIXES
 
 
-@dataclass(frozen=True)
-class ProvenanceEntry:
+class ProvenanceEntry(_Record):
     """Which layer contributed a part, and how deep that layer sits."""
 
     origin_uri: str
     layer_depth: int
 
+    def __init__(self, origin_uri: str, layer_depth: int) -> None:
+        fields = self.__dict__
+        fields["origin_uri"] = origin_uri
+        fields["layer_depth"] = layer_depth
 
-@dataclass(frozen=True)
-class ResolvedCatalog:
+
+class ResolvedCatalog(_Record):
     """A catalog plus the record of where each part came from.
 
     ``lineage`` lists the documents the resolution passed through, outermost
@@ -89,6 +93,15 @@ class ResolvedCatalog:
     lineage: tuple[str, ...]
     depth: int
     warnings: tuple[Finding, ...] = ()
+
+    def __init__(self, catalog: Catalog, provenance: Mapping[tuple[str, str], ProvenanceEntry],
+                 lineage: tuple[str, ...], depth: int, warnings: tuple[Finding, ...] = ()) -> None:
+        fields = self.__dict__
+        fields["catalog"] = catalog
+        fields["provenance"] = provenance
+        fields["lineage"] = lineage
+        fields["depth"] = depth
+        fields["warnings"] = warnings
 
 
 def wrap_catalog(catalog: Catalog) -> ResolvedCatalog:

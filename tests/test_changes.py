@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import signal
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -317,6 +318,50 @@ class TestPropagate:
         assert str(failed.error).startswith("syntax error: invalid UTF-8: ")
         assert previous.read_bytes() == b"catalog: \xff\n"
         assert passed.error is None and len(passed.changes.entries) == 1
+
+    def test_a_profile_shaped_previous_output_fails_its_profile_in_place(self, fixture_store):
+        (fixture_store / "resolved").mkdir()
+        previous = fixture_store / "resolved" / "ot-profile.yaml"
+        profile = (fixture_store / "ot-profile.yaml").read_bytes()
+        previous.write_bytes(profile)
+        results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        assert [r.profile_uri for r in results] == ["ot-profile.yaml", "am-profile.yaml"]
+        failed, passed = results
+        assert isinstance(failed.error, SchemaError) and failed.resolved is None
+        assert (failed.error.source, str(failed.error)) == (
+            "resolved/ot-profile.yaml", "expected a catalog document")
+        assert previous.read_bytes() == profile
+        assert passed.error is None and passed.initial
+        assert (fixture_store / "resolved" / "am-profile.yaml").is_file()
+
+    def test_a_directory_at_an_output_path_stops_the_run_with_an_os_error(self, fixture_store):
+        (fixture_store / "resolved" / "ot-profile.yaml").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        assert [path.name for path in (fixture_store / "resolved").iterdir()] == ["ot-profile.yaml"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo") or not hasattr(signal, "SIGALRM"),
+                        reason="needs named pipes and SIGALRM")
+    def test_a_named_pipe_at_an_output_path_is_replaced_without_being_read(self, fixture_store):
+        """A pipe is no previous output: opening it to read must not wait for a writer."""
+        (fixture_store / "resolved").mkdir()
+        pipe = fixture_store / "resolved" / "ot-profile.yaml"
+        os.mkfifo(pipe)
+
+        def expire(signum, frame):
+            pytest.fail("opening the pipe waited for a writer")
+
+        handler = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert [(r.profile_uri, r.error, r.initial) for r in results] == [
+            ("ot-profile.yaml", None, True), ("am-profile.yaml", None, True),
+        ]
+        assert pipe.is_file()
 
     def test_the_walks_visit_each_document_at_most_once(self, fixture_store, monkeypatch):
         """Each profile's walk skips the resolutions memoised before it: no per-profile re-walk."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -504,6 +505,27 @@ class TestPropagateCommand:
             "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte",
             "re-resolved am-profile.yaml -> resolved/am-profile.yaml (initial resolution)",
         ]
+
+    def test_a_failed_result_names_its_profile_shaped_previous_output(self, fixture_store, capsys):
+        (fixture_store / "resolved").mkdir()
+        shutil.copy(fixture_store / "ot-profile.yaml", fixture_store / "resolved" / "ot-profile.yaml")
+        assert main(["propagate", "--store", str(fixture_store),
+                     "--changed", "csf-id-am.yaml"]) == 2
+        assert capsys.readouterr() == (
+            "failed ot-profile.yaml: resolved/ot-profile.yaml: expected a catalog document\n"
+            "re-resolved am-profile.yaml -> resolved/am-profile.yaml (initial resolution)\n", "")
+
+    def test_a_directory_at_an_output_path_is_an_io_error(self, fixture_store, capsys):
+        output = fixture_store / "resolved" / "ot-profile.yaml"
+        output.mkdir(parents=True)
+        assert main(["propagate", "--store", str(fixture_store),
+                     "--changed", "csf-id-am.yaml"]) == 3
+        out, err = capsys.readouterr()
+        temp = f"{fixture_store}/resolved/.ot-profile.yaml."
+        assert out == "" and re.fullmatch(
+            re.escape(f"i/o error: [Errno 21] Is a directory: '{temp}") + "[0-9a-f]{16}"
+            + re.escape(f"' -> '{output}'") + "\n", err)
+        assert [path.name for path in output.parent.iterdir()] == ["ot-profile.yaml"]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_lenient_warnings_are_printed(self, fixture_store, tmp_path, capsys, fmt):

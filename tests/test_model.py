@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import inspect
 import pickle
-from dataclasses import FrozenInstanceError, fields, replace
+import pkgutil
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
+from layered_guidance.changes import ChangeEntry, ChangeSet, DependencyGraph, PropagationResult
 from layered_guidance.cli import main
 from layered_guidance.errors import GuidanceError
 from layered_guidance.fixtures import load_fixture
@@ -20,19 +23,29 @@ from layered_guidance.model import (
     Alteration,
     Catalog,
     Control,
+    DocumentEnvelope,
     Finding,
     ImportDirective,
     Metadata,
     Part,
     Profile,
     RemoveDirective,
+    _Record,
     find_control,
     has_errors,
     iter_controls,
     profile_structure_findings,
     validate_catalog,
 )
-from layered_guidance.resolver import resolve, resolve_chain, SourceStore, validate_profile
+from layered_guidance.render import RenderOptions
+from layered_guidance.resolver import (
+    ProvenanceEntry,
+    ResolvedCatalog,
+    SourceStore,
+    resolve,
+    resolve_chain,
+    validate_profile,
+)
 from oracles import check_against_reference, selection_outline, simulate_profile_findings
 
 
@@ -475,6 +488,11 @@ def _invariant_cases() -> dict[str, tuple]:
     """Per type: an instance, one field to assign, its repr and its constructor's parameters."""
     part = Part("Guidance", "Some prose", "OT-specific")
     add = AddDirective([Part("G", "y")])
+    catalog = Catalog(Metadata("T", "1"), [Control("C1")], uri="c.yaml")
+    catalog_repr = ("Catalog(metadata=Metadata(title='T', version='1'), controls=(Control(id='c1', "
+                    "classifier=None, parts=(), children=()),), uri='c.yaml')")
+    entry = ProvenanceEntry("c.yaml", 0)
+    changes = ChangeSet((ChangeEntry("control-added", "c2"),))
     return {
         "Part": (
             part, "name",
@@ -527,10 +545,88 @@ def _invariant_cases() -> dict[str, tuple]:
             "(metadata: 'Metadata', imports: 'tuple[ImportDirective, ...]' = (), "
             "alterations: 'tuple[Alteration, ...]' = (), uri: 'str' = '')",
         ),
+        "Metadata": (
+            Metadata("T", "1"), "title",
+            "Metadata(title='T', version='1')",
+            "(title: 'str', version: 'str')",
+        ),
+        "DocumentEnvelope": (
+            DocumentEnvelope("catalog", catalog), "body",
+            f"DocumentEnvelope(kind='catalog', body={catalog_repr})",
+            "(kind: 'str', body: 'Catalog | Profile')",
+        ),
+        "Finding": (
+            Finding(ERROR, "controls/c1", "control id is empty"), "message",
+            "Finding(severity='error', path='controls/c1', message='control id is empty')",
+            "(severity: 'str', path: 'str', message: 'str')",
+        ),
+        "ProvenanceEntry": (
+            entry, "layer_depth",
+            "ProvenanceEntry(origin_uri='c.yaml', layer_depth=0)",
+            "(origin_uri: 'str', layer_depth: 'int')",
+        ),
+        "ResolvedCatalog": (
+            ResolvedCatalog(catalog, {("c1", "statement"): entry}, ("c.yaml",), 0), "provenance",
+            f"ResolvedCatalog(catalog={catalog_repr}, provenance={{('c1', 'statement'): "
+            "ProvenanceEntry(origin_uri='c.yaml', layer_depth=0)}, lineage=('c.yaml',), depth=0, "
+            "warnings=())",
+            "(catalog: 'Catalog', provenance: 'Mapping[tuple[str, str], ProvenanceEntry]', "
+            "lineage: 'tuple[str, ...]', depth: 'int', warnings: 'tuple[Finding, ...]' = ())",
+        ),
+        "ChangeEntry": (
+            ChangeEntry("part-modified", "c1", "statement", "a", "b"), "after_prose",
+            "ChangeEntry(kind='part-modified', control_id='c1', part_name='statement', "
+            "before_prose='a', after_prose='b')",
+            "(kind: 'str', control_id: 'str | None' = None, part_name: 'str | None' = None, "
+            "before_prose: 'str | None' = None, after_prose: 'str | None' = None)",
+        ),
+        "ChangeSet": (
+            changes, "entries",
+            "ChangeSet(entries=(ChangeEntry(kind='control-added', control_id='c2', part_name=None, "
+            "before_prose=None, after_prose=None),))",
+            "(entries: 'tuple[ChangeEntry, ...]')",
+        ),
+        "DependencyGraph": (
+            DependencyGraph(("a.yaml", "p.yaml"), (("p.yaml", "a.yaml"),), profiles=("p.yaml",)),
+            "edges",
+            "DependencyGraph(nodes=('a.yaml', 'p.yaml'), edges=(('p.yaml', 'a.yaml'),), "
+            "findings=(), profiles=('p.yaml',), unreadable={})",
+            "(nodes: 'tuple[str, ...]', edges: 'tuple[tuple[str, str], ...]', "
+            "findings: 'tuple[Finding, ...]' = (), profiles: 'tuple[str, ...]' = (), "
+            "unreadable: 'dict[str, GuidanceError]' = <factory>)",
+        ),
+        "PropagationResult": (
+            PropagationResult("p.yaml", "resolved/p.yaml", changes=changes, initial=True),
+            "initial",
+            "PropagationResult(profile_uri='p.yaml', output_uri='resolved/p.yaml', resolved=None, "
+            "changes=ChangeSet(entries=(ChangeEntry(kind='control-added', control_id='c2', "
+            "part_name=None, before_prose=None, after_prose=None),)), initial=True, error=None)",
+            "(profile_uri: 'str', output_uri: 'str', resolved: 'ResolvedCatalog | None' = None, "
+            "changes: 'ChangeSet | None' = None, initial: 'bool' = False, "
+            "error: 'GuidanceError | None' = None)",
+        ),
+        "RenderOptions": (
+            RenderOptions(include_provenance=True), "heading_depth",
+            "RenderOptions(include_provenance=True, heading_depth=2)",
+            "(include_provenance: 'bool' = False, heading_depth: 'int' = 2)",
+        ),
     }
 
 
 _INVARIANT_CASES = _invariant_cases()
+# These hold a dict, so hashing them raises ``TypeError``, as ``dataclass`` does.
+_UNHASHABLE = {"ResolvedCatalog", "DependencyGraph"}
+
+
+def _assert_equal_values(copied, instance) -> None:
+    """``copied`` equals ``instance`` and hashes alike, or both fail to hash."""
+    assert copied == instance
+    if type(instance).__name__ in _UNHASHABLE:
+        for value in (copied, instance):
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(value)
+    else:
+        assert hash(copied) == hash(instance)
 
 
 @pytest.fixture(params=sorted(_INVARIANT_CASES))
@@ -538,7 +634,26 @@ def invariant_case(request):
     return _INVARIANT_CASES[request.param]
 
 
+def _package_record_types() -> list[type]:
+    """Every dataclass defined in a module of the package."""
+    import layered_guidance
+    types = []
+    for info in pkgutil.iter_modules(layered_guidance.__path__):
+        module = importlib.import_module(f"layered_guidance.{info.name}")
+        types += [value for value in vars(module).values() if isinstance(value, type)
+                  and is_dataclass(value) and value.__module__ == module.__name__]
+    return types
+
+
 class TestConstructorInvariants:
+    def test_every_record_type_shares_one_set_of_value_methods(self):
+        """``dataclass(frozen=True)`` would generate these per type, at about 1 ms of import each."""
+        types = _package_record_types()
+        assert sorted(cls.__name__ for cls in types) == sorted(_INVARIANT_CASES)
+        for cls in types:
+            for name in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+                assert getattr(cls, name) is getattr(_Record, name), f"{cls.__name__}.{name}"
+
     def test_assignment_and_deletion_raise(self, invariant_case):
         instance, field_name, _, _ = invariant_case
         with pytest.raises(FrozenInstanceError):
@@ -556,14 +671,13 @@ class TestConstructorInvariants:
         instance = invariant_case[0]
         values = {f.name: getattr(instance, f.name) for f in fields(instance)}
         assert list(values) == list(inspect.signature(type(instance)).parameters)
-        rebuilt = type(instance)(**values)
-        assert rebuilt == instance and hash(rebuilt) == hash(instance)
+        _assert_equal_values(type(instance)(**values), instance)
         assert replace(instance) == instance
 
     def test_pickle_and_deepcopy_give_equal_objects(self, invariant_case):
         instance = invariant_case[0]
         for copied in (pickle.loads(pickle.dumps(instance)), copy.deepcopy(instance)):
-            assert copied == instance and hash(copied) == hash(instance)
+            _assert_equal_values(copied, instance)
             assert repr(copied) == repr(instance)
             with pytest.raises(FrozenInstanceError):
                 setattr(copied, invariant_case[1], None)
@@ -618,6 +732,17 @@ class TestConstructorInvariants:
         assert Control("C", parts=[Part("g", "x")]) == Control("c", parts=(Part("g", "x"),))
         assert ImportDirective("s", ["A"]) == ImportDirective("s", ("a",))
         assert ImportDirective("s", "all") != ImportDirective("s", ())
+
+    def test_a_render_heading_depth_below_one_raises(self):
+        with pytest.raises(ValueError, match="heading_depth must be >= 1"):
+            RenderOptions(heading_depth=0)
+        with pytest.raises(ValueError, match="heading_depth must be >= 1"):
+            replace(RenderOptions(), heading_depth=0)
+
+    def test_each_dependency_graph_gets_its_own_unreadable_dict(self):
+        first, second = DependencyGraph((), ()), DependencyGraph((), ())
+        assert first.unreadable == second.unreadable == {}
+        assert first.unreadable is not second.unreadable
 
     def test_profile_structure_findings_are_computed_once(self, monkeypatch):
         import layered_guidance.model as model_module
