@@ -4,9 +4,13 @@
 exactly when the catalogs are structurally equal (uri aside). ``propagate``
 re-resolves every profile that transitively depends on a changed document
 and reports each fresh resolution together with its delta against the
-previously persisted one under ``<store>/resolved/``. That delta compares
-the previous file with the fresh output's own blocks (``catalog_blocks``),
-then parses and diffs only the controls whose canonical text changed.
+previously persisted one under ``<store>/resolved/``. The previous file is
+read as the store reads a document (``resolver.read_regular``): through
+one descriptor opened without waiting, so a missing file, a named pipe or
+anything else that is not a regular file is no previous output. That
+delta compares the previous file with the fresh output's own blocks
+(``catalog_blocks``), then parses and diffs only the controls whose
+canonical text changed.
 Within one ``propagate`` call, a control's own block shared by several
 outputs (also one rebuilt with other children) is emitted once, a scalar's
 text (long prose per indent) is decided once, and a changed control's
@@ -18,8 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import field
 from functools import cached_property
-from pathlib import Path, PurePosixPath
-from stat import S_ISREG
+from pathlib import Path
 
 from .errors import GuidanceError, NotFound, SchemaError, StoreError
 from .model import Catalog, Control, DocumentEnvelope, ERROR, Finding, _Record, iter_controls
@@ -28,10 +31,17 @@ from .resolver import (
     ResolvedCatalog,
     SourceStore,
     import_sources,
+    read_regular,
     resolve_in_store,
     topological_order,
 )
-from .serialize import catalog_blocks, emit_control, parse_document, serialize_document
+from .serialize import (
+    catalog_blocks,
+    emit_control,
+    parse_document,
+    serialize_document,
+    split_name,
+)
 
 CONTROL_ADDED = "control-added"
 CONTROL_REMOVED = "control-removed"
@@ -254,7 +264,7 @@ def transitive_dependents(graph: DependencyGraph, uri: str) -> set[str]:
 
 
 def resolution_output_uri(profile_uri: str) -> str:
-    return f"{RESOLVED_DIR}/{PurePosixPath(profile_uri).stem}.yaml"
+    return f"{RESOLVED_DIR}/{split_name(profile_uri)[0]}.yaml"
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -283,30 +293,6 @@ def _write_atomic(path: Path, data: bytes) -> None:
         except FileNotFoundError:
             pass
         raise
-
-
-def _read_previous(path: Path) -> bytes | None:
-    """The bytes of the regular file at ``path``, or None where ``Path.is_file`` is false.
-
-    The file is opened once without waiting, so a named pipe there is not read.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    except FileNotFoundError:
-        return None
-    except OSError:  # a regular file that cannot be opened fails as reading it did
-        if path.is_file():
-            raise
-        return None
-    try:
-        if not S_ISREG(os.fstat(fd).st_mode):
-            return None
-        chunks = []
-        while chunk := os.read(fd, 1 << 20):
-            chunks.append(chunk)
-        return b"".join(chunks)
-    finally:
-        os.close(fd)
 
 
 def _delta(previous: bytes, after: Catalog, *, memo: dict | None = None,
@@ -411,8 +397,8 @@ class PropagationResult(_Record):
         fields["error"] = error
 
 
-def propagate(store: SourceStore, changed_uri: str, *,
-              lenient: bool = False) -> list[PropagationResult]:
+def propagate(store: SourceStore, changed_uri: str, *, lenient: bool = False,
+              memo: dict[str, ResolvedCatalog] | None = None) -> list[PropagationResult]:
     """Re-resolve every profile downstream of ``changed_uri``, in topological order.
 
     Each fresh resolution is diffed against the previously persisted one
@@ -424,8 +410,14 @@ def propagate(store: SourceStore, changed_uri: str, *,
     shares or whose previous output does not parse (that error's ``source``
     is the output's uri); the rest still run. An import cycle upstream of a
     re-resolved profile raises ``CycleDetected``; one elsewhere does not
-    matter. A ``changed_uri`` that does not parse raises.
+    matter. A ``changed_uri`` that does not parse raises. A given ``memo``
+    must be empty: it becomes the run's memo, so the caller can read every
+    resolution the run made, a re-resolved profile's dependencies too
+    (``chain_warnings``). One filled before could hold resolutions older
+    than the store's files, so it raises ``ValueError``.
     """
+    if memo:
+        raise ValueError("propagate needs an empty memo")
     if not store.exists(changed_uri):
         raise NotFound(changed_uri)
     changed_uri = store.load(changed_uri).body.uri
@@ -445,7 +437,7 @@ def propagate(store: SourceStore, changed_uri: str, *,
         writers.setdefault(output_uri, []).append(uri)
 
     results: list[PropagationResult] = []
-    memo: dict[str, ResolvedCatalog] = {}
+    memo = {} if memo is None else memo
     emitted: dict = {}  # each own block and scalar text emitted in this run (catalog_blocks)
     verified: dict[str, Control] = {}  # previous own blocks found canonical in this run
     for uri in order:
@@ -461,8 +453,9 @@ def propagate(store: SourceStore, changed_uri: str, *,
             resolved = resolve_in_store(store, uri, lenient=lenient, memo=memo)
             data = serialize_document(DocumentEnvelope("catalog", resolved.catalog), "yaml",
                                       memo=emitted)
-            path = store.root / output_uri
-            previous = _read_previous(path)
+            path = os.path.join(store.root, output_uri)
+            read = read_regular(path)
+            previous = None if read is None else read[0]
             changes = ChangeSet(())
             if previous != data:
                 if previous is not None:
@@ -472,7 +465,7 @@ def propagate(store: SourceStore, changed_uri: str, *,
                     except GuidanceError as error:  # the previous output does not parse
                         error.source = output_uri
                         raise
-                _write_atomic(path, data)
+                _write_atomic(Path(path), data)
                 store.evict(output_uri)  # a same-size rewrite can keep its fingerprint
         except GuidanceError as error:
             results.append(PropagationResult(uri, output_uri, error=error))

@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 from typing import NoReturn
 
 from .changes import (
@@ -53,6 +52,7 @@ from .model import (
 from .render import RenderOptions, render_markdown
 from .resolver import (
     SourceStore,
+    chain_warnings,
     import_sources,
     resolve_chain,
     resolve_in_store,
@@ -82,10 +82,6 @@ def _echo(message: str, *, err: bool = False, nl: bool = True) -> None:
     stream.flush()
 
 
-def _warn(finding: Finding) -> None:
-    _echo(f"warning: {finding.path}: {finding.message}", err=True)
-
-
 def _describe(exc: GuidanceError) -> str:
     return f"{exc.source}: {exc}" if exc.source else str(exc)
 
@@ -101,15 +97,22 @@ def _failure(exc: GuidanceError) -> tuple[str, int]:
 
 def _write_output(data: bytes, output: str | None) -> None:
     if output is not None:
-        Path(output).write_bytes(data)
+        with open(output, "wb") as file:
+            file.write(data)
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
 
 
+def _read_file(path: str) -> bytes:
+    """The bytes of the file at ``path``; the open waits for a writer, so a pipe reads."""
+    with open(path, "rb", buffering=0) as file:
+        return file.readall()
+
+
 def _parse_file(path: str) -> DocumentEnvelope:
     try:
-        return parse_document(Path(path).read_bytes(), format_of(path), path)
+        return parse_document(_read_file(path), format_of(path), path)
     except GuidanceError as exc:
         if exc.source is None:
             exc.source = path
@@ -125,10 +128,13 @@ def _read_catalog(path: str) -> Catalog:
 
 def resolve_cmd(args: argparse.Namespace) -> int:
     """Resolve a profile (by store-relative uri) into a catalog."""
-    store = SourceStore(args.store_dir)
-    resolved = resolve_chain(store, args.profile_uri, lenient=args.lenient)
-    for finding in resolved.warnings:
-        _warn(finding)
+    memo: dict = {}
+    resolved = resolve_chain(SourceStore(args.store_dir), args.profile_uri, lenient=args.lenient,
+                             memo=memo)
+    uri = resolved.catalog.uri
+    for source, finding in chain_warnings(memo, uri):  # an imported profile's warnings name it
+        named = "" if source == uri else f"{source}: "
+        _echo(f"warning: {named}{finding.path}: {finding.message}", err=True)
     envelope = DocumentEnvelope("catalog", resolved.catalog)
     _write_output(serialize_document(envelope, args.fmt), args.output)
     return EXIT_OK
@@ -247,12 +253,16 @@ def graph_cmd(args: argparse.Namespace) -> int:
 
 def propagate_cmd(args: argparse.Namespace) -> int:
     """Re-resolve and persist every profile downstream of a changed document."""
-    results = propagate(SourceStore(args.store_dir), args.changed_uri, lenient=args.lenient)
+    memo: dict = {}
+    results = propagate(SourceStore(args.store_dir), args.changed_uri, lenient=args.lenient,
+                        memo=memo)
+    warned: set[str] = set()  # each profile's warnings are printed once, naming that profile
     for result in results:
         if result.resolved is not None:
-            for finding in result.resolved.warnings:
-                _echo(f"warning: {result.profile_uri}: {finding.path}: {finding.message}",
-                      err=True)
+            for source, finding in chain_warnings(memo, result.profile_uri):
+                if source not in warned:
+                    _echo(f"warning: {source}: {finding.path}: {finding.message}", err=True)
+            warned.update(result.resolved.lineage)
     if args.fmt == "json":
         plain = []
         for result in results:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from copyreg import __newobj__
+
 
 class GuidanceError(Exception):
     """Base class for every error raised by this package.
@@ -11,6 +13,14 @@ class GuidanceError(Exception):
     """
 
     source: str | None = None
+
+    def __reduce__(self):
+        """Rebuilt without ``__init__``: ``__new__`` with the ``args``, then the ``__dict__``.
+
+        ``args`` holds the formatted message, so ``pickle`` and ``copy``
+        must not pass it to an ``__init__`` that formats it again.
+        """
+        return __newobj__, (self.__class__, *self.args), self.__dict__
 
 
 class DocumentSyntaxError(GuidanceError):

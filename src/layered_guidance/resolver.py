@@ -21,7 +21,9 @@ import os
 import posixpath
 import threading
 from collections.abc import Callable, Container, Iterable, Mapping, Sequence
+from copy import copy
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 from stat import S_ISLNK, S_ISREG
 
@@ -54,7 +56,7 @@ from .model import (
     has_errors,
     iter_controls,
 )
-from .serialize import format_of, parse_document
+from .serialize import format_of, parse_document, split_name
 
 _DOCUMENT_SUFFIXES = (".yaml", ".yml", ".json")
 RESOLVED_DIR = "resolved"
@@ -63,9 +65,8 @@ normalize_uri = posixpath.normpath
 
 
 def _is_document_name(name: str) -> bool:
-    """Whether ``PurePath(name).suffix`` is a document suffix; a leading dot starts no suffix."""
-    dot = name.rfind(".")
-    return dot > 0 and name[dot:] in _DOCUMENT_SUFFIXES
+    """Whether the suffix of the file name ``name`` is a document suffix (``split_name``)."""
+    return split_name(name)[1] in _DOCUMENT_SUFFIXES
 
 
 class ProvenanceEntry(_Record):
@@ -462,20 +463,51 @@ def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
                            warnings=tuple(report.warnings or ()))
 
 
-def _fingerprint(path: Path) -> tuple[int, int, int, int] | None:
-    """The regular file at ``path`` as its modification and change times, size and inode.
+def read_regular(path: str) -> tuple[bytes, os.stat_result] | None:
+    """The bytes and status of the regular file at ``path``; None where there is none.
 
-    None for anything else. The change time moves on each write and each
-    ``utime``, so a same-size rewrite whose modification time was put back
-    (``cp -p``, ``rsync -t``) is seen.
+    The file is read through one descriptor, opened without waiting, so a
+    named pipe there is not read; that descriptor's ``fstat`` tells whether
+    the file is regular. A missing path or one that is no regular file gives
+    None. A regular file that cannot be opened or read raises its ``OSError``.
     """
     try:
-        stat = os.stat(path)
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except FileNotFoundError:
+        return None
+    except OSError:  # a regular file that cannot be opened fails; anything else is absent
+        if os.path.isfile(path):
+            raise
+        return None
+    try:
+        status = os.fstat(fd)
+        if not S_ISREG(status.st_mode):
+            return None
+        chunks = []
+        while chunk := os.read(fd, max(status.st_size, 1 << 16)):
+            chunks.append(chunk)
+        return b"".join(chunks), status
+    finally:
+        os.close(fd)
+
+
+def _stamp(status: os.stat_result) -> tuple[int, int, int, int]:
+    """A regular file as its modification and change times, size and inode.
+
+    The change time moves on each write and each ``utime``, so a same-size
+    rewrite whose modification time was put back (``cp -p``, ``rsync -t``)
+    is seen.
+    """
+    return (status.st_mtime_ns, status.st_ctime_ns, status.st_size, status.st_ino)
+
+
+def _fingerprint(path: str) -> tuple[int, int, int, int] | None:
+    """The ``_stamp`` of the regular file at ``path``; None for anything else."""
+    try:
+        status = os.stat(path)
     except OSError:
         return None
-    if not S_ISREG(stat.st_mode):
-        return None
-    return (stat.st_mtime_ns, stat.st_ctime_ns, stat.st_size, stat.st_ino)
+    return _stamp(status) if S_ISREG(status.st_mode) else None
 
 
 def _has_link(root: str, relative: str) -> bool:
@@ -496,9 +528,8 @@ def _has_link(root: str, relative: str) -> bool:
 
 
 def _raised(error: GuidanceError, uri: str) -> GuidanceError:
-    """A new error of ``error``'s class, message and fields; ``source`` is ``uri`` unless set."""
-    raised = error.__class__.__new__(error.__class__, *error.args)
-    raised.__dict__.update(error.__dict__)
+    """A copy of ``error`` (``GuidanceError.__reduce__``); its ``source`` is ``uri`` unless set."""
+    raised = copy(error)
     if raised.source is None:
         raised.source = uri
     return raised
@@ -507,42 +538,57 @@ def _raised(error: GuidanceError, uri: str) -> GuidanceError:
 class SourceStore:
     """A directory of guidance documents addressed by relative path.
 
+    The root is made absolute once (``os.path.abspath``) and is not
+    resolved, so a root that is itself a symbolic link is followed at each
+    read. A root with a ``..`` component is resolved once
+    (``os.path.realpath``), so that ``..`` after a link leads out of the
+    link's target, as the system reads such a path. A normalized uri names
+    the file at that path below the root. A uri that leaves the root, or
+    whose path passes a symbolic link that leads out of the root's real
+    path, is an ``InvalidUri``. Only a path through a link is resolved in
+    full, together with the root; the others cost one lstat per component.
+
     Every spelling of a path names one document, cached under its normalized
     path, its ``uri``, and parsed again once the file's modification or
-    change time, size or inode changes or ``evict`` drops it. A parse that
-    fails is cached the same way: until then each load raises an equal
+    change time, size or inode changes or ``evict`` drops it. Each parse
+    reads the file through one descriptor (``read_regular``), whose
+    ``fstat`` is the fingerprint; a named pipe there is not read. A parse
+    that fails is cached the same way: until then each load raises an equal
     error, of the same class, message and ``source``, without reading the
     file. Concurrent loads of the same uri parse at most once.
-
-    A normalized uri names the file at that path below the root's real
-    path. A uri that leaves the root, or whose path passes a symbolic link
-    that leads out of it, is an ``InvalidUri``. Only a path through a link
-    is resolved in full; the others cost one lstat per component.
     """
 
     def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self._real_root = self.root.resolve()
+        root = os.fspath(root)
+        # ".." after a link leads out of the link's target, as the system reads it
+        self._root = os.path.realpath(root) if ".." in root.split("/") else os.path.abspath(root)
+        self._prefix = os.path.join(self._root, "")
         # normalized uri -> (path, fingerprint, envelope or parse error)
-        self._cache: dict[str, tuple[Path, tuple[int, ...], DocumentEnvelope | GuidanceError]] = {}
+        self._cache: dict[str, tuple[str, tuple[int, ...], DocumentEnvelope | GuidanceError]] = {}
         self._lock = threading.Lock()
         self.load_count = 0  # loads that actually parsed the file
 
-    def _resolve_path(self, uri: str) -> Path:
+    @cached_property
+    def root(self) -> Path:
+        """The root directory, made absolute."""
+        return Path(self._root)
+
+    def _resolve_path(self, uri: str) -> str:
         normalized = normalize_uri(uri)
         if normalized.startswith(("/", "../")) or normalized == "..":
             raise InvalidUri(uri, "escapes the store root")
-        path = self._real_root / normalized
-        if _has_link(str(self._real_root), normalized):
-            path = path.resolve()
-            if not path.is_relative_to(self._real_root):
+        path = self._prefix + normalized
+        if _has_link(self._root, normalized):
+            path = os.path.realpath(path)
+            real_root = os.path.realpath(self._root)
+            if path != real_root and not path.startswith(os.path.join(real_root, "")):
                 raise InvalidUri(uri, "escapes the store root")
         return path
 
     def exists(self, uri: str) -> bool:
         """Whether ``uri`` names a file inside the store; a link out or an escape is not one."""
         try:
-            return self._resolve_path(uri).is_file()
+            return os.path.isfile(self._resolve_path(uri))
         except InvalidUri:
             return False
 
@@ -552,15 +598,16 @@ class SourceStore:
             cached = self._cache.get(key)
             if cached is None or _fingerprint(cached[0]) != cached[1]:
                 path = self._resolve_path(uri)
-                fingerprint = _fingerprint(path)
-                if fingerprint is None:
+                read = read_regular(path)
+                if read is None:
                     raise NotFound(uri)
+                data, status = read
                 try:
-                    envelope = parse_document(path.read_bytes(), format_of(path), key)
+                    envelope = parse_document(data, format_of(path), key)
                 except GuidanceError as exc:
-                    cached = self._cache[key] = (path, fingerprint, exc.with_traceback(None))
+                    cached = self._cache[key] = (path, _stamp(status), exc.with_traceback(None))
                 else:
-                    cached = self._cache[key] = (path, fingerprint, envelope)
+                    cached = self._cache[key] = (path, _stamp(status), envelope)
                     self.load_count += 1
             result = cached[2]
             if isinstance(result, GuidanceError):
@@ -584,7 +631,7 @@ class SourceStore:
         is not listed.
         """
         uris: list[str] = []
-        pending = [(str(self.root), "")]
+        pending = [(self._root, "")]
         while pending:
             directory, prefix = pending.pop()
             try:
@@ -656,10 +703,19 @@ def detect_cycles(store: SourceStore, root_uri: str, skip: Container[str] = (),
     return topological_order([normalize_uri(root_uri)], sources_of)
 
 
-def resolve_chain(store: SourceStore, profile_uri: str, *,
-                  lenient: bool = False) -> ResolvedCatalog:
-    """Resolve a store profile whose imports may name other profiles; a catalog is an error."""
-    resolved = resolve_in_store(store, profile_uri, lenient=lenient, memo={})
+def resolve_chain(store: SourceStore, profile_uri: str, *, lenient: bool = False,
+                  memo: dict[str, ResolvedCatalog] | None = None) -> ResolvedCatalog:
+    """Resolve a store profile whose imports may name other profiles; a catalog is an error.
+
+    ``memo`` is ``resolve_in_store``'s, a fresh one when none is given. A
+    given one must be empty, so that the caller can read every resolution
+    made (``chain_warnings``); one filled before could hold resolutions
+    older than the store's files, so it raises ``ValueError``.
+    """
+    if memo:
+        raise ValueError("resolve_chain needs an empty memo")
+    resolved = resolve_in_store(store, profile_uri, lenient=lenient,
+                                memo={} if memo is None else memo)
     if resolved.depth == 0:
         raise ResolutionError(f"{resolved.catalog.uri!r} is a catalog, not a profile")
     return resolved
@@ -689,3 +745,13 @@ def resolve_in_store(store: SourceStore, uri: str, *, lenient: bool = False,
                 [memo[source] for source in import_sources(envelope)], envelope.body,
                 lenient=lenient)
     return memo[uri]
+
+
+def chain_warnings(memo: Mapping[str, ResolvedCatalog], uri: str) -> list[tuple[str, Finding]]:
+    """The lenient warnings of ``memo[uri]`` and of each document its resolution passed through.
+
+    Each warning comes with the uri of the profile whose alteration raised
+    it, dependencies first, as ``lineage`` lists them; ``memo`` is the one
+    ``resolve_in_store`` filled, so it holds every document of the lineage.
+    """
+    return [(walked, finding) for walked in memo[uri].lineage for finding in memo[walked].warnings]

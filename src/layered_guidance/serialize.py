@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 from collections.abc import Callable
-from pathlib import PurePath
 from typing import Any
 
 import yaml
@@ -481,9 +481,25 @@ def _build_profile(value: Any, at: str, uri: str) -> Profile:
                    alterations, uri)
 
 
-def format_of(path: str | PurePath) -> str:
+def split_name(path: str) -> tuple[str, str]:
+    """The stem and suffix of ``PurePosixPath(path).name``, without building the path.
+
+    The name is the last component that is neither empty nor ``.``. The
+    suffix starts at its last dot, unless that dot is its first or last
+    character.
+    """
+    name = path[path.rfind("/") + 1:]
+    if name in ("", "."):  # a path ending in "/" or "/.": the name is further back
+        name = next((part for part in reversed(path.split("/")) if part not in ("", ".")), "")
+    dot = name.rfind(".")
+    if 0 < dot < len(name) - 1:
+        return name[:dot], name[dot:]
+    return name, ""
+
+
+def format_of(path: str | os.PathLike) -> str:
     """The format a document file is read in: JSON when its name ends in ``.json``, else YAML."""
-    return JSON if PurePath(path).suffix == ".json" else YAML
+    return JSON if split_name(os.fspath(path))[1] == ".json" else YAML
 
 
 def parse_document(text: bytes | str, format: str = AUTO, uri: str = "") -> DocumentEnvelope:

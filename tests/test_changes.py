@@ -201,6 +201,16 @@ class TestPropagate:
         assert (fixture_store / "resolved" / "ot-profile.yaml").is_file()
         assert (fixture_store / "resolved" / "am-profile.yaml").is_file()
 
+    def test_a_given_memo_is_filled_and_must_start_empty(self, fixture_store):
+        store = SourceStore(fixture_store)
+        memo: dict = {}
+        results = propagate(store, "ot-profile.yaml", memo=memo)
+        assert [memo[r.profile_uri] for r in results] == [r.resolved for r in results]
+        assert "csf-id-am.yaml" in memo  # a dependency that was not re-resolved
+        with pytest.raises(ValueError, match="empty memo"):  # it could be older than the files
+            propagate(store, "ot-profile.yaml", memo=memo)
+        assert propagate(store, "ot-profile.yaml") == propagate(store, "ot-profile.yaml", memo={})
+
     def test_ot_edit_reaches_both_layers(self, fixture_store):
         self._populate(fixture_store)
         path = fixture_store / "ot-profile.yaml"

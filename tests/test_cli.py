@@ -550,6 +550,37 @@ class TestPropagateCommand:
                 "re-resolved am-profile.yaml -> resolved/am-profile.yaml (initial resolution)\n")
         assert (fixture_store / "resolved" / "am-profile.yaml").read_bytes() == out.read_bytes()
 
+    def _imported_warning_store(self, store: Path) -> str:
+        """``top.yaml`` imports ``am-profile.yaml``, whose removal matches nothing."""
+        path = store / "am-profile.yaml"
+        path.write_bytes(path.read_bytes().replace(b"by-name: ot-specific",
+                                                   b"by-name: nothing-here"))
+        (store / "top.yaml").write_bytes(
+            b'profile:\n  metadata:\n    title: Top\n    version: "1"\n'
+            b"  imports:\n    - source: am-profile.yaml\n")
+        return "alterations/id.am-3: removal matched nothing (by-name 'nothing-here')"
+
+    def test_an_imported_profiles_lenient_warning_is_printed_naming_it(self, fixture_store,
+                                                                       tmp_path, capsys):
+        warning = self._imported_warning_store(fixture_store)
+        out = tmp_path / "top.yaml"
+        assert main(["resolve", "top.yaml", "--store", str(fixture_store), "--lenient",
+                     "-o", str(out)]) == 0
+        assert capsys.readouterr().err == f"warning: am-profile.yaml: {warning}\n"
+        assert main(["resolve", "top.yaml", "--store", str(fixture_store), "-o", str(out)]) == 2
+        assert "removal matched nothing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changed", ["top.yaml", "am-profile.yaml"])
+    def test_propagate_prints_each_lenient_warning_once_naming_its_profile(
+            self, fixture_store, capsys, changed):
+        warning = self._imported_warning_store(fixture_store)
+        assert main(["propagate", "--store", str(fixture_store), "--changed", changed,
+                     "--lenient", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: am-profile.yaml: {warning}\n"
+        assert [item["profile-uri"] for item in json.loads(captured.out)] == (
+            ["top.yaml"] if changed == "top.yaml" else ["am-profile.yaml", "top.yaml"])
+
     def test_unrelated_cycle_does_not_stop_propagation(self, fixture_store, capsys):
         for name, source in (("cyc-a", "cyc-b.yaml"), ("cyc-b", "cyc-a.yaml")):
             (fixture_store / f"{name}.yaml").write_bytes(

@@ -14,7 +14,24 @@ from hypothesis import strategies as st
 import strategies
 from layered_guidance.changes import ChangeEntry, ChangeSet, DependencyGraph, PropagationResult
 from layered_guidance.cli import main
-from layered_guidance.errors import GuidanceError
+from layered_guidance import errors as errors_module
+from layered_guidance.errors import (
+    CycleDetected,
+    DocumentSyntaxError,
+    DuplicateControlId,
+    DuplicatePartName,
+    GuidanceError,
+    InvalidUri,
+    NotFound,
+    RemovalMatchedNothing,
+    ResolutionError,
+    SchemaError,
+    StatementNotFirst,
+    StoreError,
+    UnknownControlId,
+    UnknownFixture,
+    ValidationError,
+)
 from layered_guidance.fixtures import load_fixture
 from layered_guidance.model import (
     ERROR,
@@ -681,6 +698,43 @@ class TestConstructorInvariants:
             assert repr(copied) == repr(instance)
             with pytest.raises(FrozenInstanceError):
                 setattr(copied, invariant_case[1], None)
+
+    @pytest.mark.parametrize("copier", ["pickle", "deepcopy"])
+    def test_every_error_copies_with_its_message_args_and_fields(self, copier):
+        """``args`` holds the formatted message: a copy must not format it a second time."""
+        copied_by = {"pickle": lambda value: pickle.loads(pickle.dumps(value)),
+                     "deepcopy": copy.deepcopy}[copier]
+        errors = [
+            GuidanceError("plain"),
+            DocumentSyntaxError("bad token", 3, 4),
+            SchemaError("expected a list, got str", "catalog/controls"),
+            ValidationError([Finding(ERROR, "metadata/title", "title is empty")]),
+            StoreError("no such store"),
+            NotFound("b.yaml"),
+            InvalidUri("../x.yaml", "escapes the store root"),
+            ResolutionError("no source supplied for import 'a.yaml'"),
+            UnknownControlId("x", "profile p"),
+            DuplicateControlId("x", "supplied by both 'a.yaml' and 'b.yaml'"),
+            RemovalMatchedNothing("c1", "by-name", "ghost"),
+            DuplicatePartName("c1", "guidance"),
+            StatementNotFirst("c1"),
+            CycleDetected(["a.yaml", "b.yaml", "a.yaml"]),
+            UnknownFixture("nope"),
+        ]
+        defined = {value for value in vars(errors_module).values()
+                   if isinstance(value, type) and issubclass(value, GuidanceError)}
+        assert {type(error) for error in errors} == defined
+        errors[5].source = "a.yaml"
+        for error in errors:
+            copied = copied_by(error)
+            assert type(copied) is type(error)
+            assert (str(copied), copied.args, vars(copied)) == (
+                str(error), error.args, vars(error))
+        held = PropagationResult("p.yaml", "resolved/p.yaml", error=errors[5])
+        copied = copied_by(held).error
+        assert (type(copied), str(copied), copied.args, vars(copied)) == (
+            NotFound, "document not found: b.yaml", ("document not found: b.yaml",),
+            {"uri": "b.yaml", "source": "a.yaml"})
 
     def test_identifiers_are_lowercased_by_the_constructor_and_by_replace(self):
         part = Part("Guidance", "p")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import io
 import os
 import tempfile
 import threading
 import time
 from dataclasses import replace
-from pathlib import Path, PurePath
+from functools import partial
+from pathlib import Path, PurePath, PurePosixPath
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,7 @@ import oracles
 import strategies
 from conftest import FIXTURES_DIR
 from strategies import profile_importing
-from layered_guidance import resolver
+from layered_guidance import changes, cli, resolver
 from layered_guidance.errors import (
     CycleDetected,
     DuplicateControlId,
@@ -58,7 +60,8 @@ from layered_guidance.resolver import (
     resolve_chain,
     resolve_in_store,
 )
-from layered_guidance.serialize import parse_document, serialize_document
+from layered_guidance.changes import resolution_output_uri
+from layered_guidance.serialize import format_of, parse_document, serialize_document
 
 
 def _identity_profile(source: str = "src.yaml") -> Profile:
@@ -468,6 +471,15 @@ class TestResolveChain:
         assert [p.name for p in control.parts] == ["statement", "guidance", "am-specific"]
         assert control.part("ot-specific") is None
 
+    def test_a_given_memo_is_filled_and_must_start_empty(self, fixture_store):
+        store = SourceStore(fixture_store)
+        memo: dict = {}
+        resolved = resolve_chain(store, "am-profile.yaml", memo=memo)
+        assert memo["am-profile.yaml"] is resolved
+        assert sorted(memo) == ["am-profile.yaml", "csf-id-am.yaml", "ot-profile.yaml"]
+        with pytest.raises(ValueError, match="empty memo"):  # it could be older than the files
+            resolve_chain(store, "am-profile.yaml", memo=memo)
+
     def test_single_level_chain_degenerates_to_resolve(self, fixture_store):
         store = SourceStore(fixture_store)
         chained = resolve_chain(store, "ot-profile.yaml")
@@ -785,15 +797,186 @@ class TestSourceStore:
             assert store.exists(uri) == oracles.store_exists(root, uri), uri
             assert outcome(store.load, uri) == outcome(lambda u: oracles.store_load(root, u), uri)
 
-    @given(st.text(st.sampled_from(".aybmlYAMLjson"), max_size=8))
-    @example(".yaml")
-    @example("..yaml")
-    @example("a.")
-    @example("a.b.yaml")
-    @example("x.YAML")
-    def test_a_document_name_is_one_whose_path_suffix_is_a_document_suffix(self, name):
-        suffix = PurePath(name).suffix
-        assert resolver._is_document_name(name) == (suffix in (".yaml", ".yml", ".json"))
+    @given(st.lists(st.text(st.sampled_from("./aybmlYAMLjson"), max_size=6), max_size=3),
+           st.text(st.sampled_from(".aybmlYAMLjson"), max_size=8),
+           st.sampled_from(["", ".yaml", ".yml", ".json", ".JSON", ".YAML", ".", ".."]))
+    @example([], "", "")
+    @example([], ".", "")
+    @example(["x.json"], "", "")
+    @example(["x.json"], ".", "")
+    @example([], ".yaml", "")
+    @example([], "..yaml", "")
+    @example([], "a.", "")
+    @example([], "a.b", ".yaml")
+    @example([], "x.", "YAML")
+    @example(["d.json", ".", ""], "x", ".yml")
+    @example(["a", ".."], "..", "")
+    def test_a_document_name_is_one_whose_path_suffix_is_a_document_suffix(
+            self, directories, name, suffix):
+        """One string rule gives the listing's test, the format and the output stem."""
+        name += suffix
+        path = "/".join([*directories, name])
+        assert resolver._is_document_name(name) == (
+            PurePath(name).suffix in (".yaml", ".yml", ".json"))
+        assert format_of(path) == ("json" if PurePath(path).suffix == ".json" else "yaml")
+        assert resolution_output_uri(path) == f"resolved/{PurePosixPath(path).stem}.yaml"
+
+    def test_a_relative_root_names_the_same_files_after_a_change_of_directory(
+            self, fixture_store, tmp_path, monkeypatch):
+        monkeypatch.chdir(fixture_store.parent)
+        store = SourceStore(fixture_store.name)
+        elsewhere = tmp_path / "elsewhere" / fixture_store.name
+        elsewhere.mkdir(parents=True)
+        (elsewhere / "other.yaml").write_bytes((fixture_store / "csf-id-am.yaml").read_bytes())
+        monkeypatch.chdir(elsewhere.parent)
+        assert store.root == fixture_store
+        assert store.list_documents() == ["am-profile.yaml", "csf-id-am.yaml", "ot-profile.yaml"]
+        assert store.exists("csf-id-am.yaml") and not store.exists("other.yaml")
+        assert store.load("csf-id-am.yaml").body.uri == "csf-id-am.yaml"
+        with pytest.raises(NotFound):
+            store.load("other.yaml")
+
+    def test_a_root_with_dot_dot_after_a_link_names_the_directory_beside_its_target(
+            self, fixture_store, tmp_path, monkeypatch):
+        """``..`` after a link leaves the link's target, as ``ls link/../store`` does."""
+        target = tmp_path / "far" / "target"
+        target.mkdir(parents=True)
+        (tmp_path / "far" / "store").symlink_to(fixture_store)
+        (tmp_path / "near").mkdir()
+        (tmp_path / "near" / "store").mkdir()
+        (tmp_path / "near" / "link").symlink_to(target)
+        monkeypatch.chdir(tmp_path / "near")
+        store = SourceStore("link/../store")
+        assert store.root == fixture_store
+        assert store.list_documents() == ["am-profile.yaml", "csf-id-am.yaml", "ot-profile.yaml"]
+        assert store.load("csf-id-am.yaml").body.uri == "csf-id-am.yaml"
+
+    def test_a_root_reached_through_a_link_still_refuses_a_link_out(self, fixture_store,
+                                                                     tmp_path):
+        outside = tmp_path / "outside.yaml"
+        outside.write_bytes((fixture_store / "csf-id-am.yaml").read_bytes())
+        (fixture_store / "out.yaml").symlink_to("../outside.yaml")
+        (fixture_store / "in.yaml").symlink_to("csf-id-am.yaml")
+        (tmp_path / "link").symlink_to(fixture_store.name)
+        store = SourceStore(tmp_path / "link")
+        with pytest.raises(InvalidUri, match="escapes the store root"):
+            store.load("out.yaml")
+        assert not store.exists("out.yaml")
+        assert store.load("in.yaml").body.uri == "in.yaml"
+        assert store.list_documents() == [
+            "am-profile.yaml", "csf-id-am.yaml", "in.yaml", "ot-profile.yaml"]
+        # The root is not resolved: retargeting its link moves the store.
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "csf-id-am.yaml").write_bytes(
+            (fixture_store / "csf-id-am.yaml").read_bytes().replace(b'"1.1"', b'"9.9"'))
+        assert store.load("csf-id-am.yaml").body.metadata.version == "1.1"
+        (tmp_path / "link").unlink()
+        (tmp_path / "link").symlink_to("other")
+        assert store.load("csf-id-am.yaml").body.metadata.version == "9.9"
+        assert store.list_documents() == ["csf-id-am.yaml"]
+
+
+class _Refusing(io.FileIO):
+    """A file opened as ``open`` opens it, whose every read and write is refused."""
+
+    def readall(self):
+        raise PermissionError(13, "Permission denied")
+
+    def write(self, data):
+        raise PermissionError(13, "Permission denied")
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd") or not hasattr(os, "mkfifo"),
+                    reason="needs /proc/self/fd and named pipes")
+class TestDescriptors:
+    """Each file access closes its descriptor on every path, whatever the file is."""
+
+    DATA = (FIXTURES_DIR / "csf-id-am.yaml").read_bytes()
+
+    def _load(self, path: Path):
+        return SourceStore(path.parent).load(path.name).body.uri
+
+    def _read_previous(self, path: Path):
+        read = changes.read_regular(os.path.join(path.parent, path.name))
+        return read if read is None else read[0]
+
+    def _cli_read(self, path: Path):
+        return cli._parse_file(str(path)).kind
+
+    def _cli_write(self, path: Path):
+        return cli._write_output(self.DATA, str(path))
+
+    @pytest.mark.parametrize("operation, outcomes", [
+        ("_load", {"regular": "doc.yaml", "directory": NotFound, "fifo": NotFound,
+                   "unreadable": PermissionError, "removed": "doc.yaml"}),
+        ("_read_previous", {"regular": DATA, "directory": None, "fifo": None,
+                            "unreadable": PermissionError, "removed": DATA}),
+        ("_cli_read", {"regular": "catalog", "directory": IsADirectoryError,
+                       "fifo": "catalog", "unreadable": PermissionError, "removed": "catalog"}),
+        ("_cli_write", {"regular": None, "directory": IsADirectoryError, "fifo": None,
+                        "unreadable": PermissionError, "removed": None}),
+    ])
+    @pytest.mark.parametrize("kind", ["regular", "directory", "fifo", "unreadable", "removed"])
+    def test_the_descriptor_is_closed(self, tmp_path, monkeypatch, operation, outcomes, kind):
+        path = tmp_path / "doc.yaml"
+        writing = operation == "_cli_write"
+        helpers: list = []  # the other end of a pipe
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "fifo":
+            os.mkfifo(path)
+            if writing:
+                helpers.append(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            elif operation == "_cli_read":
+                helpers.append(threading.Thread(target=path.write_bytes, args=(self.DATA,)))
+                helpers[0].start()
+        else:
+            path.write_bytes(self.DATA if not writing else b"previous\n")
+        if kind == "unreadable":  # a mode alone does not stop the superuser
+            path.chmod(0)
+
+            def refuse(*args):
+                raise PermissionError(13, "Permission denied")
+
+            monkeypatch.setattr(os, "read", refuse)
+            monkeypatch.setattr(os, "write", refuse)
+            monkeypatch.setattr(cli, "open", lambda name, mode, buffering=-1: _Refusing(name, mode),
+                                raising=False)
+        elif kind == "removed":  # between the check that it exists and the read
+            real_open = os.open
+
+            def open_then_remove(name, *args, **kwargs):
+                fd = real_open(name, *args, **kwargs)
+                if os.fspath(name) == str(path):
+                    os.unlink(path)
+                return fd
+
+            monkeypatch.setattr(os, "open", open_then_remove)
+            monkeypatch.setattr(cli, "open", partial(open, opener=lambda name, flags: os.open(
+                name, flags, 0o666)), raising=False)
+        before = _open_descriptors()
+        try:
+            outcome = getattr(self, operation)(path)
+        except (GuidanceError, OSError) as error:
+            outcome = type(error)
+        after = _open_descriptors()
+        monkeypatch.undo()
+        for helper in helpers:
+            if isinstance(helper, int):
+                assert os.read(helper, len(self.DATA) + 1) == self.DATA
+                os.close(helper)
+            else:
+                helper.join(10)
+                assert not helper.is_alive()
+        assert (outcome, after) == (outcomes[kind], before)
+        assert path.exists() == (kind != "removed")
+        if writing and kind == "regular":
+            assert path.read_bytes() == self.DATA
 
 
 # Resolving the second layer against a serialized-then-reparsed first
