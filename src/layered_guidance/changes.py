@@ -22,9 +22,8 @@ from __future__ import annotations
 import os
 from dataclasses import field
 from functools import cached_property
-from pathlib import Path
 
-from .errors import GuidanceError, NotFound, SchemaError, StoreError
+from .errors import GuidanceError, SchemaError, StoreError
 from .model import Catalog, Control, DocumentEnvelope, ERROR, Finding, _Record, iter_controls
 from .resolver import (
     RESOLVED_DIR,
@@ -267,7 +266,7 @@ def resolution_output_uri(profile_uri: str) -> str:
     return f"{RESOLVED_DIR}/{split_name(profile_uri)[0]}.yaml"
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
+def _write_atomic(path: str, data: bytes) -> None:
     """Replace ``path`` with ``data`` in one rename; the file gets the mode the umask allows.
 
     On any failure the temp file is removed and ``path`` is left as it was.
@@ -397,8 +396,8 @@ class PropagationResult(_Record):
         fields["error"] = error
 
 
-def propagate(store: SourceStore, changed_uri: str, *, lenient: bool = False,
-              memo: dict[str, ResolvedCatalog] | None = None) -> list[PropagationResult]:
+def propagate(store: SourceStore, changed_uri: str, *,
+              lenient: bool = False) -> list[PropagationResult]:
     """Re-resolve every profile downstream of ``changed_uri``, in topological order.
 
     Each fresh resolution is diffed against the previously persisted one
@@ -410,16 +409,8 @@ def propagate(store: SourceStore, changed_uri: str, *, lenient: bool = False,
     shares or whose previous output does not parse (that error's ``source``
     is the output's uri); the rest still run. An import cycle upstream of a
     re-resolved profile raises ``CycleDetected``; one elsewhere does not
-    matter. A ``changed_uri`` that does not parse raises. A given ``memo``
-    must be empty: it becomes the run's memo, so the caller can read every
-    resolution the run made, a re-resolved profile's dependencies too
-    (``chain_warnings``). One filled before could hold resolutions older
-    than the store's files, so it raises ``ValueError``.
+    matter. A ``changed_uri`` that does not load raises as ``SourceStore.load`` does.
     """
-    if memo:
-        raise ValueError("propagate needs an empty memo")
-    if not store.exists(changed_uri):
-        raise NotFound(changed_uri)
     changed_uri = store.load(changed_uri).body.uri
     graph = build_graph(store)
     sources: dict[str, list[str]] = {node: [] for node in graph.nodes}
@@ -437,7 +428,7 @@ def propagate(store: SourceStore, changed_uri: str, *, lenient: bool = False,
         writers.setdefault(output_uri, []).append(uri)
 
     results: list[PropagationResult] = []
-    memo = {} if memo is None else memo
+    memo: dict[str, ResolvedCatalog] = {}
     emitted: dict = {}  # each own block and scalar text emitted in this run (catalog_blocks)
     verified: dict[str, Control] = {}  # previous own blocks found canonical in this run
     for uri in order:
@@ -465,7 +456,7 @@ def propagate(store: SourceStore, changed_uri: str, *, lenient: bool = False,
                     except GuidanceError as error:  # the previous output does not parse
                         error.source = output_uri
                         raise
-                _write_atomic(Path(path), data)
+                _write_atomic(path, data)
                 store.evict(output_uri)  # a same-size rewrite can keep its fingerprint
         except GuidanceError as error:
             results.append(PropagationResult(uri, output_uri, error=error))

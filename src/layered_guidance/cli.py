@@ -52,7 +52,6 @@ from .model import (
 from .render import RenderOptions, render_markdown
 from .resolver import (
     SourceStore,
-    chain_warnings,
     import_sources,
     resolve_chain,
     resolve_in_store,
@@ -128,11 +127,9 @@ def _read_catalog(path: str) -> Catalog:
 
 def resolve_cmd(args: argparse.Namespace) -> int:
     """Resolve a profile (by store-relative uri) into a catalog."""
-    memo: dict = {}
-    resolved = resolve_chain(SourceStore(args.store_dir), args.profile_uri, lenient=args.lenient,
-                             memo=memo)
+    resolved = resolve_chain(SourceStore(args.store_dir), args.profile_uri, lenient=args.lenient)
     uri = resolved.catalog.uri
-    for source, finding in chain_warnings(memo, uri):  # an imported profile's warnings name it
+    for source, finding in resolved.warnings:  # an imported profile's warnings name it
         named = "" if source == uri else f"{source}: "
         _echo(f"warning: {named}{finding.path}: {finding.message}", err=True)
     envelope = DocumentEnvelope("catalog", resolved.catalog)
@@ -253,13 +250,11 @@ def graph_cmd(args: argparse.Namespace) -> int:
 
 def propagate_cmd(args: argparse.Namespace) -> int:
     """Re-resolve and persist every profile downstream of a changed document."""
-    memo: dict = {}
-    results = propagate(SourceStore(args.store_dir), args.changed_uri, lenient=args.lenient,
-                        memo=memo)
+    results = propagate(SourceStore(args.store_dir), args.changed_uri, lenient=args.lenient)
     warned: set[str] = set()  # each profile's warnings are printed once, naming that profile
     for result in results:
         if result.resolved is not None:
-            for source, finding in chain_warnings(memo, result.profile_uri):
+            for source, finding in result.resolved.warnings:
                 if source not in warned:
                     _echo(f"warning: {source}: {finding.path}: {finding.message}", err=True)
             warned.update(result.resolved.lineage)

@@ -86,17 +86,19 @@ class ResolvedCatalog(_Record):
 
     ``lineage`` lists the documents the resolution passed through, outermost
     last; ``depth`` counts the profiles applied. ``provenance`` maps
-    ``(control-id, part-name)`` to the contributing layer.
+    ``(control-id, part-name)`` to the contributing layer. ``warnings`` pairs
+    each lineage profile's lenient warnings with its uri, in lineage order.
     """
 
     catalog: Catalog
     provenance: Mapping[tuple[str, str], ProvenanceEntry]
     lineage: tuple[str, ...]
     depth: int
-    warnings: tuple[Finding, ...] = ()
+    warnings: tuple[tuple[str, Finding], ...] = ()
 
     def __init__(self, catalog: Catalog, provenance: Mapping[tuple[str, str], ProvenanceEntry],
-                 lineage: tuple[str, ...], depth: int, warnings: tuple[Finding, ...] = ()) -> None:
+                 lineage: tuple[str, ...], depth: int,
+                 warnings: tuple[tuple[str, Finding], ...] = ()) -> None:
         fields = self.__dict__
         fields["catalog"] = catalog
         fields["provenance"] = provenance
@@ -456,11 +458,16 @@ def _resolve(sources: Sequence[Catalog | ResolvedCatalog], profile: Profile,
 
     if report.findings is not None:
         return None
-    lineage = (*dict.fromkeys(uri for source in paired for uri in source.lineage), profile_uri)
+    lineage: dict[str, None] = {}  # each document's warnings come from the first source with it
+    warnings: list[tuple[str, Finding]] = []
+    for source in paired:
+        warnings += [warning for warning in source.warnings if warning[0] not in lineage]
+        lineage.update(dict.fromkeys(source.lineage))
+    warnings += [(profile_uri, finding) for finding in report.warnings]
     controls = _swap_in(forest, altered, parents) if altered else forest
     catalog = Catalog(metadata=profile.metadata, controls=controls, uri=profile.uri)
-    return ResolvedCatalog(catalog=catalog, provenance=provenance, lineage=lineage, depth=depth,
-                           warnings=tuple(report.warnings or ()))
+    return ResolvedCatalog(catalog=catalog, provenance=provenance, lineage=(*lineage, profile_uri),
+                           depth=depth, warnings=tuple(warnings))
 
 
 def read_regular(path: str) -> tuple[bytes, os.stat_result] | None:
@@ -703,19 +710,13 @@ def detect_cycles(store: SourceStore, root_uri: str, skip: Container[str] = (),
     return topological_order([normalize_uri(root_uri)], sources_of)
 
 
-def resolve_chain(store: SourceStore, profile_uri: str, *, lenient: bool = False,
-                  memo: dict[str, ResolvedCatalog] | None = None) -> ResolvedCatalog:
+def resolve_chain(store: SourceStore, profile_uri: str, *,
+                  lenient: bool = False) -> ResolvedCatalog:
     """Resolve a store profile whose imports may name other profiles; a catalog is an error.
 
-    ``memo`` is ``resolve_in_store``'s, a fresh one when none is given. A
-    given one must be empty, so that the caller can read every resolution
-    made (``chain_warnings``); one filled before could hold resolutions
-    older than the store's files, so it raises ``ValueError``.
+    Its ``warnings`` hold the lenient warnings of every profile in its lineage.
     """
-    if memo:
-        raise ValueError("resolve_chain needs an empty memo")
-    resolved = resolve_in_store(store, profile_uri, lenient=lenient,
-                                memo={} if memo is None else memo)
+    resolved = resolve_in_store(store, profile_uri, lenient=lenient, memo={})
     if resolved.depth == 0:
         raise ResolutionError(f"{resolved.catalog.uri!r} is a catalog, not a profile")
     return resolved
@@ -745,13 +746,3 @@ def resolve_in_store(store: SourceStore, uri: str, *, lenient: bool = False,
                 [memo[source] for source in import_sources(envelope)], envelope.body,
                 lenient=lenient)
     return memo[uri]
-
-
-def chain_warnings(memo: Mapping[str, ResolvedCatalog], uri: str) -> list[tuple[str, Finding]]:
-    """The lenient warnings of ``memo[uri]`` and of each document its resolution passed through.
-
-    Each warning comes with the uri of the profile whose alteration raised
-    it, dependencies first, as ``lineage`` lists them; ``memo`` is the one
-    ``resolve_in_store`` filled, so it holds every document of the lineage.
-    """
-    return [(walked, finding) for walked in memo[uri].lineage for finding in memo[walked].warnings]

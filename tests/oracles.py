@@ -481,12 +481,18 @@ def reference_resolve(sources: Sequence, profile: Profile,
 
     if report.findings is not None:
         return None
-    lineage = (*dict.fromkeys(uri for source in paired for uri in source.lineage), profile_uri)
+    inherited = dict.fromkeys(uri for source in paired for uri in source.lineage)
+    # Each inherited document's warnings, from the first source whose lineage holds it.
+    warnings = [warning for uri in inherited
+                for warning in next(rs for rs in paired if uri in rs.lineage).warnings
+                if warning[0] == uri]
+    warnings += [(profile_uri, finding) for finding in report.warnings or ()]
     controls = (tuple(_reference_swap_in(root, altered) for root in forest) if altered
                 else forest)
     catalog = Catalog(metadata=profile.metadata, controls=controls, uri=profile.uri)
-    return ResolvedCatalog(catalog=catalog, provenance=provenance, lineage=lineage, depth=depth,
-                           warnings=tuple(report.warnings or ()))
+    return ResolvedCatalog(catalog=catalog, provenance=provenance,
+                           lineage=(*inherited, profile_uri), depth=depth,
+                           warnings=tuple(warnings))
 
 
 def resolution_record(call) -> tuple:
@@ -500,17 +506,18 @@ def resolution_record(call) -> tuple:
             result.depth, result.warnings)
 
 
-def reference_resolve_in_store(store: SourceStore, uri: str, *,
-                               lenient: bool = False) -> ResolvedCatalog:
+def reference_resolve_in_store(store: SourceStore, uri: str, *, lenient: bool = False,
+                               memo: dict[str, ResolvedCatalog] | None = None) -> ResolvedCatalog:
     """A store document resolved by walking its whole closure, then recursing, with a fresh memo.
 
     ``detect_cycles`` walks the whole import closure first. Then each import
     resolves recursively, in import order, so a failure is raised from the
     first import that fails. This is the route ``resolve_in_store`` replaced.
+    A given ``memo``, used in place of the fresh one, keeps each resolution.
     """
     uri = normalize_uri(uri)
     detect_cycles(store, uri)
-    memo: dict[str, ResolvedCatalog] = {}
+    memo = {} if memo is None else memo
 
     def resolve_acyclic(uri: str) -> ResolvedCatalog:
         if uri not in memo:
@@ -523,6 +530,29 @@ def reference_resolve_in_store(store: SourceStore, uri: str, *,
         return memo[uri]
 
     return resolve_acyclic(uri)
+
+
+def reference_chain_warnings(store: SourceStore, uri: str) -> list[tuple[str, Finding]]:
+    """The lenient warnings of a store profile's whole lineage, each with its profile's uri.
+
+    The formula ``ResolvedCatalog.warnings`` replaced: each document of the
+    lineage in order, with the warnings its own alterations raise. Those are
+    what ``reference_resolve`` reports for it against the resolutions of its
+    imports in a ``reference_resolve_in_store`` memo.
+    """
+    memo: dict[str, ResolvedCatalog] = {}
+    resolved = reference_resolve_in_store(store, uri, lenient=True, memo=memo)
+
+    def own_warnings(walked: str) -> list[Finding]:
+        envelope = store.load(walked)
+        if envelope.kind == "catalog":
+            return []
+        report = _Report(lenient=True, warnings=[])
+        reference_resolve([memo[source] for source in import_sources(envelope)], envelope.body,
+                          report)
+        return report.warnings
+
+    return [(walked, finding) for walked in resolved.lineage for finding in own_warnings(walked)]
 
 
 def check_against_reference(sources: Sequence, profile: Profile) -> None:

@@ -514,6 +514,40 @@ def profile_text(name: str, source: str, control_id: str) -> bytes:
             f"              prose: {name} note v0\n").encode()
 
 
+def lenient_diamond(source: str, text: bytes, right_first: bool) -> dict[str, bytes]:
+    """Four profiles over the store document ``source`` (of text ``text``) whose removals miss.
+
+    Each removal matches nothing, so lenient resolution warns for it.
+    ``d-bottom.yaml`` imports ``source`` and warns once on its first
+    control; ``d-left.yaml`` takes that control from it and warns twice,
+    ``d-right.yaml`` takes the ``-shared`` one and warns once. ``d-top.yaml``
+    imports both, ``d-right.yaml`` first when ``right_first``, and warns once.
+    """
+    cid = re.search(rb"(?:control-id|- id): (\S+)", text)[1].decode()
+
+    def profile(name: str, imports: list[tuple[str, str]], target: str,
+                removes: list[str]) -> bytes:
+        lines = [f'profile:\n  metadata:\n    title: {name}\n    version: "1"\n  imports:\n']
+        for imported, include in imports:
+            lines.append(f"    - source: {imported}\n")
+            if include:
+                lines.append(f"      include:\n        - {include}\n")
+        lines.append(f"  alterations:\n    - control-id: {target}\n      removes:\n")
+        lines += [f"        - {remove}\n" for remove in removes]
+        return "".join(lines).encode()
+
+    sides = [("d-right.yaml", ""), ("d-left.yaml", "")]
+    return {
+        "d-bottom.yaml": profile("d-bottom", [(source, "")], cid, ["by-name: nothing-here"]),
+        "d-left.yaml": profile("d-left", [("d-bottom.yaml", cid)], cid,
+                               ["by-name: gone", "by-name: gone"]),
+        "d-right.yaml": profile("d-right", [("d-bottom.yaml", f"{cid}-shared")], f"{cid}-shared",
+                                ["by-class: gone-right"]),
+        "d-top.yaml": profile("d-top", sides if right_first else sides[::-1], f"{cid}-shared",
+                              ["by-class: nothing"]),
+    }
+
+
 TAMPERS = ("mangle", "break", "reword", "spaced", "extra")
 
 

@@ -34,6 +34,7 @@ from layered_guidance.errors import (
     CycleDetected,
     DocumentSyntaxError,
     GuidanceError,
+    InvalidUri,
     NotFound,
     SchemaError,
     UnknownControlId,
@@ -201,16 +202,6 @@ class TestPropagate:
         assert (fixture_store / "resolved" / "ot-profile.yaml").is_file()
         assert (fixture_store / "resolved" / "am-profile.yaml").is_file()
 
-    def test_a_given_memo_is_filled_and_must_start_empty(self, fixture_store):
-        store = SourceStore(fixture_store)
-        memo: dict = {}
-        results = propagate(store, "ot-profile.yaml", memo=memo)
-        assert [memo[r.profile_uri] for r in results] == [r.resolved for r in results]
-        assert "csf-id-am.yaml" in memo  # a dependency that was not re-resolved
-        with pytest.raises(ValueError, match="empty memo"):  # it could be older than the files
-            propagate(store, "ot-profile.yaml", memo=memo)
-        assert propagate(store, "ot-profile.yaml") == propagate(store, "ot-profile.yaml", memo={})
-
     def test_ot_edit_reaches_both_layers(self, fixture_store):
         self._populate(fixture_store)
         path = fixture_store / "ot-profile.yaml"
@@ -279,6 +270,14 @@ class TestPropagate:
     def test_missing_changed_uri(self, fixture_store):
         with pytest.raises(NotFound):
             propagate(SourceStore(fixture_store), "ghost.yaml")
+
+    @pytest.mark.parametrize("uri", ["../x.yaml", "/etc/passwd", "link.yaml"])
+    def test_a_changed_uri_out_of_the_store_raises_invalid_uri(self, fixture_store, uri):
+        (fixture_store.parent / "outside.yaml").write_bytes(
+            (fixture_store / "csf-id-am.yaml").read_bytes())
+        (fixture_store / "link.yaml").symlink_to("../outside.yaml")
+        with pytest.raises(InvalidUri, match="escapes the store root"):
+            propagate(SourceStore(fixture_store), uri)
 
     def test_failing_profile_reported_in_place(self, fixture_store):
         self._populate(fixture_store)
@@ -582,7 +581,7 @@ class TestPropagateOutputs:
         original = changes_module._write_atomic
 
         def same_tick_write(target, data):
-            stat = target.stat()
+            stat = os.stat(target)
             original(target, data)
             os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns))
 

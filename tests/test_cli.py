@@ -419,6 +419,15 @@ class TestStoreLinks:
         assert [item["profile-uri"] for item in payload] == ["ot-profile.yaml", "am-profile.yaml"]
         assert "link.yaml" not in json.dumps(payload)
 
+    @pytest.mark.parametrize("uri", ["../x.yaml", "/etc/passwd", "link.yaml"])
+    def test_a_changed_uri_out_of_the_store_is_an_invalid_uri(self, linked_store, capsys, uri):
+        """``propagate --changed`` names an escape as ``resolve`` does, not as a missing file."""
+        expected = ("", f"error: invalid uri {uri!r}: escapes the store root\n")
+        assert main(["resolve", uri, "--store", str(linked_store)]) == 3
+        assert capsys.readouterr() == expected
+        assert main(["propagate", "--store", str(linked_store), "--changed", uri]) == 3
+        assert capsys.readouterr() == expected
+
 
 class TestPropagateCommand:
     def test_edit_then_propagate(self, fixture_store, capsys):
@@ -580,6 +589,46 @@ class TestPropagateCommand:
         assert captured.err == f"warning: am-profile.yaml: {warning}\n"
         assert [item["profile-uri"] for item in json.loads(captured.out)] == (
             ["top.yaml"] if changed == "top.yaml" else ["am-profile.yaml", "top.yaml"])
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_diamond_prints_each_profiles_lenient_warnings_once_in_lineage_order(
+            self, fixture_store, tmp_path, capsys, fmt):
+        """``top.yaml`` imports ``right.yaml`` then ``left.yaml``; both import ``am-profile.yaml``.
+
+        ``left.yaml`` raises the same warning twice, and keeps both.
+        """
+        am_warning = self._imported_warning_store(fixture_store)
+        head = b'profile:\n  metadata:\n    title: %s\n    version: "1"\n  imports:\n'
+        (fixture_store / "left.yaml").write_bytes(
+            head % b"Left" + b"    - source: am-profile.yaml\n      include:\n        - id.am-1\n"
+            b"  alterations:\n    - control-id: id.am-1\n      removes:\n"
+            b"        - by-name: gone\n        - by-name: gone\n")
+        (fixture_store / "right.yaml").write_bytes(
+            head % b"Right" + b"    - source: am-profile.yaml\n      include:\n        - id.am-3\n")
+        (fixture_store / "top.yaml").write_bytes(
+            head % b"Top" + b"    - source: right.yaml\n    - source: left.yaml\n"
+            b"  alterations:\n    - control-id: id.am-3\n      removes:\n"
+            b"        - by-class: nothing\n")
+        left_warning = "alterations/id.am-1: removal matched nothing (by-name 'gone')"
+        top_warning = "alterations/id.am-3: removal matched nothing (by-class 'nothing')"
+        inherited = (f"warning: am-profile.yaml: {am_warning}\n"
+                     + f"warning: left.yaml: {left_warning}\n" * 2)
+        out = tmp_path / "top.out"
+        assert main(["resolve", "top.yaml", "--store", str(fixture_store), "--lenient",
+                     "--format", "json" if fmt == "json" else "yaml", "-o", str(out)]) == 0
+        assert capsys.readouterr() == ("", inherited + f"warning: {top_warning}\n")
+        assert main(["propagate", "--store", str(fixture_store), "--changed", "csf-id-am.yaml",
+                     "--lenient", "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == inherited + f"warning: top.yaml: {top_warning}\n"
+        profiles = ["ot-profile.yaml", "am-profile.yaml", "left.yaml", "right.yaml", "top.yaml"]
+        if fmt == "json":
+            assert [item["profile-uri"] for item in json.loads(captured.out)] == profiles
+            assert json.loads(out.read_bytes())["catalog"]["metadata"]["title"] == "Top"
+        else:
+            assert captured.out == "".join(
+                f"re-resolved {uri} -> resolved/{uri} (initial resolution)\n" for uri in profiles)
+            assert (fixture_store / "resolved" / "top.yaml").read_bytes() == out.read_bytes()
 
     def test_unrelated_cycle_does_not_stop_propagation(self, fixture_store, capsys):
         for name, source in (("cyc-a", "cyc-b.yaml"), ("cyc-b", "cyc-a.yaml")):

@@ -588,7 +588,8 @@ def _invariant_cases() -> dict[str, tuple]:
             "ProvenanceEntry(origin_uri='c.yaml', layer_depth=0)}, lineage=('c.yaml',), depth=0, "
             "warnings=())",
             "(catalog: 'Catalog', provenance: 'Mapping[tuple[str, str], ProvenanceEntry]', "
-            "lineage: 'tuple[str, ...]', depth: 'int', warnings: 'tuple[Finding, ...]' = ())",
+            "lineage: 'tuple[str, ...]', depth: 'int', "
+            "warnings: 'tuple[tuple[str, Finding], ...]' = ())",
         ),
         "ChangeEntry": (
             ChangeEntry("part-modified", "c1", "statement", "a", "b"), "after_prose",

@@ -471,15 +471,6 @@ class TestResolveChain:
         assert [p.name for p in control.parts] == ["statement", "guidance", "am-specific"]
         assert control.part("ot-specific") is None
 
-    def test_a_given_memo_is_filled_and_must_start_empty(self, fixture_store):
-        store = SourceStore(fixture_store)
-        memo: dict = {}
-        resolved = resolve_chain(store, "am-profile.yaml", memo=memo)
-        assert memo["am-profile.yaml"] is resolved
-        assert sorted(memo) == ["am-profile.yaml", "csf-id-am.yaml", "ot-profile.yaml"]
-        with pytest.raises(ValueError, match="empty memo"):  # it could be older than the files
-            resolve_chain(store, "am-profile.yaml", memo=memo)
-
     def test_single_level_chain_degenerates_to_resolve(self, fixture_store):
         store = SourceStore(fixture_store)
         chained = resolve_chain(store, "ot-profile.yaml")
@@ -1096,6 +1087,34 @@ class TestReferenceResolver:
                         lambda: resolve_in_store(store, uri, lenient=lenient, memo=memo)) \
                         == oracles.resolution_record(lambda: oracles.reference_resolve_in_store(
                             reference_store, uri, lenient=lenient)), uri
+
+    @given(strategies.edited_stores(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lineage_warnings_agree_with_the_chain_formula(self, case, data):
+        """Every profile's lenient warnings, the whole lineage's, as ``chain_warnings`` gave them.
+
+        Before and after the edit, beside a ``lenient_diamond`` over a drawn
+        document of the store.
+        """
+        target, _, edited = case["edit"]
+        source = data.draw(st.sampled_from(sorted(case["files"])))
+        diamond = strategies.lenient_diamond(source, case["files"][source], data.draw(st.booleans()))
+        for files in (case["files"], {**case["files"], target: edited}):
+            with tempfile.TemporaryDirectory() as tmp:
+                root = Path(tmp)
+                for uri, text in {**files, **diamond}.items():
+                    (root / uri).parent.mkdir(exist_ok=True)
+                    (root / uri).write_bytes(text)
+                store = SourceStore(root)
+                for uri in [*case["imports"], *diamond]:
+                    try:
+                        warnings = resolve_chain(store, uri, lenient=True).warnings
+                    except GuidanceError:  # an edit that breaks a document
+                        continue
+                    assert list(warnings) == oracles.reference_chain_warnings(
+                        SourceStore(root), uri), uri
+                    if uri == "d-top.yaml" and files is case["files"]:
+                        assert len(warnings) == 5
 
     def test_fixture_chain(self, fixture_store):
         store, memo = SourceStore(fixture_store), {}
