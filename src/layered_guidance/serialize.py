@@ -5,27 +5,17 @@ Documents are YAML or JSON with a single top-level ``catalog:`` or
 required fields are schema errors; model-invariant violations raise
 ``ValidationError``.
 
-Block YAML of the subset the canonical emitter writes, which covers every
-canonical document, is read line by line (``_read_block``): block mappings
-and sequences with compact ``- key:`` items, each nested block two columns
-right of its key or dash; plain scalars and keys that the strict loader's
-resolver reads as str; single-line double-quoted scalars with JSON's
-escapes but no surrogate escape; ``>-`` folded scalars whose body lines
-all start two columns right of their key or dash; and ``[]``. Anything
-else (flow style, a comment, a single-quoted or literal scalar, a tag,
-anchor or alias, another indent, a blank or more-indented line, a tab, CR,
-BOM, control or separator character, a scalar of another type, a
-duplicate key, a ``key:`` without a nested block, no final newline, not
-exactly one document, a syntax error) goes to the general strict loader,
-the only source of loader errors, so their wording, marks and exit code
-are the same on both paths.
+YAML in the canonical emitter's layout (every canonical, shipped and
+generated document) is read straight into the model by ``_read_layout``:
+the emitter's key order and indents, plain scalars the strict loader reads
+as str, single-line double-quoted scalars with JSON's escapes, ``>-`` folds
+of any width, and ``[]`` for an empty include. Anything else goes, more
+slowly, to the strict loader and the builders, the only source of loader
+and schema errors, so wording, marks and exit code match on both paths.
 
-Building the model checks each mapping's keys against its type's
-required and allowed key sets. Each builder is handed its node's path
-unformatted, and a value's path (such as
-``catalog/controls/0/parts/1/prose``) is formatted only to report a
-failure there. Validation does the same: ``validate_catalog`` and
-``profile_structure_findings`` format a path only for a finding.
+A builder checks each mapping's required and allowed keys and reports a
+failure at the value's path, such as ``catalog/controls/0/parts/1/prose``;
+validation formats a path only for a finding.
 
 Serialization is canonical so output is byte-stable and diff-friendly:
 UTF-8, LF endings, 2-space indent, block style only, fixed key order per
@@ -110,9 +100,9 @@ _StrictLoader.add_constructor(
 )
 
 
-_DECLINED = object()  # what ``_read_block`` returns when ``_StrictLoader`` has to decide
+_DECLINED = object()  # what ``_read_layout`` returns when ``_StrictLoader`` has to decide
 
-# Characters the block reader leaves to ``_StrictLoader``: controls but the
+# Characters the layout reader leaves to ``_StrictLoader``: controls but the
 # line feed, line and paragraph separators, surrogates, the byte order mark,
 # U+FFFE and U+FFFF. ASCII text is checked by deleting the bytes allowed.
 _ALLOWED_ASCII = b"\n" + bytes(range(0x20, 0x7F))
@@ -141,122 +131,172 @@ def _is_plain_str(value: str, loader: type) -> bool:
                  == loader.DEFAULT_SCALAR_TAG))
 
 
-def _read_block(text: str) -> Any:
-    """``text``'s dict/list/str tree if it is block YAML of the subset, else ``_DECLINED``.
+class _Declined(Exception):
+    """Raised while the layout is read, when ``_StrictLoader`` has to decide."""
 
-    ``text`` is read line by line with a stack of the open collections and
-    their columns. A nested block, and each line of a ``>-`` body, starts
-    two columns right of its key or dash. Plain scalars and keys must read
-    back as themselves under ``_StrictLoader`` (``_is_plain_str``), looked
-    up per call so that a stand-in loader decides them too.
+
+def _scalar_re(lead: str, column: int) -> str:
+    """``lead``, then a scalar: ``>-`` and body lines at ``column`` (group 1) or a line's rest."""
+    return rf"{lead}(?: >-\n((?: {{{column}}}[^\n]*\n)+)| ([^\n]*)\n)"
+
+
+# A catalog, then its optional ``controls:`` key, or a profile and its ``imports:`` key.
+_HEADER_RE = re.compile("(?:(catalog)|profile):\n  metadata:\n" + _scalar_re("    title:", 6)
+                        + _scalar_re("    version:", 6) + "(?(1)(  controls:\n)?|  imports:\n)")
+_IMPORT_RE = re.compile(_scalar_re("    - source:", 8) + "      include:(?:(\n)|"
+                        + _scalar_re("", 8) + ")")
+_ALTERATION_RE = re.compile(_scalar_re("    - control-id:", 8) + "(      removes:\n)?")
+_ID_RE = re.compile(_scalar_re("        -", 10))  # an item of ``include:`` or ``exclude:``
+_REMOVE_RE = re.compile(f"        - by-(?:name:{_scalar_re('', 12)}|class:{_scalar_re('', 12)})")
+
+
+@functools.cache
+def _item_re(column: int, part: bool) -> re.Pattern:
+    """A part listed at ``column``, or a control's own block there up to its parts.
+
+    Indents are counted repeats, so a pattern compiles as fast at any depth.
     """
-    if text[-1:] != "\n":
-        return _DECLINED
-    if text.isascii():
-        if text.encode().translate(None, _ALLOWED_ASCII):
-            return _DECLINED
-    elif _FOREIGN_RE.search(text):
-        return _DECLINED
-    loader = _StrictLoader
-    plain_strs: set[str] = set()  # plain scalars and keys already accepted in this document
-    lines = text.split("\n")
-    lines.pop()  # the empty string after the final line end
-    count = len(lines)
-    root = top = [] if lines[0][:2] == "- " else {}
-    column = 0  # the column of ``top``'s keys or dashes
-    stack: list = []  # (collection, column) of each collection enclosing ``top``
-    pending: str | None = None  # a key of ``top`` whose value is the block on the next line
-    index = 0
-    while index < count:
-        line = lines[index]
-        index += 1
-        content = line.lstrip(" ")
-        indent = len(line) - len(content)
-        if pending is not None:
-            if indent != column + 2:
-                return _DECLINED
-            child = [] if content[:2] == "- " else {}
-            top[pending] = child
-            stack.append((top, column))
-            top, column, pending = child, indent, None
-        elif indent != column:
-            while indent < column:
-                top, column = stack.pop()
-            if indent != column:
-                return _DECLINED
-        key = None
-        if top.__class__ is list:
-            if content[:2] != "- ":
-                return _DECLINED
-            content = content[2:]
-            if content[:1] != '"' and (": " in content or content[-1:] == ":"):
-                # a compact ``- key:`` item: a mapping whose first key is on this line
-                child = {}
-                top.append(child)
-                stack.append((top, column))
-                top, column = child, column + 2
-            else:
-                value = content
-        if top.__class__ is dict:
-            key, separator, value = content.partition(": ")
-            if not separator:
-                if key[-1:] != ":":
-                    return _DECLINED
-                key, value = key[:-1], None
-            if len(key) > 256 or key in top:  # far below the 1024 a simple key may span
-                return _DECLINED
-            if key not in plain_strs:
-                if not _is_plain_str(key, loader):
-                    return _DECLINED
-                plain_strs.add(key)
-            if value is None:
-                pending = key
-                continue
-        # ``value`` is the scalar after the key or dash at ``column``; a
-        # scalar already accepted as plain is neither quoted, folded nor ``[]``
-        if value in plain_strs:
-            pass
-        elif value[:1] == '"':
-            if "\\" in value:
-                if _QUOTED_RE.fullmatch(value) is None:
-                    return _DECLINED
-                value = json.loads(value)
-            elif value.find('"', 1) != len(value) - 1:
-                return _DECLINED
-            else:
-                value = value[1:-1]
-        elif value == ">-":
-            body_column = column + 2
-            pad = " " * body_column
-            first = index
-            while index < count and lines[index][:body_column] == pad:
-                index += 1
-            value = " ".join([line[body_column:] for line in lines[first:index]])
-            if not value or value[0] == " " or value[-1] == " " or "  " in value:
-                return _DECLINED  # no body, or a blank, more-indented or trailing-space line
-        elif value == "[]":
-            value = []
-        elif _is_plain_str(value, loader):
-            plain_strs.add(value)
-        else:
-            return _DECLINED
-        if key is None:
-            top.append(value)
-        else:
-            top[key] = value
-    if pending is not None:
-        return _DECLINED
-    return root
+    pad, dash, body = f" {{{column + 2}}}", f" {{{column}}}- ", column + 4
+    class_re = f"(?:{_scalar_re(pad + 'class:', body)})?"
+    if part:
+        return re.compile(_scalar_re(dash + "name:", body) + class_re + _scalar_re(pad + "prose:", body))
+    return re.compile(f"{_scalar_re(dash + 'id:', body)}{class_re}({pad}parts:\n)?")
 
 
-class _BlockReader:
-    """A loader for ``yaml.load`` whose only work is ``_read_block``: no parser, no events."""
+def _str(fold: str | None, line: str | None, column: int, plain: set[str]) -> str | None:
+    """The str a ``_scalar_re`` match's two groups read as, None for neither.
+
+    A plain scalar must read back as itself (``_is_plain_str``) under the
+    ``_StrictLoader`` of the call; ``plain`` holds those already accepted.
+    """
+    if line is None:
+        if fold is None:
+            return None
+        value = fold[column:-1].replace("\n" + " " * column, " ")
+        if not value or value[0] == " " or value[-1] == " " or "  " in value:
+            raise _Declined  # a blank, more-indented or trailing-space line
+        return value
+    if line in plain:
+        return line
+    if line[:1] == '"':
+        if _QUOTED_RE.fullmatch(line) is None:
+            raise _Declined
+        return json.loads(line)
+    if not _is_plain_str(line, _StrictLoader):
+        raise _Declined
+    plain.add(line)
+    return line
+
+
+def _some(items: list) -> list:
+    """``items``, unless there are none: a list's key with no items reads as null."""
+    if not items:
+        raise _Declined
+    return items
+
+
+def _ids(text: str, pos: int, plain: set[str]) -> tuple[list[str], int]:
+    """The ids listed from ``pos`` under ``include:`` or ``exclude:``, and where they end."""
+    ids = []
+    while (match := _ID_RE.match(text, pos)) is not None:
+        ids.append(_str(*match.groups(), 10, plain))
+        pos = match.end()
+    return _some(ids), pos
+
+
+def _parts(text: str, pos: int, column: int, plain: set[str]) -> tuple[list[Part], int]:
+    """The parts listed at ``column`` from ``pos``, and where they end."""
+    pattern, body, parts = _item_re(column, True), column + 4, []
+    while (match := pattern.match(text, pos)) is not None:
+        name_fold, name, class_fold, classifier, prose_fold, prose = match.groups()
+        parts.append(Part(_str(name_fold, name, body, plain), _str(prose_fold, prose, body, plain),
+                          _str(class_fold, classifier, body, plain)))
+        pos = match.end()
+    return _some(parts), pos
+
+
+def _controls(text: str, pos: int, column: int, plain: set[str]) -> tuple[list[Control], int]:
+    """The controls listed at ``column`` from ``pos``, and where they end."""
+    pattern, body, controls = _item_re(column, False), column + 4, []
+    children_key = " " * (column + 2) + "children:\n"
+    while (match := pattern.match(text, pos)) is not None:
+        id_fold, control_id, class_fold, classifier, parts_key = match.groups()
+        parts, pos = _parts(text, match.end(), body, plain) if parts_key else ((), match.end())
+        children, pos = (_controls(text, pos + len(children_key), body, plain)
+                         if text.startswith(children_key, pos) else ((), pos))
+        controls.append(Control(_str(id_fold, control_id, body, plain),
+                                _str(class_fold, classifier, body, plain), parts, children))
+    return _some(controls), pos
+
+
+def _profile(text: str, pos: int, plain: set[str]) -> tuple[list, list, int]:
+    """A profile's imports and alterations from past its ``imports:`` key, and their end."""
+    imports, alterations = [], []
+    while (match := _IMPORT_RE.match(text, pos)) is not None:
+        source_fold, source, listed, include_fold, include = match.groups()
+        pos, exclude = match.end(), ()
+        if listed:
+            include, pos = _ids(text, pos, plain)
+        elif include == "[]":
+            include = ()
+        elif (include := _str(include_fold, include, 8, plain)) != INCLUDE_ALL:
+            raise _Declined
+        if text.startswith("      exclude:\n", pos):
+            exclude, pos = _ids(text, pos + 15, plain)
+        imports.append(ImportDirective(_str(source_fold, source, 8, plain), include, exclude))
+    if text.startswith("  alterations:\n", pos):
+        pos += 15
+        while (match := _ALTERATION_RE.match(text, pos)) is not None:
+            fold, control_id, removes_key = match.groups()
+            pos, removes, adds = match.end(), [], []
+            while removes_key and (remove := _REMOVE_RE.match(text, pos)) is not None:
+                name_fold, name, class_fold, classifier = remove.groups()
+                removes.append(RemoveDirective(_str(name_fold, name, 12, plain),
+                                               _str(class_fold, classifier, 12, plain)))
+                pos = remove.end()
+            if text.startswith("      adds:\n", pos):
+                pos += 12
+                while text.startswith("        - parts:\n", pos):
+                    parts, pos = _parts(text, pos + 17, 12, plain)
+                    adds.append(AddDirective(parts))
+                _some(adds)
+            alterations.append(Alteration(_str(fold, control_id, 8, plain),
+                                          _some(removes) if removes_key else (), adds))
+        _some(alterations)
+    return _some(imports), alterations, pos
+
+
+def _read_layout(text: str) -> Any:
+    """``(Catalog or Profile, fields but the uri)`` of a text in the layout, else ``_DECLINED``."""
+    if (text.encode().translate(None, _ALLOWED_ASCII) if text.isascii()
+            else _FOREIGN_RE.search(text)):
+        return _DECLINED
+    match = _HEADER_RE.match(text)
+    if match is None:
+        return _DECLINED
+    catalog, title_fold, title, version_fold, version, controls_key = match.groups()
+    pos, plain = match.end(), set()  # ``plain``: the plain scalars already accepted
+    try:
+        metadata = Metadata(_str(title_fold, title, 6, plain), _str(version_fold, version, 6, plain))
+        if catalog:
+            controls, pos = _controls(text, pos, 4, plain) if controls_key else ((), pos)
+            read = Catalog, (metadata, controls)
+        else:
+            imports, alterations, pos = _profile(text, pos, plain)
+            read = Profile, (metadata, imports, alterations)
+    except _Declined:
+        return _DECLINED
+    return read if pos == len(text) else _DECLINED
+
+
+class _LayoutReader:
+    """A loader for ``yaml.load`` whose only work is ``_read_layout``: no parser, no events."""
 
     def __init__(self, stream: str) -> None:
         self._text = stream
 
     def get_single_data(self) -> Any:
-        return _read_block(self._text)
+        return _read_layout(self._text)
 
     def dispose(self) -> None:
         pass
@@ -265,9 +305,9 @@ class _BlockReader:
 def _load_yaml(text: str) -> Any:
     # Both paths go through ``yaml.load``, so whatever wraps it to time the
     # parser (perfbench's trace spans) sees every parse.
-    tree = yaml.load(text, Loader=_BlockReader)
-    if tree is not _DECLINED:
-        return tree
+    read = yaml.load(text, Loader=_LayoutReader)
+    if read is not _DECLINED:
+        return read
     try:
         return yaml.load(text, Loader=_StrictLoader)
     except UnicodeEncodeError as exc:  # libyaml encodes str input to UTF-8 itself
@@ -313,122 +353,86 @@ _ADD_KEYS = _keys({"parts"}, {"position"})
 _ALTERATION_KEYS = _keys({"control-id"}, {"removes", "adds"})
 _PROFILE_KEYS = _keys({"metadata", "imports"}, {"alterations"})
 
-# Each builder takes its node's path unformatted, as ``at``: a str, or
-# ``(parent's at, key, index)`` for a list item. ``_path`` formats it only
-# to report a failure, which is the one place a ``SchemaError`` is raised.
 
-
-def _path(at: Any, key: str | None = None) -> str:
-    """The slash path ``at`` names, followed by ``key`` when given."""
-    if at.__class__ is tuple:
-        parent, list_key, index = at
-        at = f"{_path(parent)}/{list_key}/{index}"
-    return at if key is None else f"{at}/{key}"
-
-
-def _expect_mapping(value: Any, at: Any, keys: tuple[frozenset, frozenset]) -> dict:
+def _expect_mapping(value: Any, at: str, keys: tuple[frozenset, frozenset]) -> dict:
     """``value`` as a mapping with only allowed keys and every required one.
 
     The first unknown key in document order is reported before the first
     missing key in sorted order.
     """
-    if value.__class__ is not dict and not isinstance(value, dict):
-        raise SchemaError(f"expected a mapping, got {type(value).__name__}", _path(at))
+    if not isinstance(value, dict):
+        raise SchemaError(f"expected a mapping, got {type(value).__name__}", at)
     required, allowed = keys
-    present = value.keys()
-    if not present <= allowed:
-        unknown = next(key for key in value if key not in allowed)
-        raise SchemaError(f"unknown key {unknown!r}", _path(at))
-    if not required <= present:
-        raise SchemaError(f"missing required key {min(required - present)!r}", _path(at))
+    unknown = [key for key in value if key not in allowed]
+    if unknown:
+        raise SchemaError(f"unknown key {unknown[0]!r}", at)
+    if not required <= value.keys():
+        raise SchemaError(f"missing required key {min(required - value.keys())!r}", at)
     return value
 
 
-# The builders test ``value.__class__`` against the exact type the loaders
-# produce, and call these checks, which accept a subclass too, only when
-# that test fails.
-
-
-def _expect_str(value: Any, at: Any, key: str | None = None) -> str:
+def _expect_str(value: Any, at: str, key: str | None = None) -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"expected a string, got {type(value).__name__}", _path(at, key))
+        path = at if key is None else f"{at}/{key}"
+        raise SchemaError(f"expected a string, got {type(value).__name__}", path)
     return value
 
 
-def _expect_list(value: Any, at: Any, key: str) -> list:
+def _expect_list(value: Any, at: str, key: str) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"expected a list, got {type(value).__name__}", _path(at, key))
+        raise SchemaError(f"expected a list, got {type(value).__name__}", f"{at}/{key}")
     return value
 
 
-def _optional_str(mapping: dict, key: str, at: Any) -> str | None:
+def _optional_str(mapping: dict, key: str, at: str) -> str | None:
     """The string ``mapping[key]``, or None when ``key`` is absent."""
-    value = mapping.get(key)
-    if value.__class__ is not str and key in mapping:
-        _expect_str(value, at, key)
-    return value
+    return _expect_str(mapping[key], at, key) if key in mapping else None
 
 
-def _build_list(mapping: dict, key: str, at: Any, build: Callable[[Any, Any], Any]) -> tuple:
-    """``build`` applied to each item of the optional list ``mapping[key]``.
-
-    An item's path goes to ``build`` as ``(at, key, index)``, formatted only
-    if that item fails.
-    """
-    items = mapping.get(key)
-    if items.__class__ is not list:
-        if key not in mapping:
-            return ()
-        items = _expect_list(items, at, key)
-    built = []  # a loop: most lists hold one item, and a comprehension costs a call of its own
-    for index, item in enumerate(items):
-        built.append(build(item, (at, key, index)))
+def _build_list(mapping: dict, key: str, at: str, build: Callable[[Any, str], Any]) -> tuple:
+    """``build`` applied to each item of the optional list ``mapping[key]`` and the item's path."""
+    if key not in mapping:
+        return ()
+    built = []  # a loop: a comprehension's frame would lower the nesting depth that parses
+    for index, item in enumerate(_expect_list(mapping[key], at, key)):
+        built.append(build(item, f"{at}/{key}/{index}"))
     return tuple(built)
 
 
-def _str_list(value: Any, at: Any, key: str) -> list[str]:
-    items = value if value.__class__ is list else _expect_list(value, at, key)
-    for index, item in enumerate(items):
-        if item.__class__ is not str:
-            _expect_str(item, (at, key, index))
-    return items
+def _str_list(value: Any, at: str, key: str) -> list[str]:
+    for index, item in enumerate(_expect_list(value, at, key)):
+        _expect_str(item, f"{at}/{key}/{index}")
+    return value
 
 
-def _build_metadata(value: Any, at: Any) -> Metadata:
+def _build_metadata(value: Any, at: str) -> Metadata:
     mapping = _expect_mapping(value, at, _METADATA_KEYS)
     return Metadata(_expect_str(mapping["title"], at, "title"),
                     _expect_str(mapping["version"], at, "version"))
 
 
-def _build_part(value: Any, at: Any) -> Part:
+def _build_part(value: Any, at: str) -> Part:
     mapping = _expect_mapping(value, at, _PART_KEYS)
     classifier = _optional_str(mapping, "class", at)
-    name, prose = mapping["name"], mapping["prose"]
-    if name.__class__ is not str:
-        _expect_str(name, at, "name")
-    if prose.__class__ is not str:
-        _expect_str(prose, at, "prose")
-    return Part(name, prose, classifier)
+    return Part(_expect_str(mapping["name"], at, "name"), _expect_str(mapping["prose"], at, "prose"),
+                classifier)
 
 
-def _build_control(value: Any, at: Any) -> Control:
+def _build_control(value: Any, at: str) -> Control:
     mapping = _expect_mapping(value, at, _CONTROL_KEYS)
     classifier = _optional_str(mapping, "class", at)
     parts = _build_list(mapping, "parts", at, _build_part)
     children = _build_list(mapping, "children", at, _build_control)
-    control_id = mapping["id"]
-    if control_id.__class__ is not str:
-        _expect_str(control_id, at, "id")
-    return Control(control_id, classifier, parts, children)
+    return Control(_expect_str(mapping["id"], at, "id"), classifier, parts, children)
 
 
 def _build_catalog(value: Any, at: str, uri: str) -> Catalog:
     mapping = _expect_mapping(value, at, _CATALOG_KEYS)
     controls = _build_list(mapping, "controls", at, _build_control)
-    return Catalog(_build_metadata(mapping["metadata"], _path(at, "metadata")), controls, uri)
+    return Catalog(_build_metadata(mapping["metadata"], f"{at}/metadata"), controls, uri)
 
 
-def _build_import(value: Any, at: Any) -> ImportDirective:
+def _build_import(value: Any, at: str) -> ImportDirective:
     mapping = _expect_mapping(value, at, _IMPORT_KEYS)
     include: str | list[str] = INCLUDE_ALL
     if "include" in mapping:
@@ -436,48 +440,45 @@ def _build_import(value: Any, at: Any) -> ImportDirective:
         if isinstance(raw, str):
             if raw != INCLUDE_ALL:
                 raise SchemaError(f"include must be \"all\" or a list of control ids, got {raw!r}",
-                                  _path(at, "include"))
+                                  f"{at}/include")
         else:
             include = _str_list(raw, at, "include")
     exclude = _str_list(mapping["exclude"], at, "exclude") if "exclude" in mapping else ()
     return ImportDirective(_expect_str(mapping["source"], at, "source"), include, exclude)
 
 
-def _build_remove(value: Any, at: Any) -> RemoveDirective:
+def _build_remove(value: Any, at: str) -> RemoveDirective:
     mapping = _expect_mapping(value, at, _REMOVE_KEYS)
     if len(mapping) != 1:
-        raise SchemaError("exactly one of by-name/by-class must be given", _path(at))
+        raise SchemaError("exactly one of by-name/by-class must be given", at)
     by_name = _optional_str(mapping, "by-name", at)
     if by_name is not None:
         return RemoveDirective(by_name)
     return RemoveDirective(None, _optional_str(mapping, "by-class", at))
 
 
-def _build_add(value: Any, at: Any) -> AddDirective:
+def _build_add(value: Any, at: str) -> AddDirective:
     mapping = _expect_mapping(value, at, _ADD_KEYS)
     position = _optional_str(mapping, "position", at)
     if position is None:
         position = "ending"
     elif position != "ending":
-        raise SchemaError(f"unsupported position {position!r}", _path(at, "position"))
+        raise SchemaError(f"unsupported position {position!r}", f"{at}/position")
     return AddDirective(_build_list(mapping, "parts", at, _build_part), position)
 
 
-def _build_alteration(value: Any, at: Any) -> Alteration:
+def _build_alteration(value: Any, at: str) -> Alteration:
     mapping = _expect_mapping(value, at, _ALTERATION_KEYS)
     removes = _build_list(mapping, "removes", at, _build_remove)
     adds = _build_list(mapping, "adds", at, _build_add)
-    control_id = mapping["control-id"]
-    if control_id.__class__ is not str:
-        _expect_str(control_id, at, "control-id")
-    return Alteration(control_id, removes, adds)
+    return Alteration(_expect_str(mapping["control-id"], at, "control-id"), removes, adds)
 
 
 def _build_profile(value: Any, at: str, uri: str) -> Profile:
     mapping = _expect_mapping(value, at, _PROFILE_KEYS)
     imports = _build_list(mapping, "imports", at, _build_import)
     alterations = _build_list(mapping, "alterations", at, _build_alteration)
-    return Profile(_build_metadata(mapping["metadata"], _path(at, "metadata")), imports,
+    return Profile(_build_metadata(mapping["metadata"], f"{at}/metadata"), imports,
                    alterations, uri)
 
 
@@ -522,24 +523,23 @@ def parse_document(text: bytes | str, format: str = AUTO, uri: str = "") -> Docu
         raw = _load_yaml(text)
     else:
         raise ValueError(f"unknown format {format!r}")
-
-    if not isinstance(raw, dict):
-        raise SchemaError(f"top level must be a mapping, got {type(raw).__name__}")
-    kinds = [key for key in ("catalog", "profile") if key in raw]
-    unknown = [key for key in raw if key not in ("catalog", "profile")]
-    if unknown:
-        raise SchemaError(f"unknown key {unknown[0]!r}")
-    if len(kinds) != 1:
-        raise SchemaError("exactly one of 'catalog' or 'profile' must be present")
-    kind = kinds[0]
-
-    body: Catalog | Profile
-    if kind == "catalog":
-        body = _build_catalog(raw[kind], "catalog", uri)
-        findings = validate_catalog(body)
+    if raw.__class__ is tuple:  # ``_read_layout``'s record type and fields
+        body = raw[0](*raw[1], uri)
     else:
-        body = _build_profile(raw[kind], "profile", uri)
-        findings = body.structure_findings
+        if not isinstance(raw, dict):
+            raise SchemaError(f"top level must be a mapping, got {type(raw).__name__}")
+        kinds = [key for key in ("catalog", "profile") if key in raw]
+        unknown = [key for key in raw if key not in ("catalog", "profile")]
+        if unknown:
+            raise SchemaError(f"unknown key {unknown[0]!r}")
+        if len(kinds) != 1:
+            raise SchemaError("exactly one of 'catalog' or 'profile' must be present")
+        kind = kinds[0]
+        body = (_build_catalog if kind == "catalog" else _build_profile)(raw[kind], kind, uri)
+    if body.__class__ is Catalog:
+        kind, findings = "catalog", validate_catalog(body)
+    else:
+        kind, findings = "profile", body.structure_findings
     if has_errors(findings):
         raise ValidationError(findings)
     return DocumentEnvelope(kind=kind, body=body)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 import yaml
@@ -662,27 +663,31 @@ class TestLoaderEquivalence:
 
 
 def _load_outcome(text: str, reader: bool = True):
-    """``_load_yaml``'s value, or the error it raises.
+    """``parse_document``'s outcome for the YAML ``text``: the envelope, or the error it raises.
 
-    The value is compared as its repr, so types and key order count.
-    Without ``reader`` this is ``yaml.load(text, Loader=_StrictLoader)``
-    mapped to the package's errors.
+    The envelope is compared as its repr, so types and field order count; a
+    syntax error by class, message, line and column, a schema error by its
+    message, a validation error by its findings. Without ``reader`` the
+    layout reader declines, so ``_StrictLoader`` and the builders decide.
     """
     with pytest.MonkeyPatch.context() as patch:
         if not reader:
-            patch.setattr(serialize, "_read_block", lambda text: serialize._DECLINED)
+            patch.setattr(serialize, "_read_layout", lambda text: serialize._DECLINED)
         try:
-            return repr(serialize._load_yaml(text))
+            return repr(parse_document(text, "yaml"))
         except DocumentSyntaxError as exc:
             return DocumentSyntaxError, str(exc), exc.line, exc.column
         except SchemaError as exc:
             return SchemaError, str(exc)
+        except ValidationError as exc:
+            return ValidationError, exc.findings
 
 
-# Each choice below is between forms inside the block reader's subset and
-# forms outside it: other scalars, keys and styles, near misses of the
-# subset, or text YAML reads otherwise. A text draws one mix for all its
-# choices (``_Mix``), so some texts lie wholly inside the subset.
+# Each choice below is between forms inside the block subset of plain,
+# double-quoted and ``>-`` scalars and forms outside it: other scalars, keys
+# and styles, near misses of the subset, or text YAML reads otherwise. A
+# text draws one mix for all its choices (``_Mix``), so some texts lie
+# wholly inside the subset.
 _SCALARS = (["a", "b c", "x-y", "title", '"a"', '"yes"', '"\\u00e9 b"', '"a\\nb"', "[]", "a:b",
              "a#b", "a,b]", "...", '"a\\/b"', '"\\"\\\\"', '""'],
             ["'1'", "''", "'it''s'", "off", "", "~", "1", "yes", "<<", "=", "null", "-2.5",
@@ -700,7 +705,7 @@ _VALUE_KINDS = (["inline", "inline", "folded"],
                 ["flow", "literal", "plain-lines", "folded-other"])
 _COLLECTION_PREFIXES = ([""], [" &k", " !", " !x"])
 _MUTATIONS = ([None], ["crlf", "no final newline", "bom", "char"])
-# Characters the block reader leaves to the strict loader, inserted anywhere.
+# Characters the layout reader leaves to the strict loader, inserted anywhere.
 _FOREIGN_CHARS = ["\t", "\r", "\x07", "\x7f", "\x85", "\u2028", "\u2029", "\ufeff", "\ufffe",
                   "\ud800", "\xa0"]
 
@@ -779,7 +784,7 @@ def _block_sequence(mix: _Mix, indent: int, depth: int) -> str:
 
 @st.composite
 def yaml_texts(draw) -> str:
-    """Small YAML streams, valid or not, inside and outside the block reader's subset."""
+    """Small YAML streams, valid or not, inside and outside the block subset."""
     mix = _Mix(draw)
     documents = []
     for _ in range(mix(([1], [1] * 8 + [0, 2]))):
@@ -814,9 +819,107 @@ def yaml_texts(draw) -> str:
 _LOADERS = [pytest.param(serialize._StrictLoader, id="strict"),
             pytest.param(_PurePythonLoader, id="pure-python")]
 
+# A line holding one scalar: its lead (a key, a dash, or a dash and a key) and the scalar.
+_SCALAR_LINE_RE = re.compile(r"( *(?:(?:- )?[a-z-]+:|-)) (?![a-z-]+:$)(.+)")
+_EDITS = ("swap", "reindent", "duplicate", "drop", "blank", "comment", "trailing space",
+          "scalar", "scalar", "scalar")
+# What an edited scalar becomes. Its plain and double-quoted forms keep the
+# layout where they read as the same str, so they are drawn most often.
+_SCALAR_FORMS = ("plain", "quoted") * 4 + ("1", "yes", "~", "'q'", '"\\e"', "[]", "nested")
+
+
+@st.composite
+def mutated_documents(draw) -> str:
+    """A serialized document with one or two edits at the edges of the canonical layout."""
+    envelope = draw(strategies.documents())
+    if envelope.kind == "catalog" and draw(st.booleans()):  # with folded prose
+        envelope = DocumentEnvelope("catalog", strategies.with_long_prose(envelope.body))
+    lines = serialize_document(envelope).decode("utf-8").split("\n")[:-1]
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        line = lines[at]
+        indent = len(line) - len(line.lstrip(" "))
+        edit = draw(st.sampled_from(_EDITS))
+        if edit == "swap" and at + 1 < len(lines):
+            lines[at:at + 2] = lines[at + 1], line
+        elif edit == "reindent":
+            step = draw(st.sampled_from([-2, -1, 1, 2]))
+            lines[at] = " " * step + line if step > 0 else line[min(-step, indent):]
+        elif edit == "duplicate":
+            lines.insert(at, line)
+        elif edit == "drop" and len(lines) > 1:
+            del lines[at]
+        elif edit == "blank":
+            lines.insert(at, "")
+        elif edit == "comment":
+            lines.insert(at, " " * indent + "# a comment")
+        elif edit == "trailing space":
+            lines[at] = line + " "
+        elif edit == "scalar" and (match := _SCALAR_LINE_RE.fullmatch(line)):
+            lead, value = match.groups()
+            form = draw(st.sampled_from(_SCALAR_FORMS))
+            if form == "plain" and serialize._QUOTED_RE.fullmatch(value):
+                lines[at] = f"{lead} {json.loads(value)}"
+            elif form == "quoted" and value[:1] != '"':
+                lines[at] = f"{lead} {serialize._quote(value)}"
+            elif form == "nested":
+                lines[at] = f"{lead}\n{' ' * (indent + 2)}key: value"
+            elif form not in ("plain", "quoted"):
+                lines[at] = f"{lead} {form}"
+    return "\n".join(lines) + "\n"
+
+
+def _restyled(text: str, draw, loader) -> str:
+    """``text`` written otherwise inside the layout, with the same meaning.
+
+    Each ``>-`` body is folded again at a width from 20 to 76; some scalars
+    are written double-quoted, or plain where that reads as the same str
+    under ``loader``.
+    """
+    lines, restyled, at = text.split("\n")[:-1], [], 0
+    while at < len(lines):
+        line = lines[at]
+        at += 1
+        match = _SCALAR_LINE_RE.fullmatch(line)
+        if match is None:
+            restyled.append(line)
+            continue
+        lead, value = match.groups()
+        if value == ">-":
+            key = lead.lstrip(" ")
+            column = len(lead) - len(key) + (4 if key[:2] == "- " else 2)
+            body = []
+            while at < len(lines) and lines[at].startswith(" " * column):
+                body.append(lines[at][column:])
+                at += 1
+            wrap = serialize._wrap_re(draw(st.integers(20, 76)))
+            restyled += [line] + [" " * column + piece for piece in wrap.findall(" ".join(body))]
+            continue
+        if draw(st.booleans()) and value[:1] == '"':
+            plain = json.loads(value)
+            if plain.isprintable() and serialize._is_plain_str(plain, loader):
+                value = plain
+        elif draw(st.booleans()) and value[:1] != '"' and value != "[]":
+            value = serialize._quote(value)
+        restyled.append(f"{lead} {value}")
+    return "\n".join(restyled) + "\n"
+
+
+# A catalog and a profile in the canonical layout, and the catalog's prose line.
+_CATALOG = serialize_document(parse_document(CONTROL_SNIPPET)).decode("utf-8")
+_PROFILE = serialize_document(parse_document(PROFILE_SNIPPET)).decode("utf-8")
+_PROSE = "prose: Organizational communication and data flows are mapped"
+
+
+class _Unreached(serialize._StrictLoader):
+    """A strict loader that fails as soon as a document is handed to it."""
+
+    def __init__(self, stream) -> None:
+        raise AssertionError("a document went to the strict loader")
+
 
 class TestEventPath:
-    """``_load_yaml``'s block reader builds what the strict loader builds, or declines.
+    """``_load_yaml``'s layout reader builds what the strict loader and builders build, or declines.
 
     The reader asks the loader class's resolver, and a decline goes to that
     loader, so each property runs with libyaml's loader and its pure-Python
@@ -830,9 +933,8 @@ class TestEventPath:
         text = serialize_document(envelope, "yaml").decode("utf-8")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(serialize, "_StrictLoader", loader)
-            tree = serialize._read_block(text)
-            assert tree is not serialize._DECLINED
-            assert repr(tree) == repr(yaml.load(text, Loader=loader))
+            assert serialize._read_layout(text) is not serialize._DECLINED
+            assert _load_outcome(text) == _load_outcome(text, reader=False)
 
     @pytest.mark.parametrize("loader", _LOADERS)
     @given(text=yaml_texts())
@@ -842,7 +944,45 @@ class TestEventPath:
             patch.setattr(serialize, "_StrictLoader", loader)
             assert _load_outcome(text) == _load_outcome(text, reader=False)
 
-    @pytest.mark.parametrize("text, declines", [
+    @pytest.mark.parametrize("loader", _LOADERS)
+    @given(text=mutated_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_documents_load_like_the_strict_loader(self, loader, text: str):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "_StrictLoader", loader)
+            assert _load_outcome(text) == _load_outcome(text, reader=False)
+
+    @pytest.mark.parametrize("loader", _LOADERS)
+    @given(envelope=strategies.documents(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_refolded_and_requoted_documents_are_read(self, loader, envelope, data):
+        """Inputs need not be byte-canonical: perfbench's fold at 72 and 76 columns."""
+        if envelope.kind == "catalog":
+            envelope = DocumentEnvelope("catalog", strategies.with_long_prose(envelope.body))
+        canonical = serialize_document(envelope, "yaml").decode("utf-8")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "_StrictLoader", loader)
+            text = _restyled(canonical, data.draw, loader)
+            assert serialize._read_layout(text) is not serialize._DECLINED
+            assert _load_outcome(text) == _load_outcome(text, reader=False)
+            assert _load_outcome(text) == _load_outcome(canonical)
+
+    def test_a_300_level_catalog_is_read_as_the_strict_loader_reads_it(self):
+        control = Control("c300")
+        for level in range(299, 0, -1):
+            control = Control(f"c{level}", parts=(Part("statement", "x"),), children=(control,))
+        catalog = Catalog(Metadata("Deep", "1"), (control,))
+        text = serialize_document(DocumentEnvelope("catalog", catalog)).decode("utf-8")
+        assert serialize._read_layout(text) is not serialize._DECLINED
+        read = parse_document(text).body
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "_read_layout", lambda text: serialize._DECLINED)
+            strict = parse_document(text).body
+        controls = [[(c.id, c.parts) for c in iter_controls(body.controls)]
+                    for body in (catalog, read, strict)]
+        assert len(controls[0]) == 300 and controls[0] == controls[1] == controls[2]
+
+    @pytest.mark.parametrize("text, outside_subset", [
         ("a: b\nc: [d, 'e', \"f\"]\n", True),
         ("a: b\nj: |\n  k\n", True),
         ("title: name\nnot: off-by-one\n", False),
@@ -907,14 +1047,59 @@ class TestEventPath:
         ("a: b\r\n", True),
         ("a: b", True),
     ])
-    def test_what_declines(self, text, declines):
-        assert (serialize._read_block(text) is serialize._DECLINED) == declines
+    def test_what_declines(self, text, outside_subset):
+        """None of these texts is a catalog or a profile, so the layout reader declines each.
+
+        ``outside_subset`` is False for block YAML of plain keys of up to 256
+        characters and of plain, single-line double-quoted and ``>-`` str
+        scalars, each nested block two columns right of its key or dash: the
+        strict loader reads such a text, and only the schema rejects it.
+        """
+        assert serialize._read_layout(text) is serialize._DECLINED
+        outcome = _load_outcome(text)
+        assert outcome == _load_outcome(text, reader=False)
+        assert outside_subset or outcome[0] is SchemaError
+
+    @pytest.mark.parametrize("text, declines", [
+        # read: an include written otherwise, a quoted prose, folds at other widths
+        pytest.param(_PROFILE.replace("include: all", 'include: "all"'), False,
+                     id="include-quoted-all"),
+        pytest.param(_PROFILE.replace("include: all", "include: []"), False,
+                     id="include-empty-list"),
+        pytest.param(_CATALOG.replace(_PROSE, 'prose: "Organizational: mapped"'), False,
+                     id="quoted-prose"),
+        pytest.param(_CATALOG.replace("title: Snippet", "title: >-\n      A folded\n      title"),
+                     False, id="folded-title"),
+        pytest.param(_CATALOG.replace(_PROSE, "prose: >-\n            Organizational\n"
+                                              "            communication and data flows"),
+                     False, id="folded-prose-at-another-width"),
+        # declined: anything else
+        pytest.param(_PROFILE.replace("include: all", "include: some"), True, id="include-some"),
+        pytest.param(_PROFILE.replace("include: all", "include: all\n      exclude: []"), True,
+                     id="exclude-empty-list"),
+        pytest.param(_CATALOG.replace(_PROSE, "prose: yes"), True, id="prose-yes"),
+        pytest.param(_CATALOG.replace(_PROSE, "prose: >-\n            Organizational\n"
+                                              "              communication"),
+                     True, id="more-indented-fold-line"),
+        pytest.param(_CATALOG.replace("- id: id.am-3\n      class: subcategory",
+                                      "- class: subcategory\n      id: id.am-3"),
+                     True, id="class-before-id"),
+        pytest.param(_CATALOG[:_CATALOG.index("    - id:")], True, id="empty-controls"),
+        pytest.param(_CATALOG[:-1], True, id="no-final-newline"),
+    ])
+    def test_layout_edges(self, text, declines):
+        assert (serialize._read_layout(text) is serialize._DECLINED) == declines
         assert _load_outcome(text) == _load_outcome(text, reader=False)
 
     def test_the_fixture_store_its_outputs_and_changed_blocks_never_decline(self, tmp_path,
                                                                            monkeypatch):
-        """The shipped store, its propagated outputs and the blocks ``_delta`` parses are read."""
+        """The shipped store, its propagated outputs and the blocks ``_delta`` parses are read.
+
+        The strict loader is a stand-in that fails when handed a document, so
+        none of them reaches it.
+        """
         store = write_fixture_store(tmp_path / "store")
+        monkeypatch.setattr(serialize, "_StrictLoader", _Unreached)
         propagate(SourceStore(store), "csf-id-am.yaml")
         parse, changed_blocks = changes.parse_document, []
 
@@ -932,5 +1117,5 @@ class TestEventPath:
                                                       *store.glob("resolved/*.yaml")]]
         assert len(texts) == 5 and changed_blocks
         declined = [text for text in texts + changed_blocks
-                    if serialize._read_block(text) is serialize._DECLINED]
+                    if serialize._read_layout(text) is serialize._DECLINED]
         assert declined == []
