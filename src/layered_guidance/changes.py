@@ -9,12 +9,11 @@ read as the store reads a document (``resolver.read_regular``): through
 one descriptor opened without waiting, so a missing file, a named pipe or
 anything else that is not a regular file is no previous output. That
 delta compares the previous file with the fresh output's own blocks
-(``catalog_blocks``), then parses and diffs only the controls whose
-canonical text changed.
-Within one ``propagate`` call, a control's own block shared by several
-outputs (also one rebuilt with other children) is emitted once, a scalar's
-text (long prose per indent) is decided once, and a changed control's
-previous text shared by outputs is parsed and checked once.
+(``catalog_blocks``) through ``serialize.changed_blocks``, which reads
+only the controls whose canonical text changed, in place; ``diff`` then
+compares those alone. Within one ``propagate`` call, a control's own block
+shared by several outputs (also one rebuilt with other children) is
+emitted once, and a scalar's text (long prose per indent) is decided once.
 """
 
 from __future__ import annotations
@@ -24,7 +23,17 @@ from dataclasses import field
 from functools import cached_property
 
 from .errors import GuidanceError, SchemaError, StoreError
-from .model import Catalog, Control, DocumentEnvelope, ERROR, Finding, _Record, iter_controls
+from .model import (
+    ERROR,
+    Catalog,
+    Control,
+    DocumentEnvelope,
+    Finding,
+    _Record,
+    has_errors,
+    iter_controls,
+    validate_catalog,
+)
 from .resolver import (
     RESOLVED_DIR,
     ResolvedCatalog,
@@ -36,7 +45,7 @@ from .resolver import (
 )
 from .serialize import (
     catalog_blocks,
-    emit_control,
+    changed_blocks,
     parse_document,
     serialize_document,
     split_name,
@@ -294,84 +303,33 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def _delta(previous: bytes, after: Catalog, *, memo: dict | None = None,
-           verified: dict[str, Control] | None = None) -> ChangeSet:
-    """``diff`` from the catalog ``previous`` holds to ``after``, parsing only changed own blocks.
+def _delta(previous: bytes, after: Catalog, *, memo: dict | None = None) -> ChangeSet:
+    """``diff`` from the catalog ``previous`` holds to ``after``, reading only changed own blocks.
 
     ``after`` is valid, as every resolution is; ``catalog_blocks`` gives its
     header and own blocks, read back from ``memo`` when ``serialize_document``
-    just emitted it with that memo. ``previous`` must start with the header,
-    and is then walked block by block: a block equal to ``after``'s is
-    skipped; one that differs must start with the same ``- id:`` line, ends
-    where the next block's ``- id:`` line starts, must keep the
-    ``children:`` key and, without it, be the canonical text of the
-    childless control it parses to. Nothing may follow the last block. Then
-    ``previous`` is the canonical text of ``after`` with the changed
-    controls' own fields, and ``diff`` over those controls alone gives the
-    delta. Otherwise ``previous`` is parsed whole. The changed blocks are
-    parsed in one document; a block ``verified`` maps to its control is not
-    parsed, and one found canonical (emitted again through ``memo``) joins it.
+    just emitted it with that memo. When ``changed_blocks`` reads each block
+    of ``previous`` that differs, each as the control of the same id with no
+    error, ``previous`` is ``after`` with those controls' own fields, and
+    ``diff`` over them alone gives the delta. Otherwise ``previous`` is
+    parsed whole.
     """
-    def whole() -> ChangeSet:
-        envelope = parse_document(previous, "yaml")
-        if envelope.kind != "catalog":
-            raise SchemaError("expected a catalog document")
-        return diff(envelope.body, after)
-
     header, blocks = catalog_blocks(after, memo)
     try:
-        text = previous.decode("utf-8")
+        changed = changed_blocks(previous.decode("utf-8"), header, blocks)
     except UnicodeDecodeError:
-        return whole()
-    if not text.startswith(header):
-        return whole()
-    verified = {} if verified is None else verified
-    offset = len(header)
-    changed: list[tuple[str, Control, int]] = []  # (previous own block, control, indent)
-    for index, (block, control) in enumerate(zip(blocks, iter_controls(after.controls))):
-        if text.startswith(block, offset):
-            offset += len(block)
-            continue
-        line = block[:block.index("\n") + 1]
-        if not text.startswith(line, offset):
-            return whole()
-        end = len(text)
-        if index + 1 < len(blocks):  # up to the next block's ``- id:`` line
-            following = blocks[index + 1]
-            end = text.find("\n" + following[:following.index("\n") + 1],
-                            offset + len(line) - 1) + 1
-            if not end:  # no such line
-                return whole()
-        indent = len(line) - len(line.lstrip(" "))
-        children_key = " " * (indent + 2) + "children:\n" if control.children else ""
-        own_end = end - len(children_key)
-        if not text.startswith(children_key, own_end):
-            return whole()
-        changed.append((text[offset:own_end], control, indent))
-        offset = end
-    if offset != len(text):
-        return whole()
-    # A verified block starts with this control's ``- id:`` line, so it holds ``control.id``.
-    unparsed = [item for item in changed if item[0] not in verified]
-    if unparsed:
-        texts = [header]
-        for own, _, indent in unparsed:
-            pad = " " * (indent - 4)  # dedented to a top-level control
-            texts.append(own[len(pad):].replace("\n" + pad, "\n") if pad else own)
-        try:
-            parsed = parse_document("".join(texts), "yaml").body.controls
-        except GuidanceError:
-            return whole()
-        if len(parsed) != len(unparsed):
-            return whole()
-        for new, (own, control, indent) in zip(parsed, unparsed):
-            if new.id != control.id or new.children or emit_control(new, indent, memo) != own:
-                return whole()
-            verified[own] = new
-    # Both sides share every other control and the tree: the changed controls alone differ.
-    return diff(Catalog(after.metadata, tuple(verified[own] for own, _, _ in changed)),
-                Catalog(after.metadata, tuple(Control(c.id, c.classifier, c.parts)
-                                              for _, c, _ in changed)))
+        changed = None
+    if changed is not None:
+        fresh = list(iter_controls(after.controls))
+        before = Catalog(after.metadata, tuple(control for _, control in changed))
+        if (all(control.id == fresh[index].id for index, control in changed)
+                and not has_errors(validate_catalog(before))):
+            return diff(before, Catalog(after.metadata, tuple(
+                Control(c.id, c.classifier, c.parts) for c in (fresh[i] for i, _ in changed))))
+    envelope = parse_document(previous, "yaml")
+    if envelope.kind != "catalog":
+        raise SchemaError("expected a catalog document")
+    return diff(envelope.body, after)
 
 
 class PropagationResult(_Record):
@@ -430,7 +388,6 @@ def propagate(store: SourceStore, changed_uri: str, *,
     results: list[PropagationResult] = []
     memo: dict[str, ResolvedCatalog] = {}
     emitted: dict = {}  # each own block and scalar text emitted in this run (catalog_blocks)
-    verified: dict[str, Control] = {}  # previous own blocks found canonical in this run
     for uri in order:
         if uri not in affected or uri not in outputs:
             continue
@@ -451,8 +408,7 @@ def propagate(store: SourceStore, changed_uri: str, *,
             if previous != data:
                 if previous is not None:
                     try:
-                        changes = _delta(previous, resolved.catalog, memo=emitted,
-                                         verified=verified)
+                        changes = _delta(previous, resolved.catalog, memo=emitted)
                     except GuidanceError as error:  # the previous output does not parse
                         error.source = output_uri
                         raise

@@ -25,9 +25,10 @@ text permits it when it is words separated by single spaces, with no
 leading or trailing space and no character a fold would alter; the words
 wrap greedily, and a word longer than the width gets a line of its own.
 A catalog's YAML is built as a header plus one own block per control in
-pre-order (``catalog_blocks``), so a caller can compare it block by block;
-both are written straight from the model, and a memo keeps each own block
-and each scalar's text (``_scalar_text``, the one scalar rule).
+pre-order (``catalog_blocks``); both are written straight from the model,
+and a memo keeps each own block and each scalar's text (``_scalar_text``,
+the one scalar rule). ``changed_blocks`` reads in place, as ``_read_layout``
+would, each block an earlier text changes: no other module knows the layout.
 """
 
 from __future__ import annotations
@@ -266,10 +267,15 @@ def _profile(text: str, pos: int, plain: set[str]) -> tuple[list, list, int]:
     return _some(imports), alterations, pos
 
 
+def _foreign(text: str) -> bool:
+    """Whether ``text`` holds a character the layout reader leaves to ``_StrictLoader``."""
+    return bool(text.encode().translate(None, _ALLOWED_ASCII) if text.isascii()
+                else _FOREIGN_RE.search(text))
+
+
 def _read_layout(text: str) -> Any:
     """``(Catalog or Profile, fields but the uri)`` of a text in the layout, else ``_DECLINED``."""
-    if (text.encode().translate(None, _ALLOWED_ASCII) if text.isascii()
-            else _FOREIGN_RE.search(text)):
+    if _foreign(text):
         return _DECLINED
     match = _HEADER_RE.match(text)
     if match is None:
@@ -287,6 +293,41 @@ def _read_layout(text: str) -> Any:
     except _Declined:
         return _DECLINED
     return read if pos == len(text) else _DECLINED
+
+
+def changed_blocks(text: str, header: str, blocks: list[str]) -> list[tuple[int, Control]] | None:
+    """Each of ``catalog_blocks``' ``blocks`` ``text`` changes: its index and childless control.
+
+    ``text`` holds ``header``, then each block or another own block at its
+    column, with a ``children:`` key where the block has one, and no more.
+    A block that differs is read in place as ``_read_layout`` reads it.
+    None wherever ``_read_layout`` would decline ``text`` or read it otherwise.
+    """
+    if not text.startswith(header) or _foreign(text):
+        return None
+    pos, plain, changed = len(header), set(), []
+    try:
+        for index, block in enumerate(blocks):
+            if text.startswith(block, pos):
+                pos += len(block)
+                continue
+            column = block.index("-")
+            match = _item_re(column, False).match(text, pos)
+            if match is None:
+                return None
+            id_fold, control_id, class_fold, classifier, parts_key = match.groups()
+            body = column + 4
+            parts, pos = _parts(text, match.end(), body, plain) if parts_key else ((), match.end())
+            children_key = " " * (column + 2) + "children:\n"
+            if block.endswith("\n" + children_key):  # not a fold that ends in ``children:``
+                if not text.startswith(children_key, pos):
+                    return None
+                pos += len(children_key)
+            changed.append((index, Control(_str(id_fold, control_id, body, plain),
+                                           _str(class_fold, classifier, body, plain), parts)))
+    except _Declined:
+        return None
+    return changed if pos == len(text) else None
 
 
 class _LayoutReader:

@@ -375,23 +375,37 @@ def with_long_prose(catalog: Catalog) -> Catalog:
     return Catalog(catalog.metadata, tuple(lengthen(c) for c in catalog.controls))
 
 
-MANGLES = ("none", "reindented", "comment", "crlf", "requoted", "swapped", "duplicated",
-           "invalid", "metadata", "truncated")
+MANGLES = ("none", "reindented", "comment", "crlf", "requoted", "refolded", "foreign", "swapped",
+           "duplicated", "invalid", "metadata", "truncated")
+
+
+_PLACEHOLDER = b" zz-replaced-prose\n"  # a prose's canonical text after its key
+
+
+def _with_placeholder(tree: dict, part: list) -> bytes:
+    """The canonical YAML of ``tree`` with ``part``'s prose written as ``_PLACEHOLDER``."""
+    prose, part[2] = part[2], _PLACEHOLDER[1:-1].decode()
+    emitted = serialize.serialize_document(DocumentEnvelope("catalog", to_catalog(tree)))
+    part[2] = prose
+    return emitted
 
 
 @st.composite
-def mangled_catalog_texts(draw, catalog: Catalog) -> tuple[str, bytes]:
-    """A mangling from ``MANGLES`` and ``catalog``'s canonical YAML with it applied.
+def mangled_catalog_texts(draw, catalog: Catalog,
+                          kinds: tuple[str, ...] = MANGLES) -> tuple[str, bytes]:
+    """A mangling from ``kinds`` and ``catalog``'s canonical YAML with it applied.
 
     Some manglings keep the document (re-indented, a comment, CRLF line
-    ends, one prose re-quoted), some change it (two sibling blocks swapped,
-    a ``- id:`` block duplicated, the title edited) and some break it (a
-    block made invalid YAML, the file cut short). Over half the draws leave
-    the text canonical, so that a delta can come from the changed controls.
+    ends, one prose re-quoted or, when long, folded at another width),
+    some change it (two sibling blocks swapped, a ``- id:`` block
+    duplicated, the title edited, a quoted prose with a raw NEL) and some
+    break it (a block made invalid YAML, the file cut short). Over half the
+    draws leave the text canonical, so that a delta can come from the
+    changed controls.
     """
     envelope = DocumentEnvelope("catalog", catalog)
     text = serialize.serialize_document(envelope)
-    kind = draw(st.one_of(st.just("none"), st.sampled_from(MANGLES)))
+    kind = draw(st.one_of(st.just("none"), st.sampled_from(kinds)))
     tree = to_tree(catalog)
     header, blocks = split_controls(text)
     pieces = [block for _, block in blocks]
@@ -406,9 +420,21 @@ def mangled_catalog_texts(draw, catalog: Catalog) -> tuple[str, bytes]:
         return kind, text.replace(b"\n", b"\r\n")
     if kind == "requoted" and _tree_parts(tree):
         part = draw(st.sampled_from(_tree_parts(tree)))
-        prose, part[2] = part[2], "zz-requoted-prose"
-        emitted = serialize.serialize_document(DocumentEnvelope("catalog", to_catalog(tree)))
-        return kind, emitted.replace(b"zz-requoted-prose", serialize._quote(prose).encode(), 1)
+        quoted = f" {serialize._quote(part[2])}\n".encode()
+        return kind, _with_placeholder(tree, part).replace(_PLACEHOLDER, quoted, 1)
+    folded = [part for part in _tree_parts(tree)
+              if len(part[2]) > serialize._WRAP_COLUMN and serialize._foldable(part[2])]
+    if kind == "refolded" and folded:
+        part = draw(st.sampled_from(folded))
+        emitted = _with_placeholder(tree, part)
+        pad = b" " * (len(re.search(rb"\n( *)prose:" + re.escape(_PLACEHOLDER), emitted)[1]) + 2)
+        body = serialize._wrap_re(draw(st.integers(20, 76))).findall(part[2])
+        refolded = b" >-\n" + b"".join(pad + line.encode() + b"\n" for line in body)
+        return kind, emitted.replace(_PLACEHOLDER, refolded, 1)
+    if kind == "foreign" and _tree_parts(tree):
+        part = draw(st.sampled_from(_tree_parts(tree)))
+        nel = ' "a\u0085b"\n'.encode()  # the strict loader folds the raw NEL: ``'a b'``
+        return kind, _with_placeholder(tree, part).replace(_PLACEHOLDER, nel, 1)
     if kind == "swapped" and len(pieces) >= 2:
         at = draw(st.integers(0, len(pieces) - 2))
         pieces[at], pieces[at + 1] = pieces[at + 1], pieces[at]

@@ -22,6 +22,7 @@ from oracles import (
 )
 from layered_guidance import changes as changes_module
 from layered_guidance.changes import (
+    ChangeSet,
     _delta,
     build_graph,
     diff,
@@ -29,7 +30,7 @@ from layered_guidance.changes import (
     resolution_output_uri,
     transitive_dependents,
 )
-from layered_guidance import resolver
+from layered_guidance import resolver, serialize
 from layered_guidance.errors import (
     CycleDetected,
     DocumentSyntaxError,
@@ -38,11 +39,17 @@ from layered_guidance.errors import (
     NotFound,
     SchemaError,
     UnknownControlId,
+    ValidationError,
 )
 from layered_guidance.fixtures import fixture_bytes
 from layered_guidance.model import Catalog, Control, DocumentEnvelope, Metadata, Part, find_control
 from layered_guidance.resolver import SourceStore, resolve_chain
-from layered_guidance.serialize import parse_document, serialize_document
+from layered_guidance.serialize import (
+    catalog_blocks,
+    changed_blocks,
+    parse_document,
+    serialize_document,
+)
 
 DUPLICATE_TITLE = b"catalog:\n  metadata:\n    title: a\n    title: b\n    version: \"1\"\n"
 DUPLICATE_TITLE_MESSAGE = "duplicate key 'title' (line 4, column 5)"
@@ -510,12 +517,9 @@ class TestPropagate:
 
 
 @pytest.fixture
-def parses(monkeypatch) -> list[bytes | str]:
-    """The texts ``changes`` hands to ``parse_document``, in call order.
-
-    A whole previous output is handed over as bytes, its changed blocks as text.
-    """
-    texts: list[bytes | str] = []
+def parses(monkeypatch) -> list[bytes]:
+    """The previous outputs ``changes`` hands whole to ``parse_document``, in call order."""
+    texts: list[bytes] = []
     original = changes_module.parse_document
 
     def recording_parse(text, *args):
@@ -597,26 +601,55 @@ class TestPropagateOutputs:
 
     def test_a_changed_block_shared_by_sibling_outputs_is_parsed_and_emitted_once(
             self, tmp_path, parses, monkeypatch):
-        """Three profiles over ``base.yaml`` alter ``c-1``; the edit changes ``c-1-shared``."""
+        """Three profiles over ``base.yaml`` alter ``c-1``; the edit changes ``c-1-shared``.
+
+        Each output reads ``c-1-shared`` in place, once, and nothing is
+        parsed; its fresh block is emitted once for the three outputs.
+        """
         (tmp_path / "base.yaml").write_bytes(strategies.catalog_text("base", "c-1"))
         for name in ("p1", "p2", "p3"):
             (tmp_path / f"{name}.yaml").write_bytes(strategies.profile_text(name, "base.yaml", "c-1"))
         propagate(SourceStore(tmp_path), "base.yaml")
         path = tmp_path / "base.yaml"
         path.write_bytes(path.read_bytes().replace(b"shared v0", b"shared v1"))
-        checked: list[str] = []
-        original = changes_module.emit_control
+        read: list[list[tuple[int, str]]] = []
+        emitted: list[str] = []
+        original_read, original_emit = changes_module.changed_blocks, serialize.emit_control
+
+        def recording_read(text, header, blocks):
+            changed = original_read(text, header, blocks)
+            read.append([(index, control.id) for index, control in changed])
+            return changed
 
         def recording_emit(control, indent, memo=None):
-            checked.append(control.id)
-            return original(control, indent, memo)
+            emitted.append(control.id)
+            return original_emit(control, indent, memo)
 
-        monkeypatch.setattr(changes_module, "emit_control", recording_emit)
+        monkeypatch.setattr(changes_module, "changed_blocks", recording_read)
+        monkeypatch.setattr(serialize, "emit_control", recording_emit)
         results = propagate(SourceStore(tmp_path), "base.yaml")
         assert [[(e.kind, e.control_id) for e in r.changes.entries] for r in results] \
             == [[("part-modified", "c-1-shared")]] * 3
-        assert len(parses) == 1 and "- id: c-1-shared" in parses[0]
-        assert checked == ["c-1-shared"]
+        assert parses == []
+        assert read == [[(1, "c-1-shared")]] * 3
+        assert emitted.count("c-1-shared") == 1
+
+    def test_a_duplicate_part_name_in_a_changed_block_fails_its_profile_in_place(
+            self, fixture_store, parses):
+        """The block reads in place but does not validate: the whole parse gives the error."""
+        propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        output = fixture_store / "resolved" / "am-profile.yaml"
+        part = b"            - name: statement\n              class: outcome\n"
+        previous = output.read_bytes().replace(part, part + b"              prose: x\n" + part, 1)
+        output.write_bytes(previous)
+        fresh = resolve_chain(SourceStore(fixture_store), "am-profile.yaml").catalog
+        expected = _outcome(lambda: changes_by_full_parse(previous, fresh))
+        results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        assert isinstance(expected, ValidationError) and "duplicate part name" in str(expected)
+        assert (results[0].profile_uri, results[0].error) == ("ot-profile.yaml", None)
+        assert _same_failure(results[1].error, expected)
+        assert results[1].error.source == "resolved/am-profile.yaml"
+        assert parses == [previous] and output.read_bytes() == previous
 
     def _failing_then(self, fixture_store, later: bytes | None) -> GuidanceError:
         """``prec.yaml`` imports a failing layer, then ``later.yaml`` (absent when ``later`` is None)."""
@@ -731,6 +764,11 @@ class TestChangesSince:
                          for i, text in enumerate(prose))
         return Catalog(Metadata("T", "1"), (Control("top", children=children),))
 
+    def _read_in_place(self, previous: bytes, after: Catalog) -> list[str]:
+        """The ids of the controls ``changed_blocks`` reads from ``previous``."""
+        changed = changed_blocks(previous.decode("utf-8"), *catalog_blocks(after))
+        return [control.id for _, control in changed]
+
     def test_folded_prose_that_reads_like_a_control_is_read_by_block(self, parses):
         line = "- id: c-9 " * 12  # folds into lines that start "- id:"
         before = self._catalog(line + "old", line + "same")
@@ -739,17 +777,86 @@ class TestChangesSince:
         fresh = serialize_document(DocumentEnvelope("catalog", after))
         assert b"\n                - id: c-9" in fresh
         assert _delta(previous, after) == changes_by_full_parse(previous, after)
-        assert len(parses) == 1
-        assert "- id: c-0" in parses[0] and "- id: c-1" not in parses[0]
+        assert parses == []
+        assert self._read_in_place(previous, after) == ["c-0"]
 
     def test_only_the_changed_controls_are_parsed(self, parses):
+        """Nothing is parsed: the one changed control is read in place."""
         before = self._catalog("one", "two", "three")
         after = self._catalog("one", "TWO", "three")
         previous = serialize_document(DocumentEnvelope("catalog", before))
         changes = _delta(previous, after)
         assert changes == changes_by_full_parse(previous, after)
-        assert len(parses) == 1
-        assert "c-1" in parses[0] and "c-0" not in parses[0] and "c-2" not in parses[0]
+        assert parses == []
+        assert self._read_in_place(previous, after) == ["c-1"]
+
+    @given(strategies.catalogs(), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_an_unchanged_tree_is_read_without_a_parse(self, before, long_prose, data):
+        """Only prose differs, and at most one prose of the previous text is quoted or folded anew.
+
+        Every changed block is then read in place: ``parse_document`` is never called.
+        """
+        after = data.draw(strategies.prose_edited(before))
+        if long_prose:
+            before, after = strategies.with_long_prose(before), strategies.with_long_prose(after)
+        _, previous = data.draw(strategies.mangled_catalog_texts(before, ("requoted", "refolded")))
+        texts: list[bytes] = []
+        original = changes_module.parse_document
+
+        def recording_parse(text, *args):
+            texts.append(text)
+            return original(text, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(changes_module, "parse_document", recording_parse)
+            assert _delta(previous, after) == changes_by_full_parse(previous, after)
+        assert texts == []
+
+    def _edited(self, before: Catalog, old: bytes, new: bytes) -> bytes:
+        """``before``'s canonical YAML with its one ``old`` replaced by ``new``."""
+        text = serialize_document(DocumentEnvelope("catalog", before))
+        assert text.count(old) == 1
+        return text.replace(old, new)
+
+    def test_a_quoted_prose_with_a_raw_nel_is_parsed_whole(self, parses):
+        """The layout leaves a NEL to the strict loader, which folds it to a space: ``'a b'``."""
+        after = self._catalog("one", "a b")
+        previous = self._edited(self._catalog("one", "zz"), b"prose: zz\n",
+                                'prose: "a\u0085b"\n'.encode())
+        assert _delta(previous, after) == changes_by_full_parse(previous, after) == ChangeSet(())
+        assert parses == [previous]
+
+    @pytest.mark.parametrize("old, new", [
+        (b"      children:\n", b""),  # the key dropped
+        (b"      children:\n", b"      childern:\n"),  # misspelled
+        (b"prose: one\n", b"prose: one\n          children:\n"),  # a key added
+        (b"- id: c-1\n", b"- id: c-0\n"),  # a sibling's id, so a duplicate
+        (b"        - id: c-1\n          parts:\n            - name: statement\n",
+         b"          - id: c-1\n            parts:\n              - name: statement\n  "),
+    ], ids=["children-dropped", "children-misspelled", "children-added", "duplicate-id",
+            "reindented"])
+    def test_a_changed_block_out_of_place_is_parsed_whole(self, parses, old, new):
+        previous = self._edited(self._catalog("one", "two"), old, new)
+        after = self._catalog("one", "TWO")
+        expected = _outcome(lambda: changes_by_full_parse(previous, after))
+        actual = _outcome(lambda: _delta(previous, after))
+        assert _same_failure(actual, expected) if isinstance(expected, GuidanceError) \
+            else actual == expected
+        assert parses[-1] == previous
+
+    @pytest.mark.parametrize("ending", ["ends:", "children:"])
+    def test_a_childless_fold_ending_in_a_colon_is_read_in_place(self, parses, ending):
+        """The fresh block ends in ``:`` and a line end, as a block with children does."""
+        def prose(word: str) -> str:  # three lines at the fold width, 64: ``ending`` alone on the last
+            return f"{word}{'x' * 60} {'y' * 64} {ending}"
+
+        before, after = self._catalog(prose("old"), "two"), self._catalog(prose("new"), "two")
+        previous = serialize_document(DocumentEnvelope("catalog", before))
+        assert catalog_blocks(after)[1][1].endswith(f"\n{' ' * 16}{ending}\n")
+        assert _delta(previous, after) == changes_by_full_parse(previous, after)
+        assert parses == []
+        assert self._read_in_place(previous, after) == ["c-0"]
 
     @pytest.mark.parametrize("edit", [
         (b"\n", b"\r\n"),  # CRLF line ends

@@ -1093,29 +1093,29 @@ class TestEventPath:
 
     def test_the_fixture_store_its_outputs_and_changed_blocks_never_decline(self, tmp_path,
                                                                            monkeypatch):
-        """The shipped store, its propagated outputs and the blocks ``_delta`` parses are read.
+        """The shipped store and its propagated outputs are read, and so is each changed block.
 
         The strict loader is a stand-in that fails when handed a document, so
-        none of them reaches it.
+        none of them reaches it; after an edit, ``changed_blocks`` reads the
+        changed blocks of every previous output in place.
         """
         store = write_fixture_store(tmp_path / "store")
         monkeypatch.setattr(serialize, "_StrictLoader", _Unreached)
         propagate(SourceStore(store), "csf-id-am.yaml")
-        parse, changed_blocks = changes.parse_document, []
+        original, read = changes.changed_blocks, []
 
-        def recording(text, *args):
-            if isinstance(text, str):  # ``_delta`` parses the changed blocks as one text
-                changed_blocks.append(text)
-            return parse(text, *args)
+        def recording(*args):
+            read.append(original(*args))
+            return read[-1]
 
-        monkeypatch.setattr(changes, "parse_document", recording)
+        monkeypatch.setattr(changes, "changed_blocks", recording)
         catalog = store / "csf-id-am.yaml"
         catalog.write_bytes(catalog.read_bytes().replace(b"Physical devices and systems",
                                                          b"Physical devices, systems"))
         propagate(SourceStore(store), "csf-id-am.yaml")
         texts = [path.read_text("utf-8") for path in [*store.glob("*.yaml"),
                                                       *store.glob("resolved/*.yaml")]]
-        assert len(texts) == 5 and changed_blocks
-        declined = [text for text in texts + changed_blocks
-                    if serialize._read_layout(text) is serialize._DECLINED]
+        assert len(texts) == 5
+        assert [[control.id for _, control in changed] for changed in read] == [["id.am-1"]] * 2
+        declined = [text for text in texts if serialize._read_layout(text) is serialize._DECLINED]
         assert declined == []
