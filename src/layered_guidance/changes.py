@@ -38,6 +38,7 @@ from .resolver import (
     RESOLVED_DIR,
     ResolvedCatalog,
     SourceStore,
+    _has_link,
     import_sources,
     read_regular,
     resolve_in_store,
@@ -368,6 +369,14 @@ def propagate(store: SourceStore, changed_uri: str, *,
     is the output's uri); the rest still run. An import cycle upstream of a
     re-resolved profile raises ``CycleDetected``; one elsewhere does not
     matter. A ``changed_uri`` that does not load raises as ``SourceStore.load`` does.
+
+    The outputs are written in topological order after the last resolution,
+    when no resolution of the run can read one: the graph has no finding
+    (an import of a missing file, which the run may write), no node under
+    ``resolved/`` and no node whose path passes a symbolic link. Otherwise
+    each output is written before the next profile resolves. An exception
+    that escapes still writes the outputs computed before it; a failed write
+    leaves its file and the later ones as they were, and raises.
     """
     changed_uri = store.load(changed_uri).body.uri
     graph = build_graph(store)
@@ -384,41 +393,62 @@ def propagate(store: SourceStore, changed_uri: str, *,
     writers: dict[str, list[str]] = {}
     for uri, output_uri in outputs.items():
         writers.setdefault(output_uri, []).append(uri)
+    root = os.fspath(store.root)
+    # A resolution of this run can read an output (``resolved/<stem>.yaml``)
+    # only through a node under ``resolved/``, a node whose path passes a link,
+    # or an import of a missing file, which the run may write.
+    plain = not graph.findings and not any(
+        uri.startswith(f"{RESOLVED_DIR}/") or _has_link(root, uri) for uri in graph.nodes)
 
     results: list[PropagationResult] = []
     memo: dict[str, ResolvedCatalog] = {}
     emitted: dict = {}  # each own block and scalar text emitted in this run (catalog_blocks)
-    for uri in order:
-        if uri not in affected or uri not in outputs:
-            continue
-        output_uri = outputs[uri]
-        others = [writer for writer in writers[output_uri] if writer != uri]
-        if others:
-            error = StoreError(f"output {output_uri} is also the output of {', '.join(others)}")
-            results.append(PropagationResult(uri, output_uri, error=error))
-            continue
-        try:
-            resolved = resolve_in_store(store, uri, lenient=lenient, memo=memo)
-            data = serialize_document(DocumentEnvelope("catalog", resolved.catalog), "yaml",
-                                      memo=emitted)
-            path = os.path.join(store.root, output_uri)
-            read = read_regular(path)
-            previous = None if read is None else read[0]
-            changes = ChangeSet(())
-            if previous != data:
-                if previous is not None:
-                    try:
-                        changes = _delta(previous, resolved.catalog, memo=emitted)
-                    except GuidanceError as error:  # the previous output does not parse
-                        error.source = output_uri
-                        raise
-                _write_atomic(path, data)
-                store.evict(output_uri)  # a same-size rewrite can keep its fingerprint
-        except GuidanceError as error:
-            results.append(PropagationResult(uri, output_uri, error=error))
-            continue
-        results.append(
-            PropagationResult(uri, output_uri, resolved=resolved, changes=changes,
-                              initial=previous is None)
-        )
+    pending: list[tuple[str, str, bytes]] = []  # (path, uri, bytes) of each output to write
+    try:
+        for uri in order:
+            if uri not in affected or uri not in outputs:
+                continue
+            output_uri = outputs[uri]
+            others = [writer for writer in writers[output_uri] if writer != uri]
+            if others:
+                error = StoreError(f"output {output_uri} is also the output of {', '.join(others)}")
+                results.append(PropagationResult(uri, output_uri, error=error))
+                continue
+            if not plain:
+                _commit(store, pending)
+            try:
+                resolved = resolve_in_store(store, uri, lenient=lenient, memo=memo)
+                data = serialize_document(DocumentEnvelope("catalog", resolved.catalog), "yaml",
+                                          memo=emitted)
+                path = os.path.join(root, output_uri)
+                read = read_regular(path)
+                previous = None if read is None else read[0]
+                changes = ChangeSet(())
+                if previous != data:
+                    if previous is not None:
+                        try:
+                            changes = _delta(previous, resolved.catalog, memo=emitted)
+                        except GuidanceError as error:  # the previous output does not parse
+                            error.source = output_uri
+                            raise
+                    pending.append((path, output_uri, data))
+            except GuidanceError as error:
+                results.append(PropagationResult(uri, output_uri, error=error))
+                continue
+            results.append(
+                PropagationResult(uri, output_uri, resolved=resolved, changes=changes,
+                                  initial=previous is None)
+            )
+    finally:
+        _commit(store, pending)
     return results
+
+
+def _commit(store: SourceStore, pending: list[tuple[str, str, bytes]]) -> None:
+    """Write each pending output in order and empty ``pending``; a failure drops the rest."""
+    try:
+        for path, output_uri, data in pending:
+            _write_atomic(path, data)
+            store.evict(output_uri)  # a same-size rewrite can keep its fingerprint
+    finally:
+        pending.clear()

@@ -75,6 +75,8 @@ def render_markdown(resolved: ResolvedCatalog, options: RenderOptions = RenderOp
             return None
         return f"*Source: {entry.origin_uri} (layer {entry.layer_depth})*"
 
+    headings: dict[str, str] = {}  # label -> heading_text, derived once per label
+
     def render_control(control: Control, level: int) -> None:
         lines.append("")
         lines.append(_heading(level, control.id.upper()))
@@ -85,7 +87,11 @@ def render_markdown(resolved: ResolvedCatalog, options: RenderOptions = RenderOp
                     lines.append(f"> {prose_line}" if prose_line else ">")
             else:
                 lines.append("")
-                lines.append(_heading(level + 1, heading_text(part)))
+                label = part.classifier if part.classifier is not None else part.name
+                text = headings.get(label)
+                if text is None:
+                    text = headings[label] = heading_text(part)
+                lines.append(_heading(level + 1, text))
                 lines.append("")
                 lines.append(part.prose)
             note = provenance_note(control, part)

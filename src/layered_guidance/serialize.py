@@ -662,12 +662,12 @@ def document_plain(doc: DocumentEnvelope) -> dict:
 # ---------------------------------------------------------------------------
 # Canonical YAML emission
 
-_PLAIN_BODY_RE = re.compile(r"[A-Za-z_][^\x00-\x1f\x7f-\x9f  \ufffe\uffff]*")
+_PLAIN_BODY_RE = re.compile(r"[A-Za-z_][^\x00-\x1f\x7f-\x9f  \ufeff\ufffe\uffff]*")
 # Words like these would be resolved to booleans/null by a YAML parser.
 _AMBIGUOUS_PLAIN = {
     "true", "false", "yes", "no", "on", "off", "null", "none", "y", "n", "~",
 }
-_UNSAFE_WORD_RE = re.compile(r"[\x00-\x1f\x7f-\x9f  \ufffe\uffff]")
+_UNSAFE_WORD_RE = re.compile(r"[\x00-\x1f\x7f-\x9f  \ufeff\ufffe\uffff]")
 
 
 def _plain_safe(value: str) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import signal
 import tempfile
@@ -31,6 +32,7 @@ from layered_guidance.changes import (
     transitive_dependents,
 )
 from layered_guidance import resolver, serialize
+from layered_guidance.cli import main
 from layered_guidance.errors import (
     CycleDetected,
     DocumentSyntaxError,
@@ -676,6 +678,160 @@ class TestPropagateOutputs:
         error = self._failing_then(fixture_store, DUPLICATE_TITLE)
         assert isinstance(error, SchemaError)
         assert (error.source, str(error)) == ("later.yaml", DUPLICATE_TITLE_MESSAGE)
+
+
+def _spy_commits(monkeypatch, store: Path) -> list[tuple[str, str]]:
+    """Each resolution and each output write of ``changes``, in call order, by store uri."""
+    events: list[tuple[str, str]] = []
+    resolve, write = changes_module.resolve_in_store, changes_module._write_atomic
+
+    def recording_resolve(store_, uri, **kwargs):
+        events.append(("resolve", uri))
+        return resolve(store_, uri, **kwargs)
+
+    def recording_write(path, data):
+        events.append(("write", Path(path).relative_to(store).as_posix()))
+        write(path, data)
+
+    monkeypatch.setattr(changes_module, "resolve_in_store", recording_resolve)
+    monkeypatch.setattr(changes_module, "_write_atomic", recording_write)
+    return events
+
+
+def _fresh_output(store: Path, uri: str) -> bytes:
+    resolved = resolve_chain(SourceStore(store), uri)
+    return serialize_document(DocumentEnvelope("catalog", resolved.catalog))
+
+
+# ``x.yaml`` takes ``id.am-1`` from the AM profile and ``id.am-2`` from SOURCE.
+_X_PROFILE = (b"profile:\n  metadata:\n    title: X\n    version: \"1\"\n  imports:\n"
+              b"    - source: am-profile.yaml\n      include:\n        - id.am-1\n"
+              b"    - source: SOURCE\n      include:\n        - id.am-2\n")
+
+
+class TestCommitOrder:
+    """When ``propagate`` writes its outputs, and what an escaping error leaves on disk."""
+
+    def test_a_plain_store_writes_every_output_after_the_last_resolution(self, fixture_store,
+                                                                          monkeypatch):
+        propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        path = fixture_store / "csf-id-am.yaml"
+        path.write_bytes(path.read_bytes().replace(b"Software platforms", b"Software tools"))
+        events = _spy_commits(monkeypatch, fixture_store)
+        results = propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        assert [(r.profile_uri, r.error, len(r.changes.entries)) for r in results] == [
+            ("ot-profile.yaml", None, 1), ("am-profile.yaml", None, 1)]
+        assert events == [("resolve", "ot-profile.yaml"), ("resolve", "am-profile.yaml"),
+                          ("write", "resolved/ot-profile.yaml"),
+                          ("write", "resolved/am-profile.yaml")]
+        for uri in ("ot-profile.yaml", "am-profile.yaml"):
+            assert (fixture_store / resolution_output_uri(uri)).read_bytes() \
+                == _fresh_output(fixture_store, uri)
+
+    def test_an_imported_output_is_written_before_its_importer_resolves(self, fixture_store,
+                                                                        monkeypatch):
+        propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        (fixture_store / "uses-output.yaml").write_bytes(
+            profile_importing("resolved/ot-profile.yaml"))
+        path = fixture_store / "ot-profile.yaml"
+        path.write_bytes(path.read_bytes().replace(b"understand the flow", b"map the movement"))
+        events = _spy_commits(monkeypatch, fixture_store)
+        results = propagate(SourceStore(fixture_store), "ot-profile.yaml")
+        assert [(r.profile_uri, r.error) for r in results] == [
+            ("ot-profile.yaml", None), ("am-profile.yaml", None), ("uses-output.yaml", None)]
+        assert events == [("resolve", "ot-profile.yaml"), ("write", "resolved/ot-profile.yaml"),
+                          ("resolve", "am-profile.yaml"), ("write", "resolved/am-profile.yaml"),
+                          ("resolve", "uses-output.yaml"),
+                          ("write", "resolved/uses-output.yaml")]
+        assert b"map the movement" in (fixture_store / "resolved" / "uses-output.yaml").read_bytes()
+
+    def _propagate_json(self, store: Path, capsys) -> tuple[int, list]:
+        code = main(["propagate", "--store", str(store), "--changed", "csf-id-am.yaml",
+                     "--format", "json"])
+        return code, [(r["profile-uri"], r.get("error"), r.get("initial"),
+                       [(c["kind"], c["control-id"], c["part-name"]) for c in r.get("changes", [])])
+                      for r in json.loads(capsys.readouterr().out)]
+
+    def _outputs_are_fresh(self, store: Path) -> None:
+        for uri in ("ot-profile.yaml", "am-profile.yaml", "x.yaml"):
+            assert (store / resolution_output_uri(uri)).read_bytes() == _fresh_output(store, uri)
+
+    def test_a_first_run_writes_an_output_before_an_importer_of_it_resolves(self, fixture_store,
+                                                                           capsys):
+        """``resolved/ot-profile.yaml`` is missing when the graph is built: an import finding."""
+        (fixture_store / "x.yaml").write_bytes(
+            _X_PROFILE.replace(b"SOURCE", b"resolved/ot-profile.yaml"))
+        assert self._propagate_json(fixture_store, capsys) == (0, [
+            ("ot-profile.yaml", None, True, []), ("am-profile.yaml", None, True, []),
+            ("x.yaml", None, True, [])])
+        self._outputs_are_fresh(fixture_store)
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symbolic links")
+    def test_a_link_to_an_output_reads_the_output_of_this_run(self, fixture_store, capsys):
+        (fixture_store / "x.yaml").write_bytes(_X_PROFILE.replace(b"SOURCE", b"alias.yaml"))
+        propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        (fixture_store / "alias.yaml").symlink_to("resolved/ot-profile.yaml")
+        assert propagate(SourceStore(fixture_store), "csf-id-am.yaml")[-1].error is None
+        path = fixture_store / "csf-id-am.yaml"
+        path.write_bytes(path.read_bytes().replace(b"Software platforms", b"Software tools"))
+        edit = [("part-modified", "id.am-2", "statement")]
+        assert self._propagate_json(fixture_store, capsys) == (0, [
+            ("ot-profile.yaml", None, False, edit), ("am-profile.yaml", None, False, edit),
+            ("x.yaml", None, False, edit)])
+        self._outputs_are_fresh(fixture_store)
+
+    def _edited(self, fixture_store) -> dict[str, bytes]:
+        """The outputs of a first run, then an edit that changes both."""
+        propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        before = {path.name: path.read_bytes() for path in (fixture_store / "resolved").iterdir()}
+        path = fixture_store / "csf-id-am.yaml"
+        path.write_bytes(path.read_bytes().replace(b"Software platforms", b"Software tools"))
+        return before
+
+    def _leftovers(self, store: Path) -> list[str]:
+        return sorted(path.name for path in (store / "resolved").iterdir()
+                      if path.name.startswith("."))
+
+    def test_an_error_reading_a_previous_output_still_writes_the_earlier_outputs(
+            self, fixture_store, monkeypatch):
+        before = self._edited(fixture_store)
+        original, reads = changes_module.read_regular, []
+
+        def failing_second(path):
+            reads.append(path)
+            if len(reads) == 2:
+                raise PermissionError(13, "Permission denied", path)
+            return original(path)
+
+        monkeypatch.setattr(changes_module, "read_regular", failing_second)
+        with pytest.raises(PermissionError):
+            propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        resolved = fixture_store / "resolved"
+        assert (resolved / "ot-profile.yaml").read_bytes() \
+            == _fresh_output(fixture_store, "ot-profile.yaml") != before["ot-profile.yaml"]
+        assert (resolved / "am-profile.yaml").read_bytes() == before["am-profile.yaml"]
+        assert self._leftovers(fixture_store) == []
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_a_failed_replace_keeps_its_output_and_the_later_ones(self, fixture_store,
+                                                                 monkeypatch, failing):
+        before = self._edited(fixture_store)
+        original, calls = os.replace, []
+
+        def replace_failing_once(source, target):
+            calls.append(target)
+            if len(calls) == failing:
+                raise OSError(28, "No space left on device")
+            original(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_failing_once)
+        with pytest.raises(OSError, match="No space left"):
+            propagate(SourceStore(fixture_store), "csf-id-am.yaml")
+        resolved = fixture_store / "resolved"
+        for index, uri in enumerate(["ot-profile.yaml", "am-profile.yaml"], start=1):
+            expected = _fresh_output(fixture_store, uri) if index < failing else before[uri]
+            assert (resolved / uri).read_bytes() == expected
+        assert len(calls) == failing and self._leftovers(fixture_store) == []
 
 
 class TestWriteAtomic:

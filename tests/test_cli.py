@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES_DIR, REPO_ROOT
+from strategies import profile_importing
+from layered_guidance import cli as cli_module
 from layered_guidance import resolver
 from layered_guidance.cli import main
 from layered_guidance.model import find_control
@@ -881,3 +883,57 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("usage error: ") and "--store" in err
+
+
+class TestCollectorPause:
+    """``main`` runs a command with the cyclic collector off and leaves it as it found it."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def _store(self, root: Path) -> Path:
+        for name, source in (("dangling", "missing"), ("a", "b"), ("b", "a")):
+            (root / f"{name}.yaml").write_bytes(profile_importing(f"{source}.yaml"))
+        return root
+
+    @pytest.mark.parametrize("args, code", [
+        (["graph", "--store", STORE], 0),
+        (["graph", "--store", "{store}"], 1),
+        (["resolve", "a.yaml", "--store", "{store}"], 2),
+        (["resolve", "missing.yaml", "--store", STORE], 3),
+        (["frobnicate"], 4),
+        (["--help"], 0),
+        (["propagate", "--store", "{store}", "--changed", "missing.yaml"], 3),
+    ])
+    def test_every_exit_leaves_the_collector_as_it_was(self, tmp_path, capsys, collecting, args,
+                                                      code):
+        store = str(self._store(tmp_path))
+        assert main([arg.format(store=store) for arg in args]) == code
+        assert gc.isenabled() is collecting
+
+    def test_an_internal_error_leaves_the_collector_as_it_was(self, monkeypatch, capsys,
+                                                              collecting):
+        def failing(store):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("layered_guidance.cli.build_graph", failing)
+        assert main(["graph", "--store", STORE]) == 3
+        assert capsys.readouterr().err == "internal error: boom\n"
+        assert gc.isenabled() is collecting
+
+    def test_a_command_runs_with_the_collector_paused(self, monkeypatch, capsys, collecting):
+        seen: list[bool] = []
+        original = cli_module.build_graph
+
+        def spying(store):
+            seen.append(gc.isenabled())
+            return original(store)
+
+        monkeypatch.setattr(cli_module, "build_graph", spying)
+        assert main(["graph", "--store", STORE]) == 0
+        assert seen == [False]
+        assert gc.isenabled() is collecting

@@ -5,7 +5,7 @@ import re
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -1119,3 +1119,17 @@ class TestEventPath:
         assert [[control.id for _, control in changed] for changed in read] == [["id.am-1"]] * 2
         declined = [text for text in texts if serialize._read_layout(text) is serialize._DECLINED]
         assert declined == []
+
+    @given(envelope=strategies.documents()
+           | st.lists(tricky_controls(), min_size=1, max_size=4).map(
+               lambda controls: DocumentEnvelope("catalog", Catalog(Metadata("T", "1"),
+                                                                    tuple(controls)))))
+    @example(envelope=DocumentEnvelope("catalog", Catalog(Metadata("T", "1"), (
+        Control("c-1", parts=(Part("statement", "bom\ufeffx"),)),))))
+    @example(envelope=DocumentEnvelope("catalog", Catalog(Metadata("T", "1"), (
+        Control("c-1", parts=(Part("statement", " ".join(["word\ufeff"] * 20)),)),))))
+    @settings(max_examples=150, deadline=None)
+    def test_the_emitter_writes_only_what_the_layout_reader_reads(self, envelope):
+        """U+FEFF is quoted in a plain or folded scalar, as every character the reader leaves."""
+        text = serialize_document(envelope, "yaml").decode("utf-8")
+        assert serialize._read_layout(text) is not serialize._DECLINED
